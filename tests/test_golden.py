@@ -1,0 +1,68 @@
+"""Byte-for-byte pins of the `simulate` and `contrast` tables and CSV files.
+
+The files under tests/golden/ were written by the per-step propagation
+loops that `dynamics.evolve` replaced, from the argv in CASES.  A change
+to the propagator or to the emission path must reproduce them exactly;
+never regenerate them to make this test pass.
+"""
+
+import gzip
+from pathlib import Path
+
+import pytest
+
+from chiraloop.cli import run
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# name -> argv; a "--csv" entry is completed with a temporary path.
+CASES = {
+    # the two README examples
+    "readme_simulate": [
+        "simulate", "propanediol", "--config", "1,-1,0", "--amp", "3,2,4",
+        "--t", "2", "--dt", "0.02",
+    ],
+    "readme_contrast": [
+        "contrast", "propanediol", "--config", "1,-1,0", "--amp", "2.85,2.08,4.72",
+        "--t", "2", "--dt", "0.1",
+    ],
+    # 50,001 rows, more than one evolution block; the leakage column
+    # prints rounding-level values, so it pins the arithmetic bit for bit
+    "long_simulate": [
+        "simulate", "propanediol", "--config", "ZXY", "--amp", "1,0.75,2.75",
+        "--t", "100", "--dt", "0.002",
+    ],
+    "contrast_csv": [
+        "contrast", "propanediol", "--config", "ZXY", "--amp", "1,0.75,2.75",
+        "--phase", "0.3,-1.2,2.0", "--t", "5", "--dt", "0.005", "--csv",
+    ],
+    # X, Y, X drives are not mutually orthogonal: order-one leakage
+    "leaky_simulate": [
+        "simulate", "propanediol", "--config", "XYX", "--t", "5", "--dt", "0.01", "--csv",
+    ],
+}
+
+
+def golden_path(name: str, suffix: str) -> Path:
+    """The golden file of a case; large ones are stored gzip-compressed."""
+    plain = GOLDEN / f"{name}.{suffix}"
+    return plain if plain.exists() else plain.with_name(plain.name + ".gz")
+
+
+def read_golden(name: str, suffix: str) -> bytes:
+    path = golden_path(name, suffix)
+    data = path.read_bytes()
+    return gzip.decompress(data) if path.suffix == ".gz" else data
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_matches_golden(name, tmp_path, capsysbinary):
+    argv = list(CASES[name])
+    csv_path = tmp_path / "out.csv"
+    if argv[-1] == "--csv":
+        argv.append(str(csv_path))
+    assert run(argv) == 0
+    out = capsysbinary.readouterr().out
+    assert out == read_golden(name, "out")
+    if csv_path.exists():
+        assert csv_path.read_bytes() == read_golden(name, "csv")
