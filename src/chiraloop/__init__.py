@@ -8,7 +8,7 @@ loop synthesis), `dynamics` (multi-sublevel propagation), `cli` (command
 line front end).
 """
 
-from . import cli, dipole, dynamics, fields, loop, rotor, wigner
+from . import dipole, dynamics, fields, loop, rotor, wigner
 
 __all__ = ["wigner", "rotor", "dipole", "fields", "loop", "dynamics", "cli"]
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import importlib.resources
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import dynamics, loop
 from .dipole import BodyDipole
-from .fields import DriveField, linear_polarization
+from .fields import DriveField, _wrap_phase, linear_polarization
 from .rotor import AsymTopLevel, RangeError, RotationalConstants, rotor_levels
 
 __all__ = ["ParseError", "MoleculeConfig", "parse_molecule_config", "load_molecule", "run", "main"]
@@ -28,6 +29,9 @@ _KEYS = ("name", "A_MHz", "B_MHz", "C_MHz", "mu_x_D", "mu_y_D", "mu_z_D")
 _TRIADS = {"a": (-1, 1), "b": (-1, 0), "c": (0, 1)}
 
 _AXES = {"X": (1.0, 0.0, 0.0), "Y": (0.0, 1.0, 0.0), "Z": (0.0, 0.0, 1.0)}
+
+# Longest time grid of `simulate` and `contrast`: each step is a table row in memory.
+MAX_TIME_STEPS = 1_000_000
 
 
 class ParseError(ValueError):
@@ -84,6 +88,8 @@ def parse_molecule_config(text: str) -> MoleculeConfig:
             numbers[key] = float(values[key])
         except ValueError:
             raise ParseError(f"key '{key}': not a number: {values[key]!r}") from None
+        if not math.isfinite(numbers[key]):
+            raise ParseError(f"key '{key}': not a finite number: {values[key]!r}")
 
     config = MoleculeConfig(
         name=values["name"],
@@ -282,6 +288,9 @@ def cmd_loops_verify(args) -> int:
     diag = loop.loop_diagnostics(spec)
     o1, o2, o3 = (abs(o) for o in diag.omegas)
     ratio = f"{1.0:.2f}:{o2 / o1:.2f}:{o3 / o1:.2f}" if o1 > 0 else "undefined"
+    # in (-pi, pi], so the sign of a rounding-level zero imaginary part
+    # cannot turn +pi into -pi
+    phase = _wrap_phase(np.angle(loop.loop_product(loop.SingleLoopHamiltonian(*diag.omegas))))
     names = ["|<c'|H|b>|", "|<c''|H|b>|", "|<c|H|b'>|", "|<c|H|b''>|"]
     rows = [[name, f"{abs(r):.3e}"] for name, r in zip(names, diag.residuals)]
     rows += [
@@ -290,7 +299,7 @@ def cmd_loops_verify(args) -> int:
         ["|Omega2|_MHz", f"{o2:.4f}"],
         ["|Omega3|_MHz", f"{o3:.4f}"],
         ["ratio", ratio],
-        ["loop_phase_rad", f"{np.angle(loop.loop_product(loop.SingleLoopHamiltonian(*diag.omegas))):.4f}"],
+        ["loop_phase_rad", f"{phase:.4f}"],
         ["closed", "true" if diag.closed else "false"],
     ]
     if diag.failure:
@@ -300,6 +309,8 @@ def cmd_loops_verify(args) -> int:
 
 
 def cmd_loops_sample(args) -> int:
+    if args.samples < 0:
+        raise ValueError(f"--samples must be >= 0, got {args.samples}")
     config = load_molecule(args.molecule)
     levels = _triad(config, args.triad)
     dip = config.dipole()
@@ -341,59 +352,47 @@ def cmd_loops_sample(args) -> int:
     return 0
 
 
+def _time_grid(args) -> np.ndarray:
+    """Output times 0, dt, 2 dt, ... up to --t (us), validated before allocation."""
+    if not (0 <= args.t < math.inf and 0 < args.dt < math.inf):  # NaN fails too
+        raise ValueError(f"need finite --t >= 0 and --dt > 0, got {args.t} and {args.dt}")
+    if not args.t / args.dt < MAX_TIME_STEPS:
+        raise ValueError(f"--t / --dt asks for more than {MAX_TIME_STEPS} time steps")
+    steps = int(round(args.t / args.dt))
+    return np.arange(steps + 1) * args.dt
+
+
 def cmd_simulate(args) -> int:
+    times = _time_grid(args)
     config = load_molecule(args.molecule)
     spec = _loop_spec(config, args)
-    h = dynamics.assemble_full_hamiltonian(spec)
-    frame = dynamics.loop_frame(spec)
-    evals, evecs = np.linalg.eigh(h)
-    coeff0 = evecs.conj().T @ frame[0]
-
+    pops = dynamics.loop_populations(spec, times, (1.0, 0.0, 0.0))
     rows = []
-    steps = int(round(args.t / args.dt))
-    for k in range(steps + 1):
-        t = k * args.dt
-        psi = evecs @ (np.exp(-2j * np.pi * evals * t) * coeff0)
-        pops = np.abs(frame.conj() @ psi) ** 2
-        leak = max(0.0, 1.0 - float(pops.sum()))
-        rows.append(
-            [f"{t:.4f}", f"{pops[0]:.6f}", f"{pops[1]:.6f}", f"{pops[2]:.6f}", f"{leak:.3e}"]
-        )
+    for t, (pa, pb, pc) in zip(times, pops):
+        leak = max(0.0, 1.0 - (pa + pb + pc))
+        rows.append([f"{t:.4f}", f"{pa:.6f}", f"{pb:.6f}", f"{pc:.6f}", f"{leak:.3e}"])
     _emit(["t_us", "P_a", "P_b", "P_c", "leakage"], rows, args.csv)
     return 0
 
 
 def cmd_contrast(args) -> int:
+    times = _time_grid(args)
     config = load_molecule(args.molecule)
     spec = _loop_spec(config, args)
-    specs = (spec, spec.mirrored())
-    frames = [dynamics.loop_frame(s) for s in specs]
-    systems = [np.linalg.eigh(dynamics.assemble_full_hamiltonian(s)) for s in specs]
-    coeffs = [evecs.conj().T @ frame[0] for ((_, evecs), frame) in zip(systems, frames)]
-
-    rows = []
-    worst = 0.0
-    steps = int(round(args.t / args.dt))
-    for k in range(steps + 1):
-        t = k * args.dt
-        pops = []
-        for (evals, evecs), frame, c0 in zip(systems, frames, coeffs):
-            psi = evecs @ (np.exp(-2j * np.pi * evals * t) * c0)
-            pops.append(np.abs(frame.conj() @ psi) ** 2)
-        d_pc = abs(float(pops[0][2] - pops[1][2]))
-        worst = max(worst, d_pc)
-        rows.append(
-            [f"{t:.4f}"]
-            + [f"{p:.6f}" for p in pops[0]]
-            + [f"{p:.6f}" for p in pops[1]]
-            + [f"{d_pc:.6f}"]
-        )
+    right, left = (
+        dynamics.loop_populations(s, times, (1.0, 0.0, 0.0)) for s in (spec, spec.mirrored())
+    )
+    d_pc = np.abs(right[:, 2] - left[:, 2])
+    rows = [
+        [f"{t:.4f}"] + [f"{p:.6f}" for p in (*r, *l, d)]
+        for t, r, l, d in zip(times, right, left, d_pc)
+    ]
     _emit(
         ["t_us", "P_a_R", "P_b_R", "P_c_R", "P_a_L", "P_b_L", "P_c_L", "dP_c"],
         rows,
         args.csv,
     )
-    print(f"max |P_c_R - P_c_L| = {worst:.6f}")
+    print(f"max |P_c_R - P_c_L| = {d_pc.max():.6f}")
     return 0
 
 

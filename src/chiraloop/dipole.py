@@ -46,6 +46,10 @@ class BodyDipole:
     mu_y: float
     mu_z: float
 
+    def __post_init__(self):
+        if not all(math.isfinite(mu) for mu in (self.mu_x, self.mu_y, self.mu_z)):
+            raise ValueError("dipole components must be finite")
+
     @property
     def chirality_product(self) -> float:
         return self.mu_x * self.mu_y * self.mu_z

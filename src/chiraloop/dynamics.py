@@ -11,7 +11,7 @@ accumulated phase is 2 pi H t with no hidden constants.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -20,6 +20,8 @@ from .fields import DriveField
 from .rotor import AsymTopLevel
 
 if TYPE_CHECKING:  # avoid a runtime cycle; loop imports this module
+    from numpy.typing import ArrayLike
+
     from .loop import LoopSpec
 
 __all__ = [
@@ -28,8 +30,10 @@ __all__ = [
     "coupling_block",
     "assemble_full_hamiltonian",
     "require_hermitian",
+    "evolve",
     "propagate",
     "loop_frame",
+    "loop_populations",
     "leakage",
     "enantiomer_contrast",
     "compare_full_vs_reduced",
@@ -38,6 +42,9 @@ __all__ = [
 RESONANCE_TOL_MHZ = 1e-3
 
 HERMITICITY_ATOL = 1e-14
+
+# Time-grid rows `evolve` takes at once; bounds its temporaries at any grid length.
+EVOLVE_BLOCK_ROWS = 2048
 
 
 class ResonanceAmbiguityError(ValueError):
@@ -64,23 +71,8 @@ class SublevelBasis:
         kets += [(1, level_c.tau, m) for m in _m_values(1)]
         return cls(kets=tuple(kets))
 
-    @property
-    def dim(self) -> int:
-        return len(self.kets)
-
     def index(self, J: int, tau: int, M: int) -> int:
         return self.kets.index((J, tau, M))
-
-    def embed_b(self, amplitudes: np.ndarray) -> np.ndarray:
-        """Lift a (M=+1,0,-1) amplitude triple on the b level to 7 dims."""
-        out = np.zeros(self.dim, dtype=complex)
-        out[1:4] = amplitudes
-        return out
-
-    def embed_c(self, amplitudes: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.dim, dtype=complex)
-        out[4:7] = amplitudes
-        return out
 
 
 def coupling_block(
@@ -148,62 +140,86 @@ def assemble_full_hamiltonian(spec: "LoopSpec") -> np.ndarray:
 
 def require_hermitian(h: np.ndarray, atol: float = HERMITICITY_ATOL) -> None:
     scale = max(1.0, float(np.abs(h).max()))
-    if np.abs(h - h.conj().T).max() > atol * scale:
+    if not np.abs(h - h.conj().T).max() <= atol * scale:  # NaN fails too
         raise ValueError("operator is not Hermitian")
 
 
-def propagate(h: np.ndarray, psi0: np.ndarray, t: float) -> np.ndarray:
-    """psi(t) = exp(-2 pi i H t) psi0 for Hermitian H (MHz) and t in us."""
+def evolve(h: np.ndarray, psi0: np.ndarray, times: "ArrayLike") -> np.ndarray:
+    """psi(t) = exp(-2 pi i H t) psi0 at every t of a 1-D grid, shape (n_t, dim).
+
+    H is Hermitian (MHz), psi0 normalized, times in us.  One
+    eigendecomposition serves the whole grid, and t = 0 takes the same
+    eigenvector route as every other time.
+    """
     psi0 = np.asarray(psi0, dtype=complex)
-    if abs(np.linalg.norm(psi0) - 1.0) > 1e-8:
+    if not abs(np.linalg.norm(psi0) - 1.0) <= 1e-8:
         raise ValueError("initial state must be normalized")
     require_hermitian(h)
-    if t == 0.0:
-        return psi0.copy()
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise ValueError("times must be a 1-D grid")
     evals, evecs = np.linalg.eigh(h)
-    phases = np.exp(-2j * np.pi * evals * t)
-    return evecs @ (phases * (evecs.conj().T @ psi0))
+    coeff0 = evecs.conj().T @ psi0
+    out = np.empty((times.size, psi0.size), dtype=complex)
+    for start in range(0, times.size, EVOLVE_BLOCK_ROWS):
+        block = slice(start, start + EVOLVE_BLOCK_ROWS)
+        coeffs = np.exp(-2j * np.pi * evals * times[block, None]) * coeff0
+        # a stack of matrix-vector products, equal bit for bit to one
+        # `evecs @ v` per time; a single matrix product sums in another order
+        out[block] = (evecs @ coeffs[..., None])[..., 0]
+    return out
+
+
+def propagate(h: np.ndarray, psi0: np.ndarray, t: float) -> np.ndarray:
+    """psi(t) = exp(-2 pi i H t) psi0 for Hermitian H (MHz) and t in us.
+
+    At t = 0 this is psi0 exactly, free of eigenvector rounding.
+    """
+    psi = evolve(h, psi0, [t])[0]
+    return np.array(psi0, dtype=complex) if t == 0.0 else psi
 
 
 def loop_frame(spec: "LoopSpec") -> np.ndarray:
     """Rows (a, b, c) of the dressed loop states embedded in 7 dims."""
     from .loop import dressed_states
 
-    basis = SublevelBasis.for_levels(spec.level_a, spec.level_b, spec.level_c)
     ds = dressed_states(spec)
     frame = np.zeros((3, 7), dtype=complex)
     frame[0, 0] = 1.0
-    frame[1] = basis.embed_b(ds.b)
-    frame[2] = basis.embed_c(ds.c)
+    frame[1, 1:4] = ds.b  # SublevelBasis order, as in assemble_full_hamiltonian
+    frame[2, 4:7] = ds.c
     return frame
 
 
-def _initial_state(frame: np.ndarray, psi0_in_loop) -> np.ndarray:
+def _initial_state(psi0_in_loop) -> np.ndarray:
+    """Normalized loop amplitudes over (a, b, c)."""
     psi3 = np.asarray(psi0_in_loop, dtype=complex)
     norm = np.linalg.norm(psi3)
     if norm == 0:
         raise ValueError("initial loop-state amplitudes are all zero")
-    psi3 = psi3 / norm
-    return psi3 @ frame  # sum_i c_i |i>, rows of frame are the loop kets
+    return psi3 / norm
 
 
-def leakage(spec: "LoopSpec", psi0_in_loop, t_grid: Iterable[float]) -> float:
+def loop_populations(spec: "LoopSpec", times: "ArrayLike", psi0_in_loop) -> np.ndarray:
+    """Populations (P_a, P_b, P_c) of the dressed loop states, shape (n_t, 3).
+
+    The loop-frame initial state evolves under the full 7-level
+    Hamiltonian; whatever a row's sum lacks of 1 has leaked out of the loop.
+    """
+    frame = loop_frame(spec)
+    h = assemble_full_hamiltonian(spec)
+    psi = evolve(h, _initial_state(psi0_in_loop) @ frame, times)
+    return np.abs((frame.conj() @ psi[..., None])[..., 0]) ** 2  # stacked, as in evolve
+
+
+def leakage(spec: "LoopSpec", psi0_in_loop, t_grid: "ArrayLike") -> float:
     """Worst population outside span{a, b, c} over the time grid.
 
     Essentially zero (< 1e-10) for closed configurations; order one for
     leaky ones with comparable Rabi frequencies.
     """
-    frame = loop_frame(spec)
-    h = assemble_full_hamiltonian(spec)
-    psi0 = _initial_state(frame, psi0_in_loop)
-    evals, evecs = np.linalg.eigh(h)
-    coeff0 = evecs.conj().T @ psi0
-    worst = 0.0
-    for t in t_grid:
-        psi = evecs @ (np.exp(-2j * np.pi * evals * float(t)) * coeff0)
-        inside = np.abs(frame.conj() @ psi) ** 2
-        worst = max(worst, 1.0 - float(inside.sum()))
-    return worst
+    pops = loop_populations(spec, t_grid, psi0_in_loop)
+    return float(np.max(1.0 - pops.sum(axis=1), initial=0.0))
 
 
 def enantiomer_contrast(
@@ -226,7 +242,7 @@ def enantiomer_contrast(
 
 
 def compare_full_vs_reduced(
-    spec: "LoopSpec", t_grid: Iterable[float], psi0_in_loop=(1.0, 0.0, 0.0)
+    spec: "LoopSpec", t_grid: "ArrayLike", psi0_in_loop=(1.0, 0.0, 0.0)
 ) -> float:
     """Max difference between 7-level and 3-level loop propagation.
 
@@ -241,21 +257,7 @@ def compare_full_vs_reduced(
     frame = loop_frame(spec)
     h_full = assemble_full_hamiltonian(spec)
     h_loop = SingleLoopHamiltonian(*loop_diagnostics(spec).omegas).matrix()
-
-    psi3 = np.asarray(psi0_in_loop, dtype=complex)
-    psi3 = psi3 / np.linalg.norm(psi3)
-    psi7 = psi3 @ frame
-
-    evals7, evecs7 = np.linalg.eigh(h_full)
-    coeff7 = evecs7.conj().T @ psi7
-    evals3, evecs3 = np.linalg.eigh(h_loop)
-    coeff3 = evecs3.conj().T @ psi3
-
-    worst = 0.0
-    for t in t_grid:
-        t = float(t)
-        full = evecs7 @ (np.exp(-2j * np.pi * evals7 * t) * coeff7)
-        reduced = evecs3 @ (np.exp(-2j * np.pi * evals3 * t) * coeff3)
-        projected = frame.conj() @ full
-        worst = max(worst, float(np.linalg.norm(projected - reduced)))
-    return worst
+    psi3 = _initial_state(psi0_in_loop)
+    projected = evolve(h_full, psi3 @ frame, t_grid) @ frame.conj().T
+    reduced = evolve(h_loop, psi3, t_grid)
+    return float(np.max(np.linalg.norm(projected - reduced, axis=1), initial=0.0))

@@ -46,10 +46,14 @@ class DriveField:
     comps: dict[int, tuple[float, float]] = field(default_factory=dict)
 
     def __post_init__(self):
+        if not math.isfinite(self.freq):
+            raise ValueError(f"drive frequency must be finite, got {self.freq}")
         norm: dict[int, tuple[float, float]] = {}
         for sigma, (amp, phase) in self.comps.items():
             if sigma not in SIGMAS:
                 raise ValueError(f"polarization component sigma={sigma} not in -1,0,+1")
+            if not (math.isfinite(amp) and math.isfinite(phase)):
+                raise ValueError(f"sigma={sigma}: amplitude and phase must be finite")
             if amp < 0:
                 amp, phase = -amp, phase + math.pi
             if amp > 0:

@@ -328,11 +328,15 @@ class LoopDiagnostics:
     residuals: tuple[complex, complex, complex, complex]
     max_residual: float
     closed: bool
-    failure: str | None  # None, "not_closed", or "zero_rabi"
+    failure: str | None  # None, "non_finite", "not_closed", or "zero_rabi"
 
 
 def loop_diagnostics(spec: LoopSpec, tol: float = DEFAULT_CLOSURE_TOL_MHZ) -> LoopDiagnostics:
-    """Residuals, Rabi frequencies, and the closure verdict for a candidate."""
+    """Residuals, Rabi frequencies, and the closure verdict for a candidate.
+
+    The verdict fails closed: a NaN or infinite residual or Rabi frequency
+    (say, from an overflowing amplitude) is never closed.
+    """
     residuals = closure_conditions(spec)
     max_residual = max(abs(r) for r in residuals)
 
@@ -344,7 +348,9 @@ def loop_diagnostics(spec: LoopSpec, tol: float = DEFAULT_CLOSURE_TOL_MHZ) -> Lo
     omega2 = 2.0 * _sandwich(ds.c, _middle_block(spec), ds.b)
     omegas = (omega1, omega2, omega3)
 
-    if max_residual >= tol:
+    if not all(cmath.isfinite(x) for x in (*residuals, *omegas)):
+        failure = "non_finite"
+    elif max_residual >= tol:
         failure = "not_closed"
     elif min(abs(o) for o in omegas) <= tol:
         failure = "zero_rabi"
@@ -366,9 +372,12 @@ def build_single_loop(
 
     Raises NotClosedError when a residual reaches tol (the configuration
     is multi-loop / leaky) and ZeroRabiError when some |Omega| <= tol (the
-    cycle is broken, e.g. three parallel Z drives).
+    cycle is broken, e.g. three parallel Z drives); ValueError when a
+    residual or Rabi frequency is not finite.
     """
     diag = loop_diagnostics(spec, tol)
+    if diag.failure == "non_finite":
+        raise ValueError("closure residuals or Rabi frequencies are not finite")
     if diag.failure == "not_closed":
         raise NotClosedError(diag.max_residual, tol)
     if diag.failure == "zero_rabi":

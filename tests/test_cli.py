@@ -1,6 +1,10 @@
 """Command line behavior: config parsing, tables, CSV, exit codes."""
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -266,3 +270,80 @@ def test_range_error_file_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.mol"
     path.write_text(GOOD_CONFIG.replace("B_MHz = 3640.10", "B_MHz = 2000.0"))
     assert run(["transitions", str(path)]) == 2
+
+
+@pytest.mark.parametrize("command", ["simulate", "contrast"])
+@pytest.mark.parametrize(
+    "grid",
+    [
+        ["--dt", "0"],
+        ["--dt", "-0.1"],
+        ["--t", "-1"],
+        ["--t", "1e12", "--dt", "1e-9"],
+        ["--t", "1e300", "--dt", "1e-300"],
+        ["--t", "nan"],
+        ["--dt", "inf"],
+    ],
+)
+def test_bad_time_grid_exits_2(command, grid, capsys):
+    assert run([command, "propanediol", "--config", "1,-1,0", *grid]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "--t" in captured.err
+    assert captured.out == ""
+
+
+def test_zero_duration_gives_one_row(capsys):
+    assert run(["simulate", "propanediol", "--config", "1,-1,0", "--t", "0"]) == 0
+    assert len(capsys.readouterr().out.strip().splitlines()) == 2  # header + t = 0
+
+
+def test_negative_samples_exit_2(capsys):
+    assert run(["loops", "sample", "propanediol", "--samples", "-5"]) == 2
+    assert "--samples" in capsys.readouterr().err
+
+
+def test_non_finite_amplitude_exits_2(capsys):
+    assert run(["loops", "verify", "propanediol", "--sigma", "1,-1,0", "--amp", "inf,1,1"]) == 2
+    captured = capsys.readouterr()
+    assert "finite" in captured.err
+    assert "closed" not in captured.out
+
+
+def test_non_finite_molecule_value_exits_2(tmp_path, capsys):
+    path = tmp_path / "nan.mol"
+    path.write_text(GOOD_CONFIG.replace("mu_x_D = 1.916", "mu_x_D = nan"))
+    with pytest.raises(ParseError, match="mu_x_D"):
+        parse_molecule_config(path.read_text())
+    assert run(["loops", "verify", str(path), "--sigma", "1,-1,0"]) == 2
+    captured = capsys.readouterr()
+    assert "mu_x_D" in captured.err
+    assert "closed" not in captured.out
+
+
+def test_overflowing_amplitude_is_not_closed(capsys):
+    assert run(["loops", "verify", "propanediol", "--sigma", "1,-1,0", "--amp", "1e200,1,1"]) == 0
+    rows = dict(line.split() for line in capsys.readouterr().out.strip().splitlines()[1:])
+    assert rows["closed"] == "false"
+    assert rows["failure"] == "non_finite"
+
+
+def test_loop_phase_canonical(capsys):
+    """The ZXY loop product is real and negative with a signed-zero
+    imaginary part; its phase prints as +pi, never -pi."""
+    assert run(["loops", "verify", "propanediol", "--pol", "ZXY"]) == 0
+    rows = dict(line.split() for line in capsys.readouterr().out.strip().splitlines()[1:])
+    assert rows["loop_phase_rad"] == "3.1416"
+
+
+def test_module_entry_point_stderr_clean():
+    import chiraloop
+
+    src = str(Path(chiraloop.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "chiraloop.cli", "transitions", "propanediol"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert "12212.15" in proc.stdout

@@ -262,3 +262,11 @@ def test_rabi_precomputed_gamma_matches(triad_a, dipole):
     direct = rabi_frequency(c, 0, b, 1, -1, 0.8, 0.3, dipole)
     seeded = rabi_frequency(c, 0, b, 1, -1, 0.8, 0.3, dipole, gamma=gamma)
     assert direct == seeded
+
+
+@pytest.mark.parametrize(
+    "components", [(math.nan, 0.3, 1.2), (1.9, math.inf, 1.2), (1.9, 0.3, -math.inf)]
+)
+def test_non_finite_dipole_rejected(components):
+    with pytest.raises(ValueError):
+        BodyDipole(*components)

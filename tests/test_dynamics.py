@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chiraloop import loop
 from chiraloop.dipole import DEBYE_VCM_TO_MHZ, reduced_matrix_element
@@ -12,10 +14,13 @@ from chiraloop.dynamics import (
     SublevelBasis,
     assemble_full_hamiltonian,
     compare_full_vs_reduced,
+    EVOLVE_BLOCK_ROWS,
     coupling_block,
     enantiomer_contrast,
+    evolve,
     leakage,
     loop_frame,
+    loop_populations,
     propagate,
 )
 from chiraloop.fields import DriveField
@@ -313,3 +318,84 @@ def test_populations_depend_only_on_magnitudes_and_loop_phase(triad_a, dipole):
         shift_r, shift_l = enantiomer_contrast(shifted, t)
         assert np.allclose(base_r, shift_r, atol=1e-12)
         assert np.allclose(base_l, shift_l, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# evolution over a time grid
+
+def random_hermitian(rng, dim):
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return a + a.conj().T
+
+
+def random_state(rng, dim):
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return psi / np.linalg.norm(psi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 7),
+    times=st.lists(
+        st.floats(-50.0, 50.0, allow_nan=False).filter(lambda t: t != 0.0), max_size=40
+    ),
+)
+def test_evolve_rows_equal_propagate(seed, dim, times):
+    rng = np.random.default_rng(seed)
+    h = random_hermitian(rng, dim)
+    psi0 = random_state(rng, dim)
+    grid = evolve(h, psi0, times)
+    assert grid.shape == (len(times), dim)
+    for row, t in zip(grid, times):
+        single = propagate(h, psi0, t)
+        if dim == 1:
+            # numpy merges a one-column grid into a single SIMD complex
+            # multiply (fused multiply-add), so it can differ from a
+            # one-row grid in the last bit
+            assert np.abs(row - single).max() <= 4 * np.finfo(float).eps
+        else:
+            assert np.array_equal(row, single)
+        assert abs(np.linalg.norm(row) - 1.0) <= 1e-12
+
+
+def test_evolve_across_blocks_equals_propagate(linear_spec):
+    h = assemble_full_hamiltonian(linear_spec)
+    psi0 = random_state(np.random.default_rng(5), 7)
+    times = 0.013 * np.arange(1, 2 * EVOLVE_BLOCK_ROWS + 4)
+    grid = evolve(h, psi0, times)
+    edges = [0, EVOLVE_BLOCK_ROWS - 1, EVOLVE_BLOCK_ROWS, 2 * EVOLVE_BLOCK_ROWS, len(times) - 1]
+    for k in edges + list(range(0, len(times), 211)):
+        assert np.array_equal(grid[k], propagate(h, psi0, times[k]))
+
+
+def test_evolve_empty_grid(linear_spec):
+    h = assemble_full_hamiltonian(linear_spec)
+    psi0 = np.zeros(7, dtype=complex)
+    psi0[0] = 1.0
+    assert evolve(h, psi0, []).shape == (0, 7)
+    assert leakage(linear_spec, (1, 0, 0), []) == 0.0
+
+
+def test_evolve_rejects_non_finite_input():
+    h = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
+    with pytest.raises(ValueError, match="normalized"):
+        evolve(h, np.array([math.nan, 0.0], dtype=complex), [1.0])
+    with pytest.raises(ValueError, match="Hermitian"):
+        evolve(np.array([[math.nan, 0.0], [0.0, 0.0]]), np.array([1.0, 0.0]), [1.0])
+    with pytest.raises(ValueError, match="1-D"):
+        evolve(h, np.array([1.0, 0.0]), [[1.0]])
+
+
+def test_loop_populations_match_contrast(linear_spec):
+    """The grid path and the single-time path give the same numbers."""
+    times = [0.3, 1.1, 1.9]
+    pops = loop_populations(linear_spec, times, (1, 0, 0))
+    assert pops.shape == (3, 3)
+    for row, t in zip(pops, times):
+        assert tuple(row) == enantiomer_contrast(linear_spec, t)[0]
+
+
+def test_full_vs_reduced_rejects_zero_amplitudes(linear_spec):
+    with pytest.raises(ValueError, match="all zero"):
+        compare_full_vs_reduced(linear_spec, T_GRID, (0, 0, 0))

@@ -182,3 +182,19 @@ def test_phase_canonical_range():
     f = DriveField(freq=1.0, comps={0: (1.0, 7.5)})
     assert -math.pi < f.phase(0) <= math.pi
     assert cmath.exp(1j * f.phase(0)) == pytest.approx(cmath.exp(1j * 7.5), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "freq, comps",
+    [
+        (math.nan, {0: (1.0, 0.0)}),
+        (math.inf, {0: (1.0, 0.0)}),
+        (1.0, {0: (math.inf, 0.0)}),
+        (1.0, {0: (math.nan, 0.0)}),
+        (1.0, {1: (1.0, math.inf)}),
+        (1.0, {1: (1.0, 0.0), -1: (1.0, math.nan)}),
+    ],
+)
+def test_non_finite_values_rejected(freq, comps):
+    with pytest.raises(ValueError):
+        DriveField(freq=freq, comps=comps)

@@ -302,3 +302,13 @@ def test_diagnostics_closed_flag_consistency(triad_a, dipole):
     assert not leaky.closed and leaky.failure == "not_closed"
     open_loop = loop_diagnostics(pure_loop_spec(triad_a, dipole, (0, 0, 0)))
     assert not open_loop.closed and open_loop.failure == "zero_rabi"
+
+
+def test_non_finite_verdict_fails_closed(triad_a, dipole):
+    """An amplitude whose square overflows makes |Omega1| infinite and
+    field 1's dressed state vanish, so every residual is zero; the verdict
+    must still not be closed."""
+    diag = loop_diagnostics(pure_loop_spec(triad_a, dipole, (1, -1, 0), amplitudes=(1e200, 1, 1)))
+    assert not diag.closed and diag.failure == "non_finite"
+    with pytest.raises(ValueError, match="not finite"):
+        build_single_loop(pure_loop_spec(triad_a, dipole, (1, -1, 0), amplitudes=(1e200, 1, 1)))
