@@ -339,7 +339,8 @@ def test_module_entry_point_stderr_clean():
     import chiraloop
 
     src = str(Path(chiraloop.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run(
         [sys.executable, "-m", "chiraloop.cli", "transitions", "propanediol"],
         capture_output=True, text=True, env=env, timeout=60,

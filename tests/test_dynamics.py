@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from chiraloop import loop
 from chiraloop.dipole import DEBYE_VCM_TO_MHZ, reduced_matrix_element
 from chiraloop.dynamics import (
+    EVOLVE_BLOCK_ROWS,
     ResonanceAmbiguityError,
     SublevelBasis,
     assemble_full_hamiltonian,
     compare_full_vs_reduced,
-    EVOLVE_BLOCK_ROWS,
     coupling_block,
     enantiomer_contrast,
     evolve,
