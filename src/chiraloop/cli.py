@@ -229,16 +229,11 @@ def cmd_levels(args) -> int:
     rows = []
     for J in range(args.jmax + 1):
         for level in rotor_levels(constants, J):
-            for K in range(-J, J + 1):
-                rows.append(
-                    [
-                        str(level.J),
-                        str(level.tau),
-                        f"{level.freq:.2f}",
-                        str(K),
-                        f"{level.coeff(K):.6f}",
-                    ]
-                )
+            head = [str(J), str(level.tau), f"{level.freq:.2f}"]
+            for K, c in zip(range(-J, J + 1), level.coeffs.tolist()):
+                cell = f"{c:.6f}"
+                # a coefficient that rounds to zero prints unsigned
+                rows.append([*head, str(K), "0.000000" if cell == "-0.000000" else cell])
     _emit(["J", "tau", "freq_MHz", "K", "coeff"], rows, args.csv)
     return 0
 

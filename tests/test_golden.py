@@ -1,12 +1,15 @@
-"""Byte-for-byte pins of the `simulate` and `contrast` tables and CSV files.
+"""Byte-for-byte pins of the `simulate`, `contrast` and `levels` tables and CSV files.
 
-The files under tests/golden/ were written by the per-step propagation
-loops that `dynamics.evolve` replaced, from the argv in CASES.  A change
-to the propagator or to the emission path must reproduce them exactly;
-never regenerate them to make this test pass.
+The `simulate` and `contrast` files under tests/golden/ were written by the
+per-step propagation loops that `dynamics.evolve` replaced, the `levels`
+files by the cyclic Jacobi solver that the Wang-block `eigh` replaced, each
+from the argv in CASES.  A change to the propagator, the rotor solver or
+the emission path must reproduce them exactly; never regenerate them to
+make this test pass.
 """
 
 import gzip
+from itertools import zip_longest
 from pathlib import Path
 
 import pytest
@@ -40,6 +43,8 @@ CASES = {
     "leaky_simulate": [
         "simulate", "propanediol", "--config", "XYX", "--t", "5", "--dt", "0.01", "--csv",
     ],
+    # every level to J = 2 with its K expansion, zeros printed unsigned
+    "levels": ["levels", "propanediol", "--jmax", "2", "--csv"],
 }
 
 
@@ -55,6 +60,20 @@ def read_golden(name: str, suffix: str) -> bytes:
     return gzip.decompress(data) if path.suffix == ".gz" else data
 
 
+def assert_same_bytes(actual: bytes, expected: bytes, what: str) -> None:
+    """Exact comparison that names the first differing line and shows both."""
+    if actual == expected:
+        return
+    pairs = zip_longest(actual.split(b"\n"), expected.split(b"\n"))
+    for lineno, (got, want) in enumerate(pairs, start=1):
+        if got != want:
+            pytest.fail(
+                f"{what} differs from its golden file at line {lineno}:\n"
+                f"  got:      {got!r}\n  expected: {want!r}",
+                pytrace=False,
+            )
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_matches_golden(name, tmp_path, capsysbinary):
     argv = list(CASES[name])
@@ -63,6 +82,6 @@ def test_output_matches_golden(name, tmp_path, capsysbinary):
         argv.append(str(csv_path))
     assert run(argv) == 0
     out = capsysbinary.readouterr().out
-    assert out == read_golden(name, "out")
+    assert_same_bytes(out, read_golden(name, "out"), "stdout")
     if csv_path.exists():
-        assert csv_path.read_bytes() == read_golden(name, "csv")
+        assert_same_bytes(csv_path.read_bytes(), read_golden(name, "csv"), "CSV")
