@@ -101,81 +101,67 @@ def rotor_hamiltonian_block(constants: RotationalConstants, J: int) -> np.ndarra
     return h
 
 
-def _jacobi_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi diagonalization of a real symmetric matrix.
-
-    Returns (eigenvalues, eigenvectors as columns), unordered.  Plenty for
-    the tiny dense blocks here and deterministic across platforms.
-    """
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    v = np.eye(n)
-    if n == 1:
-        return np.array([a[0, 0]]), v
-    scale = np.linalg.norm(a)
-    if scale == 0.0:
-        return np.zeros(n), v
-    stop = 1e-15 * scale
-    for _ in range(60):
-        hollow = a.copy()
-        np.fill_diagonal(hollow, 0.0)
-        if np.linalg.norm(hollow) <= stop:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = 0.5 * (a[q, q] - a[p, p]) / apq
-                t = np.sign(theta) / (abs(theta) + np.sqrt(1.0 + theta * theta))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-                a[p, q] = a[q, p] = 0.0
-                rot_p = c * v[:, p] - s * v[:, q]
-                rot_q = s * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = rot_p, rot_q
-    return np.diag(a).copy(), v
-
-
 def _fix_phase(vec: np.ndarray) -> np.ndarray:
     """Make the first nonzero coefficient (scanning K = -J..J) positive."""
-    threshold = 1e-10 * np.abs(vec).max()
-    for x in vec:
+    values = vec.tolist()
+    threshold = 1e-10 * max(map(abs, values))
+    for x in values:
         if abs(x) > threshold:
             return vec if x > 0 else -vec
     return vec
 
 
+# Wang sub-blocks E+, E-, O+, O- as (sign, smallest K); each holds the
+# combinations (|K) + sign |-K))/sqrt(2) for K, K+2, ... <= J.
+_WANG_BLOCKS = ((1, 0), (-1, 2), (1, 1), (-1, 1))
+
+
 def rotor_levels(constants: RotationalConstants, J: int) -> list[AsymTopLevel]:
     """All 2J+1 levels of the J block, sorted ascending in energy.
 
-    tau runs -J..J in that order.  Exact or near ties (< 1e-6 MHz) emit a
-    DegenerateLevelsWarning and are broken by lexicographic comparison of
-    the (phase-fixed) coefficient vectors, so output is deterministic.
+    tau runs -J..J in that order.  The block splits exactly into the four
+    Wang sub-blocks E+, E-, O+, O- of the basis (|K) +- |-K))/sqrt(2), so
+    every level has c(K) = +-c(-K) exactly.  Each tridiagonal sub-block is
+    diagonalized by numpy.linalg.eigh.  Levels are ordered by a stable
+    sort on frequency over the sub-blocks in that fixed order, so exact
+    ties keep a deterministic order; near ties (< 1e-6 MHz) emit a
+    DegenerateLevelsWarning.
     """
     block = rotor_hamiltonian_block(constants, J)
-    vals, vecs = _jacobi_eigh(block)
-    pairs = [(vals[i], _fix_phase(vecs[:, i].copy())) for i in range(2 * J + 1)]
-    pairs.sort(key=lambda p: (p[0], tuple(p[1])))
+    n = 2 * J + 1
+    root_half = 1.0 / np.sqrt(2.0)
+    pairs = []
+    for sign, k0 in _WANG_BLOCKS:
+        if k0 > J:
+            continue
+        d = block.diagonal()[J + k0 :: 2].copy()
+        if k0 == 1:
+            d[0] += sign * block[J + 1, J - 1]  # <1+-|H|1+-) = <1|H|1) +- <1|H|-1)
+        if d.size == 1:  # a single state is its own eigenvector
+            vals, vecs = d, np.ones((1, 1))
+        else:
+            e = block.diagonal(2)[J + k0 :: 2].copy()
+            if k0 == 0:
+                e[0] *= np.sqrt(2.0)  # <0|H|2+) = sqrt(2) <0|H|2)
+            vals, vecs = np.linalg.eigh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+        coeffs = np.zeros((n, d.size))
+        coeffs[J + k0 :: 2] = vecs * root_half
+        coeffs[J - k0 :: -2] = sign * coeffs[J + k0 :: 2]
+        if k0 == 0:
+            coeffs[J] = vecs[0]
+        pairs.extend(zip(vals, coeffs.T))
+    pairs.sort(key=lambda p: p[0])
 
     freqs = [p[0] for p in pairs]
     if any(b - a < DEGENERACY_TOL_MHZ for a, b in zip(freqs, freqs[1:])):
         warnings.warn(
-            f"degenerate levels in J={J} block; tau labels use tie-breaking",
+            f"degenerate levels in J={J} block; tau labels rest on the Wang block order",
             DegenerateLevelsWarning,
             stacklevel=2,
         )
 
     return [
-        AsymTopLevel(J=J, tau=tau, freq=freq, coeffs=vec)
+        AsymTopLevel(J=J, tau=tau, freq=freq, coeffs=_fix_phase(vec.copy()))
         for tau, (freq, vec) in zip(range(-J, J + 1), pairs)
     ]
 

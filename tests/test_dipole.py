@@ -270,3 +270,22 @@ def test_rabi_precomputed_gamma_matches(triad_a, dipole):
 def test_non_finite_dipole_rejected(components):
     with pytest.raises(ValueError):
         BodyDipole(*components)
+
+
+# ---------------------------------------------------------------------------
+# symmetry of the cyclic triads
+
+@pytest.mark.parametrize("taus", [(-1, 1), (-1, 0), (0, 1)], ids=["a", "b", "c"])
+def test_triad_legs_use_three_different_dipole_components(taus, ground, j1_levels):
+    # A single-loop Delta configuration needs one a-, one b- and one c-type line.
+    a, b, c = ground, j1_levels[taus[0]], j1_levels[taus[1]]
+    units = {"x": BodyDipole(1.0, 0.0, 0.0), "y": BodyDipole(0.0, 1.0, 0.0), "z": BodyDipole(0.0, 0.0, 1.0)}
+    used = []
+    for upper, lower in ((b, a), (c, b), (c, a)):
+        nonzero = [
+            axis for axis, unit in units.items()
+            if abs(reduced_matrix_element(upper, lower, unit).value) > 1e-12
+        ]
+        assert len(nonzero) == 1
+        used.extend(nonzero)
+    assert sorted(used) == ["x", "y", "z"]

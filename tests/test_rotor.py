@@ -222,3 +222,34 @@ def test_transition_ordering_error(constants):
         transition_frequency(ground, levels[0])
     with pytest.raises(OrderingError):
         transition_frequency(ground, ground)
+
+
+# ---------------------------------------------------------------------------
+# Wang symmetry
+
+@pytest.mark.filterwarnings("ignore::chiraloop.rotor.DegenerateLevelsWarning")
+@settings(max_examples=50, deadline=None)
+@given(triple=constants_strategy, J=st.integers(0, 20))
+def test_wang_parity_residuals_and_eigvalsh(triple, J):
+    constants = _constants_from(triple)
+    block = rotor_hamiltonian_block(constants, J)
+    levels = rotor_levels(constants, J)
+    norm = np.linalg.norm(block)
+    for level in levels:
+        mirrored = level.coeffs[::-1]
+        assert np.array_equal(level.coeffs, mirrored) or np.array_equal(level.coeffs, -mirrored)
+        residual = np.linalg.norm(block @ level.coeffs - level.freq * level.coeffs)
+        assert residual <= 1e-9 * norm
+    freqs = [level.freq for level in levels]
+    assert np.allclose(freqs, np.linalg.eigvalsh(block), rtol=1e-9, atol=0.0)
+    assert [level.tau for level in levels] == list(range(-J, J + 1))
+    assert all(b >= a for a, b in zip(freqs, freqs[1:]))
+
+
+def test_propanediol_j7_top_doublet_is_unmixed(constants):
+    # 40-digit diagonalization of the J = 7 block: |c(+-7)| of tau 6 and 7
+    levels = {level.tau: level for level in rotor_levels(constants, 7)}
+    for tau, expected in ((6, 0.706754448844), (7, 0.706754448355)):
+        level = levels[tau]
+        assert abs(level.coeff(7)) == abs(level.coeff(-7))
+        assert abs(level.coeff(7)) == pytest.approx(expected, abs=1e-9)
