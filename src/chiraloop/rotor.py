@@ -1,9 +1,10 @@
 """Rigid asymmetric-top rotor: per-J Hamiltonian blocks and their eigenpairs.
 
-The Hamiltonian h(A Jz^2 + B Jx^2 + C Jy^2) is diagonalized block by block
-in the prolate symmetric-top basis |J,K), K = -J..J.  Energies are stored
-as frequencies (MHz).  Levels within a J block are labeled by tau = -J..J
-in order of increasing energy.
+The Hamiltonian h(A Jz^2 + B Jx^2 + C Jy^2) is built block by block in the
+prolate symmetric-top basis |J,K), K = -J..J, and diagonalized in the Wang
+sub-blocks of (|K) +- |-K))/sqrt(2) (Wang, Phys. Rev. 34, 243 (1929)).
+Energies are stored as frequencies (MHz).  Levels within a J block are
+labeled by tau = -J..J in order of increasing energy.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ class OrderingError(ValueError):
 
 
 class DegenerateLevelsWarning(UserWarning):
-    """Two eigenvalues are (nearly) equal; tau labels rely on tie-breaking."""
+    """Two eigenvalues are (nearly) equal; their tau order is not physically defined."""
 
 
 @dataclass(frozen=True)
@@ -138,30 +139,33 @@ def rotor_levels(constants: RotationalConstants, J: int) -> list[AsymTopLevel]:
         if k0 == 1:
             d[0] += sign * block[J + 1, J - 1]  # <1+-|H|1+-) = <1|H|1) +- <1|H|-1)
         if d.size == 1:  # a single state is its own eigenvector
-            vals, vecs = d, np.ones((1, 1))
-        else:
-            e = block.diagonal(2)[J + k0 :: 2].copy()
-            if k0 == 0:
-                e[0] *= np.sqrt(2.0)  # <0|H|2+) = sqrt(2) <0|H|2)
-            vals, vecs = np.linalg.eigh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
-        coeffs = np.zeros((n, d.size))
-        coeffs[J + k0 :: 2] = vecs * root_half
-        coeffs[J - k0 :: -2] = sign * coeffs[J + k0 :: 2]
+            vec = np.zeros(n)
+            vec[J - k0] = root_half if k0 else 1.0
+            vec[J + k0] = sign * vec[J - k0]  # the same entry when K = 0
+            pairs.append((d[0], vec))
+            continue
+        e = block.diagonal(2)[J + k0 :: 2].copy()
         if k0 == 0:
-            coeffs[J] = vecs[0]
-        pairs.extend(zip(vals, coeffs.T))
+            e[0] *= np.sqrt(2.0)  # <0|H|2+) = sqrt(2) <0|H|2)
+        vals, vecs = np.linalg.eigh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+        coeffs = np.zeros((d.size, n))  # one row per eigenvector
+        coeffs[:, J + k0 :: 2] = vecs.T * root_half
+        coeffs[:, J - k0 :: -2] = sign * coeffs[:, J + k0 :: 2]
+        if k0 == 0:
+            coeffs[:, J] = vecs[0]
+        pairs.extend(zip(vals, coeffs))
     pairs.sort(key=lambda p: p[0])
 
     freqs = [p[0] for p in pairs]
     if any(b - a < DEGENERACY_TOL_MHZ for a, b in zip(freqs, freqs[1:])):
         warnings.warn(
-            f"degenerate levels in J={J} block; tau labels rest on the Wang block order",
+            f"degenerate levels in J={J} block; their tau order is not physically defined",
             DegenerateLevelsWarning,
             stacklevel=2,
         )
 
     return [
-        AsymTopLevel(J=J, tau=tau, freq=freq, coeffs=_fix_phase(vec.copy()))
+        AsymTopLevel(J=J, tau=tau, freq=freq, coeffs=_fix_phase(vec))
         for tau, (freq, vec) in zip(range(-J, J + 1), pairs)
     ]
 
