@@ -279,7 +279,11 @@ def test_non_finite_dipole_rejected(components):
 def test_triad_legs_use_three_different_dipole_components(taus, ground, j1_levels):
     # A single-loop Delta configuration needs one a-, one b- and one c-type line.
     a, b, c = ground, j1_levels[taus[0]], j1_levels[taus[1]]
-    units = {"x": BodyDipole(1.0, 0.0, 0.0), "y": BodyDipole(0.0, 1.0, 0.0), "z": BodyDipole(0.0, 0.0, 1.0)}
+    units = {
+        "x": BodyDipole(1.0, 0.0, 0.0),
+        "y": BodyDipole(0.0, 1.0, 0.0),
+        "z": BodyDipole(0.0, 0.0, 1.0),
+    }
     used = []
     for upper, lower in ((b, a), (c, b), (c, a)):
         nonzero = [
