@@ -1,11 +1,13 @@
-"""Byte-for-byte pins of the `simulate`, `contrast` and `levels` tables and CSV files.
+"""Byte-for-byte pins of the `simulate`, `contrast`, `levels` and `loops` tables and CSV files.
 
 The `simulate` and `contrast` files under tests/golden/ were written by the
 per-step propagation loops that `dynamics.evolve` replaced, the `levels`
-files by the cyclic Jacobi solver that the Wang-block `eigh` replaced, each
-from the argv in CASES.  A change to the propagator, the rotor solver or
-the emission path must reproduce them exactly; never regenerate them to
-make this test pass.
+files by the cyclic Jacobi solver that the Wang-block `eigh` replaced, and
+the `loops` files by the per-builder spec construction and the two-pass
+closure evaluation that `LoopSpec.resonant` and the single
+`loop_diagnostics` pass replaced, each from the argv in CASES.  A change to
+the propagator, the rotor solver, the loop evaluation or the emission path
+must reproduce them exactly; never regenerate them to make this test pass.
 """
 
 import gzip
@@ -45,6 +47,29 @@ CASES = {
     ],
     # every level to J = 2 with its K expansion, zeros printed unsigned
     "levels": ["levels", "propanediol", "--jmax", "2", "--csv"],
+    # the 27-row pure-polarization table of each triad
+    "enumerate_a": ["loops", "enumerate", "propanediol", "--triad", "a"],
+    "enumerate_b": ["loops", "enumerate", "propanediol", "--triad", "b"],
+    "enumerate_c": ["loops", "enumerate", "propanediol", "--triad", "c", "--csv"],
+    "sample": ["loops", "sample", "propanediol", "--samples", "300", "--seed", "7"],
+    # one verdict per way of giving the drives, and one per failure kind
+    "verify_pol": [
+        "loops", "verify", "propanediol", "--triad", "b", "--pol", "ZXY",
+        "--amp", "1,0.75,2.75", "--phase", "0.3,-2,1",
+    ],
+    "verify_not_closed": ["loops", "verify", "propanediol", "--triad", "b", "--pol", "XYX"],
+    "verify_zero_rabi": ["loops", "verify", "propanediol", "--triad", "b", "--sigma", "0,0,0"],
+    "verify_sigma": [
+        "loops", "verify", "propanediol", "--triad", "b", "--sigma", "1,0,1",
+        "--amp", "2,1,0.5", "--phase=-1,-2,-3",
+    ],
+    "verify_field": [
+        "loops", "verify", "propanediol", "--triad", "b", "--field=1:1:0.2,0:0.5:-1",
+        "--field=-1:1:0", "--field=0:2:1,1:1:-3",
+    ],
+    "verify_non_finite": [
+        "loops", "verify", "propanediol", "--pol", "ZXY", "--amp", "1e200,1e200,1e200",
+    ],
 }
 
 
