@@ -19,8 +19,8 @@ import numpy as np
 
 from . import dynamics, loop
 from .dipole import BodyDipole
-from .fields import DriveField, _wrap_phase, linear_polarization
-from .rotor import AsymTopLevel, RangeError, RotationalConstants, rotor_levels
+from .fields import _wrap_phase, linear_components
+from .rotor import AsymTopLevel, RangeError, RotationalConstants, rotor_levels, transition_frequency
 
 __all__ = ["ParseError", "MoleculeConfig", "parse_molecule_config", "load_molecule", "run", "main"]
 
@@ -143,7 +143,7 @@ def _split3(text: str, kind: str, cast) -> tuple:
         raise ValueError(f"--{kind}: could not parse {text!r}") from None
 
 
-def _parse_general_field(text: str, freq: float) -> DriveField:
+def _parse_general_field(text: str) -> dict[int, tuple[float, float]]:
     comps = {}
     for part in text.split(","):
         pieces = part.split(":")
@@ -151,14 +151,11 @@ def _parse_general_field(text: str, freq: float) -> DriveField:
             raise ValueError(f"--field component must be sigma:amp:phase, got {part!r}")
         sigma, amp, phase = int(pieces[0]), float(pieces[1]), float(pieces[2])
         comps[sigma] = (amp, phase)
-    return DriveField(freq=freq, comps=comps)
+    return comps
 
 
-def _build_fields(
-    args, levels: tuple[AsymTopLevel, AsymTopLevel, AsymTopLevel]
-) -> tuple[DriveField, DriveField, DriveField]:
-    a, b, c = levels
-    freqs = (b.freq - a.freq, c.freq - b.freq, c.freq - a.freq)
+def _drive_components(args) -> list[dict[int, tuple[float, float]]]:
+    """The three drives' {sigma: (amplitude, phase)} from --pol, --sigma or --field."""
     amps = _split3(args.amp, "amp", float) if args.amp else (1.0, 1.0, 1.0)
     phases = _split3(args.phase, "phase", float) if args.phase else (0.0, 0.0, 0.0)
 
@@ -180,35 +177,23 @@ def _build_fields(
         letters = [ch.upper() for ch in pol]
         if len(letters) != 3 or any(ch not in _AXES for ch in letters):
             raise ValueError(f"--pol must be three of X, Y, Z, got {pol!r}")
-        return tuple(
-            linear_polarization(_AXES[ch], amp, phase, freq)
-            for ch, amp, phase, freq in zip(letters, amps, phases, freqs)
-        )
+        return [
+            linear_components(_AXES[ch], amp, phase)
+            for ch, amp, phase in zip(letters, amps, phases)
+        ]
     if sigma:
         sigmas = _split3(sigma, "sigma", int)
         if any(s not in (-1, 0, 1) for s in sigmas):
             raise ValueError(f"--sigma components must be -1, 0 or 1, got {sigma!r}")
-        return tuple(
-            DriveField.pure(s, amp, freq, phase)
-            for s, amp, phase, freq in zip(sigmas, amps, phases, freqs)
-        )
+        return [{s: (amp, phase)} for s, amp, phase in zip(sigmas, amps, phases)]
     if len(general) != 3:
         raise ValueError("--field must be given exactly three times")
-    return tuple(_parse_general_field(text, freq) for text, freq in zip(general, freqs))
+    return [_parse_general_field(text) for text in general]
 
 
 def _loop_spec(config: MoleculeConfig, args) -> loop.LoopSpec:
-    levels = _triad(config, args.triad)
-    f1, f2, f3 = _build_fields(args, levels)
-    return loop.LoopSpec(
-        level_a=levels[0],
-        level_b=levels[1],
-        level_c=levels[2],
-        field1=f1,
-        field2=f2,
-        field3=f3,
-        dipole=config.dipole(),
-    )
+    comps = _drive_components(args)
+    return loop.LoopSpec.resonant(_triad(config, args.triad), config.dipole(), comps)
 
 
 def _emit(headers: list[str], rows: list[list[str]], csv_path: str | None) -> None:
@@ -242,9 +227,9 @@ def cmd_transitions(args) -> int:
     config = load_molecule(args.molecule)
     a, b, c = _triad(config, args.triad)
     rows = [
-        ["nu1", f"(1,{b.tau})", "(0,0)", f"{b.freq - a.freq:.2f}"],
-        ["nu2", f"(1,{c.tau})", f"(1,{b.tau})", f"{c.freq - b.freq:.2f}"],
-        ["nu3", f"(1,{c.tau})", "(0,0)", f"{c.freq - a.freq:.2f}"],
+        ["nu1", f"(1,{b.tau})", "(0,0)", f"{transition_frequency(b, a):.2f}"],
+        ["nu2", f"(1,{c.tau})", f"(1,{b.tau})", f"{transition_frequency(c, b):.2f}"],
+        ["nu3", f"(1,{c.tau})", "(0,0)", f"{transition_frequency(c, a):.2f}"],
     ]
     _emit(["line", "upper", "lower", "freq_MHz"], rows, args.csv)
     return 0

@@ -20,6 +20,7 @@ __all__ = [
     "ZeroVectorError",
     "DriveField",
     "PolarizationAngles",
+    "linear_components",
     "linear_polarization",
     "polarization_angles",
 ]
@@ -96,14 +97,15 @@ class PolarizationAngles(NamedTuple):
     phases: tuple[float, float, float]
 
 
-def linear_polarization(
-    direction: Iterable[float], amplitude: float, phase: float, freq: float
-) -> DriveField:
-    """Field linearly polarized along `direction` (normalized internally).
+def linear_components(
+    direction: Iterable[float], amplitude: float, phase: float
+) -> dict[int, tuple[float, float]]:
+    """{sigma: (amplitude, phase)} of a field linearly polarized along `direction`.
 
-    The spherical components are the projections of amplitude * e^{-i phase}
-    * direction onto the basis vectors, so reconstructing the real field
-    gives amplitude * direction * cos(2 pi nu t + phase) exactly.
+    The direction is normalized internally.  The spherical components are
+    the projections of amplitude * e^{-i phase} * direction onto the basis
+    vectors, so reconstructing the real field gives amplitude * direction *
+    cos(2 pi nu t + phase) exactly.
     """
     n = np.asarray(tuple(direction), dtype=float)
     if n.shape != (3,):
@@ -122,11 +124,14 @@ def linear_polarization(
         0: c * n[2],
         -1: -c * complex(n[0], n[1]) / sqrt2,
     }
-    comps = {}
-    for sigma, a in projections.items():
-        if a != 0:
-            comps[sigma] = (abs(a), -cmath.phase(a))
-    return DriveField(freq=freq, comps=comps)
+    return {sigma: (abs(a), -cmath.phase(a)) for sigma, a in projections.items() if a != 0}
+
+
+def linear_polarization(
+    direction: Iterable[float], amplitude: float, phase: float, freq: float
+) -> DriveField:
+    """Field at `freq` linearly polarized along `direction` (see linear_components)."""
+    return DriveField(freq, linear_components(direction, amplitude, phase))
 
 
 def polarization_angles(f: DriveField) -> PolarizationAngles:

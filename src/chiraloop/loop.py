@@ -20,7 +20,7 @@ import numpy as np
 
 from . import dynamics
 from .dipole import DEBYE_VCM_TO_MHZ, BodyDipole, enantiomer, reduced_matrix_element
-from .fields import DriveField, linear_polarization
+from .fields import DriveField, linear_components
 from .rotor import AsymTopLevel
 
 __all__ = [
@@ -111,6 +111,23 @@ class LoopSpec:
                     f"{name} at {f.freq} MHz is not resonant with its "
                     f"transition at {target} MHz"
                 )
+
+    @classmethod
+    def resonant(
+        cls,
+        levels: tuple[AsymTopLevel, AsymTopLevel, AsymTopLevel],
+        dipole: BodyDipole,
+        comps,
+    ) -> "LoopSpec":
+        """The triad (a, b, c) under three drives tuned to b-a, c-b and c-a.
+
+        comps holds one {sigma: (amplitude, phase)} dict per drive, in that
+        order (DriveField's own component format).
+        """
+        a, b, c = levels
+        freqs = (b.freq - a.freq, c.freq - b.freq, c.freq - a.freq)
+        f1, f2, f3 = (DriveField(freq, comp) for freq, comp in zip(freqs, comps))
+        return cls(a, b, c, f1, f2, f3, dipole)
 
     @property
     def f_ba(self) -> float:
@@ -207,41 +224,34 @@ def dressed_states(spec: LoopSpec) -> DressedStates:
     return DressedStates(b=b, b_prime=bp, b_dprime=bpp, c=c, c_prime=cp, c_dprime=cpp)
 
 
-def _middle_block(spec: LoopSpec) -> np.ndarray:
-    """Field-2 coupling block (c rows, b columns, M = +1, 0, -1), MHz."""
-    return dynamics.coupling_block(spec.level_c, spec.level_b, spec.field2, spec.dipole)
-
-
 def closure_conditions(
     spec: LoopSpec,
 ) -> tuple[complex, complex, complex, complex]:
     """The four cross couplings (<c'|H|b>, <c''|H|b>, <c|H|b'>, <c|H|b''>), MHz.
 
     All four must vanish for the dressed loop to decouple from the other
-    sublevels.  Values are computed from the assembled field-2 block and
-    cross-checked against the closed-form trigonometric expressions; the
-    two routes must agree to 1e-12 relative.
+    sublevels.  These are the residuals of loop_diagnostics, which checks
+    them against the closed-form route.
     """
-    ds = dressed_states(spec)
-    block = _middle_block(spec)
-    from_block = (
-        _sandwich(ds.c_prime, block, ds.b),
-        _sandwich(ds.c_dprime, block, ds.b),
-        _sandwich(ds.c, block, ds.b_prime),
-        _sandwich(ds.c, block, ds.b_dprime),
-    )
-    closed_form = closure_conditions_closed_form(spec)
-    scale = max(np.abs(block).max(), 1e-300)
-    worst = max(abs(x - y) for x, y in zip(from_block, closed_form))
-    if worst > 1e-12 * scale:
-        raise RuntimeError(
-            f"internal inconsistency: closure routes differ by {worst:.3e} MHz"
-        )
-    return from_block
+    return loop_diagnostics(spec).residuals
 
 
 def _sandwich(bra: np.ndarray, block: np.ndarray, ket: np.ndarray) -> complex:
     return complex(bra.conj() @ block @ ket)
+
+
+def _ph(x: float) -> complex:
+    return cmath.exp(1j * x)
+
+
+def _closed_form_inputs(spec: LoopSpec):
+    """Field trig, phases (phi_+1, phi_0, phi_-1) and the field-2 prefactor."""
+    fields = (spec.field1, spec.field2, spec.field3)
+    trig = tuple(_field_trig(f) for f in fields)
+    phases = tuple((f.phase(1), f.phase(0), f.phase(-1)) for f in fields)
+    gamma = reduced_matrix_element(spec.level_c, spec.level_b, spec.dipole).value
+    pref = gamma * spec.field2.total * DEBYE_VCM_TO_MHZ / (2.0 * _SQRT6)
+    return trig, phases, pref
 
 
 def closure_conditions_closed_form(
@@ -252,70 +262,52 @@ def closure_conditions_closed_form(
     Written out in the (theta, phi) field angles; independent of the
     matrix assembly path and used as its oracle.
     """
-    st1, ct1, sf1, cf1 = _field_trig(spec.field1)
-    st2, ct2, sf2, cf2 = _field_trig(spec.field2)
-    st3, ct3, sf3, cf3 = _field_trig(spec.field3)
-    a1, z1, m1 = spec.field1.phase(1), spec.field1.phase(0), spec.field1.phase(-1)
-    a2, z2, m2 = spec.field2.phase(1), spec.field2.phase(0), spec.field2.phase(-1)
-    a3, z3, m3 = spec.field3.phase(1), spec.field3.phase(0), spec.field3.phase(-1)
-    gamma = reduced_matrix_element(spec.level_c, spec.level_b, spec.dipole).value
-    pref = gamma * spec.field2.total * DEBYE_VCM_TO_MHZ / (2.0 * _SQRT6)
-
-    def ph(x: float) -> complex:
-        return cmath.exp(1j * x)
-
+    trig, phases, pref = _closed_form_inputs(spec)
+    (st1, ct1, sf1, cf1), (st2, ct2, sf2, cf2), (st3, ct3, sf3, cf3) = trig
+    (a1, z1, m1), (a2, z2, m2), (a3, z3, m3) = phases
     c_prime_b = pref * (
-        ct1 * st2 * cf2 * cf3 * ph(m1 + a2 - z3)
-        - st1 * sf1 * st2 * cf2 * sf3 * ph(z1 + a2 - a3)
-        + st1 * cf1 * st2 * sf2 * sf3 * ph(a1 + z2 - a3)
-        - st1 * cf1 * ct2 * cf3 * ph(a1 + m2 - z3)
+        ct1 * st2 * cf2 * cf3 * _ph(m1 + a2 - z3)
+        - st1 * sf1 * st2 * cf2 * sf3 * _ph(z1 + a2 - a3)
+        + st1 * cf1 * st2 * sf2 * sf3 * _ph(a1 + z2 - a3)
+        - st1 * cf1 * ct2 * cf3 * _ph(a1 + m2 - z3)
     )
     c_dprime_b = pref * (
-        -ct1 * st2 * cf2 * ct3 * sf3 * ph(m1 + a2 - z3)
-        + ct1 * st2 * sf2 * st3 * ph(m1 + z2 - m3)
-        - st1 * sf1 * st2 * cf2 * ct3 * cf3 * ph(z1 + a2 - a3)
-        - st1 * sf1 * ct2 * st3 * ph(z1 + m2 - m3)
-        + st1 * cf1 * st2 * sf2 * ct3 * cf3 * ph(a1 + z2 - a3)
-        + st1 * cf1 * ct2 * ct3 * sf3 * ph(a1 + m2 - z3)
+        -ct1 * st2 * cf2 * ct3 * sf3 * _ph(m1 + a2 - z3)
+        + ct1 * st2 * sf2 * st3 * _ph(m1 + z2 - m3)
+        - st1 * sf1 * st2 * cf2 * ct3 * cf3 * _ph(z1 + a2 - a3)
+        - st1 * sf1 * ct2 * st3 * _ph(z1 + m2 - m3)
+        + st1 * cf1 * st2 * sf2 * ct3 * cf3 * _ph(a1 + z2 - a3)
+        + st1 * cf1 * ct2 * ct3 * sf3 * _ph(a1 + m2 - z3)
     )
     c_b_prime = pref * (
-        cf1 * st2 * cf2 * st3 * cf3 * ph(z1 + a2 - a3)
-        - cf1 * ct2 * ct3 * ph(z1 + m2 - m3)
-        + sf1 * st2 * sf2 * st3 * cf3 * ph(a1 + z2 - a3)
-        + sf1 * ct2 * st3 * sf3 * ph(a1 + m2 - z3)
+        cf1 * st2 * cf2 * st3 * cf3 * _ph(z1 + a2 - a3)
+        - cf1 * ct2 * ct3 * _ph(z1 + m2 - m3)
+        + sf1 * st2 * sf2 * st3 * cf3 * _ph(a1 + z2 - a3)
+        + sf1 * ct2 * st3 * sf3 * _ph(a1 + m2 - z3)
     )
     c_b_dprime = pref * (
-        st1 * st2 * cf2 * st3 * sf3 * ph(m1 + a2 - z3)
-        + st1 * st2 * sf2 * ct3 * ph(m1 + z2 - m3)
-        - ct1 * sf1 * st2 * cf2 * st3 * cf3 * ph(z1 + a2 - a3)
-        + ct1 * sf1 * ct2 * ct3 * ph(z1 + m2 - m3)
-        + ct1 * cf1 * st2 * sf2 * st3 * cf3 * ph(a1 + z2 - a3)
-        + ct1 * cf1 * ct2 * st3 * sf3 * ph(a1 + m2 - z3)
+        st1 * st2 * cf2 * st3 * sf3 * _ph(m1 + a2 - z3)
+        + st1 * st2 * sf2 * ct3 * _ph(m1 + z2 - m3)
+        - ct1 * sf1 * st2 * cf2 * st3 * cf3 * _ph(z1 + a2 - a3)
+        + ct1 * sf1 * ct2 * ct3 * _ph(z1 + m2 - m3)
+        + ct1 * cf1 * st2 * sf2 * st3 * cf3 * _ph(a1 + z2 - a3)
+        + ct1 * cf1 * ct2 * st3 * sf3 * _ph(a1 + m2 - z3)
     )
     return c_prime_b, c_dprime_b, c_b_prime, c_b_dprime
 
 
 def omega2_closed_form(spec: LoopSpec) -> complex:
     """Closed-form middle Rabi frequency 2 <c|H2|b>, MHz."""
-    st1, ct1, sf1, cf1 = _field_trig(spec.field1)
-    st2, ct2, sf2, cf2 = _field_trig(spec.field2)
-    st3, ct3, sf3, cf3 = _field_trig(spec.field3)
-    a1, z1, m1 = spec.field1.phase(1), spec.field1.phase(0), spec.field1.phase(-1)
-    a2, z2, m2 = spec.field2.phase(1), spec.field2.phase(0), spec.field2.phase(-1)
-    a3, z3, m3 = spec.field3.phase(1), spec.field3.phase(0), spec.field3.phase(-1)
-    gamma = reduced_matrix_element(spec.level_c, spec.level_b, spec.dipole).value
-    pref = gamma * spec.field2.total * DEBYE_VCM_TO_MHZ / (2.0 * _SQRT6)
-
-    def ph(x: float) -> complex:
-        return cmath.exp(1j * x)
-
+    trig, phases, pref = _closed_form_inputs(spec)
+    (st1, ct1, sf1, cf1), (st2, ct2, sf2, cf2), (st3, ct3, sf3, cf3) = trig
+    (a1, z1, m1), (a2, z2, m2), (a3, z3, m3) = phases
     half_omega2 = pref * (
-        -ct1 * st2 * cf2 * st3 * sf3 * ph(m1 + a2 - z3)
-        - ct1 * st2 * sf2 * ct3 * ph(m1 + z2 - m3)
-        - st1 * sf1 * st2 * cf2 * st3 * cf3 * ph(z1 + a2 - a3)
-        + st1 * sf1 * ct2 * ct3 * ph(z1 + m2 - m3)
-        + st1 * cf1 * st2 * sf2 * st3 * cf3 * ph(a1 + z2 - a3)
-        + st1 * cf1 * ct2 * st3 * sf3 * ph(a1 + m2 - z3)
+        -ct1 * st2 * cf2 * st3 * sf3 * _ph(m1 + a2 - z3)
+        - ct1 * st2 * sf2 * ct3 * _ph(m1 + z2 - m3)
+        - st1 * sf1 * st2 * cf2 * st3 * cf3 * _ph(z1 + a2 - a3)
+        + st1 * sf1 * ct2 * ct3 * _ph(z1 + m2 - m3)
+        + st1 * cf1 * st2 * sf2 * st3 * cf3 * _ph(a1 + z2 - a3)
+        + st1 * cf1 * ct2 * st3 * sf3 * _ph(a1 + m2 - z3)
     )
     return 2.0 * half_omega2
 
@@ -334,18 +326,34 @@ class LoopDiagnostics:
 def loop_diagnostics(spec: LoopSpec, tol: float = DEFAULT_CLOSURE_TOL_MHZ) -> LoopDiagnostics:
     """Residuals, Rabi frequencies, and the closure verdict for a candidate.
 
-    The verdict fails closed: a NaN or infinite residual or Rabi frequency
-    (say, from an overflowing amplitude) is never closed.
+    The residuals and Omega2 are sandwiches of one field-2 coupling block
+    between the dressed states; the residuals are cross-checked against
+    the closed-form route, which must agree to 1e-12 relative.  The verdict
+    fails closed: a NaN or infinite residual or Rabi frequency (say, from
+    an overflowing amplitude) is never closed.
     """
-    residuals = closure_conditions(spec)
+    ds = dressed_states(spec)
+    block = dynamics.coupling_block(spec.level_c, spec.level_b, spec.field2, spec.dipole)
+    residuals = (
+        _sandwich(ds.c_prime, block, ds.b),
+        _sandwich(ds.c_dprime, block, ds.b),
+        _sandwich(ds.c, block, ds.b_prime),
+        _sandwich(ds.c, block, ds.b_dprime),
+    )
+    closed_form = closure_conditions_closed_form(spec)
+    scale = max(np.abs(block).max(), 1e-300)
+    worst = max(abs(x - y) for x, y in zip(residuals, closed_form))
+    if worst > 1e-12 * scale:
+        raise RuntimeError(
+            f"internal inconsistency: closure routes differ by {worst:.3e} MHz"
+        )
     max_residual = max(abs(r) for r in residuals)
 
-    ds = dressed_states(spec)
     gamma_ba = reduced_matrix_element(spec.level_b, spec.level_a, spec.dipole).value
     gamma_ca = reduced_matrix_element(spec.level_c, spec.level_a, spec.dipole).value
     omega1 = -gamma_ba * spec.field1.total * DEBYE_VCM_TO_MHZ / _SQRT3
     omega3 = -gamma_ca * spec.field3.total * DEBYE_VCM_TO_MHZ / _SQRT3
-    omega2 = 2.0 * _sandwich(ds.c, _middle_block(spec), ds.b)
+    omega2 = 2.0 * _sandwich(ds.c, block, ds.b)
     omegas = (omega1, omega2, omega3)
 
     if not all(cmath.isfinite(x) for x in (*residuals, *omegas)):
@@ -420,25 +428,6 @@ TABLE_ROWS = (
 )
 
 
-def _pure_spec(
-    levels: tuple[AsymTopLevel, AsymTopLevel, AsymTopLevel],
-    dipole: BodyDipole,
-    sigmas: tuple[int, int, int],
-    amplitudes: tuple[float, float, float] = (1.0, 1.0, 1.0),
-    phases: tuple[float, float, float] = (0.0, 0.0, 0.0),
-) -> LoopSpec:
-    a, b, c = levels
-    return LoopSpec(
-        level_a=a,
-        level_b=b,
-        level_c=c,
-        field1=DriveField.pure(sigmas[0], amplitudes[0], b.freq - a.freq, phases[0]),
-        field2=DriveField.pure(sigmas[1], amplitudes[1], c.freq - b.freq, phases[1]),
-        field3=DriveField.pure(sigmas[2], amplitudes[2], c.freq - a.freq, phases[2]),
-        dipole=dipole,
-    )
-
-
 def enumerate_pure_polarizations(
     levels: tuple[AsymTopLevel, AsymTopLevel, AsymTopLevel],
     dipole: BodyDipole,
@@ -455,7 +444,8 @@ def enumerate_pure_polarizations(
     for s1 in (-1, 0, 1):
         for s2 in (-1, 0, 1):
             for s3 in (-1, 0, 1):
-                spec = _pure_spec(levels, dipole, (s1, s2, s3))
+                comps = [{s: (1.0, 0.0)} for s in (s1, s2, s3)]
+                spec = LoopSpec.resonant(levels, dipole, comps)
                 diag = loop_diagnostics(spec, tol)
                 rows.append(
                     LoopCandidate(
@@ -496,15 +486,6 @@ def verify_linear_orthogonality(
     vanishing residuals and three nonzero Rabi frequencies; it holds
     exactly when the three directions are mutually orthogonal.
     """
-    a, b, c = levels
-    spec = LoopSpec(
-        level_a=a,
-        level_b=b,
-        level_c=c,
-        field1=linear_polarization(dir1, amplitude, 0.0, b.freq - a.freq),
-        field2=linear_polarization(dir2, amplitude, 0.0, c.freq - b.freq),
-        field3=linear_polarization(dir3, amplitude, 0.0, c.freq - a.freq),
-        dipole=dipole,
-    )
-    diag = loop_diagnostics(spec, tol)
+    comps = [linear_components(d, amplitude, 0.0) for d in (dir1, dir2, dir3)]
+    diag = loop_diagnostics(LoopSpec.resonant(levels, dipole, comps), tol)
     return diag.closed, diag.max_residual

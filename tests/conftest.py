@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from chiraloop.dipole import BodyDipole
-from chiraloop.fields import DriveField, linear_polarization
+from chiraloop.fields import linear_components
 from chiraloop.loop import LoopSpec
 from chiraloop.rotor import RotationalConstants, rotor_levels
 
@@ -43,49 +43,27 @@ def triad_a(ground, j1_levels):
 
 
 def pure_loop_spec(levels, dip, sigmas, amplitudes=(1.0, 1.0, 1.0), phases=(0.0, 0.0, 0.0)):
-    a, b, c = levels
-    return LoopSpec(
-        level_a=a,
-        level_b=b,
-        level_c=c,
-        field1=DriveField.pure(sigmas[0], amplitudes[0], b.freq - a.freq, phases[0]),
-        field2=DriveField.pure(sigmas[1], amplitudes[1], c.freq - b.freq, phases[1]),
-        field3=DriveField.pure(sigmas[2], amplitudes[2], c.freq - a.freq, phases[2]),
-        dipole=dip,
-    )
+    comps = [{s: (amp, phase)} for s, amp, phase in zip(sigmas, amplitudes, phases)]
+    return LoopSpec.resonant(levels, dip, comps)
 
 
 def linear_loop_spec(levels, dip, directions, amplitudes=(1.0, 1.0, 1.0), phases=(0.0, 0.0, 0.0)):
-    a, b, c = levels
-    freqs = (b.freq - a.freq, c.freq - b.freq, c.freq - a.freq)
-    f1, f2, f3 = (
-        linear_polarization(direction, amp, phase, freq)
-        for direction, amp, phase, freq in zip(directions, amplitudes, phases, freqs)
-    )
-    return LoopSpec(
-        level_a=a, level_b=b, level_c=c, field1=f1, field2=f2, field3=f3, dipole=dip
-    )
+    comps = [
+        linear_components(direction, amp, phase)
+        for direction, amp, phase in zip(directions, amplitudes, phases)
+    ]
+    return LoopSpec.resonant(levels, dip, comps)
 
 
-def random_drive(rng, freq, max_amp=2.0):
-    comps = {
+def random_components(rng, max_amp=2.0):
+    return {
         sigma: (rng.uniform(0.05, max_amp), rng.uniform(-np.pi, np.pi))
         for sigma in (-1, 0, 1)
     }
-    return DriveField(freq=freq, comps=comps)
 
 
 def random_loop_spec(rng, levels, dip):
-    a, b, c = levels
-    return LoopSpec(
-        level_a=a,
-        level_b=b,
-        level_c=c,
-        field1=random_drive(rng, b.freq - a.freq),
-        field2=random_drive(rng, c.freq - b.freq),
-        field3=random_drive(rng, c.freq - a.freq),
-        dipole=dip,
-    )
+    return LoopSpec.resonant(levels, dip, [random_components(rng) for _ in range(3)])
 
 
 def rk4_propagate(h, psi0, t, steps=4000):
