@@ -12,6 +12,7 @@ import csv
 import importlib.resources
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,7 +21,8 @@ import numpy as np
 from . import dynamics, loop
 from .dipole import BodyDipole
 from .fields import _wrap_phase, linear_components
-from .rotor import AsymTopLevel, RangeError, RotationalConstants, rotor_levels, transition_frequency
+from .rotor import AsymTopLevel, RangeError, RotationalConstants, rotor_levels
+from .rotor import DegenerateLevelsWarning, transition_frequency
 
 __all__ = ["ParseError", "MoleculeConfig", "parse_molecule_config", "load_molecule", "run", "main"]
 
@@ -30,8 +32,9 @@ _TRIADS = {"a": (-1, 1), "b": (-1, 0), "c": (0, 1)}
 
 _AXES = {"X": (1.0, 0.0, 0.0), "Y": (0.0, 1.0, 0.0), "Z": (0.0, 0.0, 1.0)}
 
-# Longest time grid of `simulate` and `contrast`: each step is a table row in memory.
-MAX_TIME_STEPS = 1_000_000
+# Longest table a command builds (time steps of `simulate` and `contrast`,
+# K rows of `levels`): every row is held in memory.
+MAX_TABLE_ROWS = 1_000_000
 
 
 class ParseError(ValueError):
@@ -177,10 +180,7 @@ def _drive_components(args) -> list[dict[int, tuple[float, float]]]:
         letters = [ch.upper() for ch in pol]
         if len(letters) != 3 or any(ch not in _AXES for ch in letters):
             raise ValueError(f"--pol must be three of X, Y, Z, got {pol!r}")
-        return [
-            linear_components(_AXES[ch], amp, phase)
-            for ch, amp, phase in zip(letters, amps, phases)
-        ]
+        return [linear_components(_AXES[ch], a, p) for ch, a, p in zip(letters, amps, phases)]
     if sigma:
         sigmas = _split3(sigma, "sigma", int)
         if any(s not in (-1, 0, 1) for s in sigmas):
@@ -209,11 +209,28 @@ def _emit(headers: list[str], rows: list[list[str]], csv_path: str | None) -> No
 
 
 def cmd_levels(args) -> int:
-    config = load_molecule(args.molecule)
-    constants = config.constants()
+    n = args.jmax
+    if n < 0:
+        raise ValueError(f"--jmax must be >= 0, got {n}")
+    if (n + 1) * (2 * n + 1) * (2 * n + 3) // 3 > MAX_TABLE_ROWS:  # sum of (2J+1)^2
+        raise ValueError(f"--jmax {n} asks for more than {MAX_TABLE_ROWS} table rows")
+    constants = load_molecule(args.molecule).constants()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", DegenerateLevelsWarning)
+        blocks = [rotor_levels(constants, J) for J in range(n + 1)]
+    for w in caught:
+        if w.category is not DegenerateLevelsWarning:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    degenerate = [str(w.message.J) for w in caught if w.category is DegenerateLevelsWarning]
+    if degenerate:
+        print(
+            f"warning: degenerate levels in the J = {', '.join(degenerate)} blocks; "
+            "their tau order is not physically defined",
+            file=sys.stderr,
+        )
     rows = []
-    for J in range(args.jmax + 1):
-        for level in rotor_levels(constants, J):
+    for J, levels in enumerate(blocks):
+        for level in levels:
             head = [str(J), str(level.tau), f"{level.freq:.2f}"]
             for K, c in zip(range(-J, J + 1), level.coeffs.tolist()):
                 cell = f"{c:.6f}"
@@ -336,8 +353,8 @@ def _time_grid(args) -> np.ndarray:
     """Output times 0, dt, 2 dt, ... up to --t (us), validated before allocation."""
     if not (0 <= args.t < math.inf and 0 < args.dt < math.inf):  # NaN fails too
         raise ValueError(f"need finite --t >= 0 and --dt > 0, got {args.t} and {args.dt}")
-    if not args.t / args.dt < MAX_TIME_STEPS:
-        raise ValueError(f"--t / --dt asks for more than {MAX_TIME_STEPS} time steps")
+    if not args.t / args.dt < MAX_TABLE_ROWS:
+        raise ValueError(f"--t / --dt asks for more than {MAX_TABLE_ROWS} time steps")
     steps = int(round(args.t / args.dt))
     return np.arange(steps + 1) * args.dt
 

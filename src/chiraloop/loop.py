@@ -114,10 +114,7 @@ class LoopSpec:
 
     @classmethod
     def resonant(
-        cls,
-        levels: tuple[AsymTopLevel, AsymTopLevel, AsymTopLevel],
-        dipole: BodyDipole,
-        comps,
+        cls, levels: tuple[AsymTopLevel, AsymTopLevel, AsymTopLevel], dipole: BodyDipole, comps
     ) -> "LoopSpec":
         """The triad (a, b, c) under three drives tuned to b-a, c-b and c-a.
 
@@ -224,9 +221,7 @@ def dressed_states(spec: LoopSpec) -> DressedStates:
     return DressedStates(b=b, b_prime=bp, b_dprime=bpp, c=c, c_prime=cp, c_dprime=cpp)
 
 
-def closure_conditions(
-    spec: LoopSpec,
-) -> tuple[complex, complex, complex, complex]:
+def closure_conditions(spec: LoopSpec) -> tuple[complex, complex, complex, complex]:
     """The four cross couplings (<c'|H|b>, <c''|H|b>, <c|H|b'>, <c|H|b''>), MHz.
 
     All four must vanish for the dressed loop to decouple from the other
@@ -254,9 +249,7 @@ def _closed_form_inputs(spec: LoopSpec):
     return trig, phases, pref
 
 
-def closure_conditions_closed_form(
-    spec: LoopSpec,
-) -> tuple[complex, complex, complex, complex]:
+def closure_conditions_closed_form(spec: LoopSpec) -> tuple[complex, complex, complex, complex]:
     """Closed-form route to the four cross couplings (MHz).
 
     Written out in the (theta, phi) field angles; independent of the
@@ -344,9 +337,7 @@ def loop_diagnostics(spec: LoopSpec, tol: float = DEFAULT_CLOSURE_TOL_MHZ) -> Lo
     scale = max(np.abs(block).max(), 1e-300)
     worst = max(abs(x - y) for x, y in zip(residuals, closed_form))
     if worst > 1e-12 * scale:
-        raise RuntimeError(
-            f"internal inconsistency: closure routes differ by {worst:.3e} MHz"
-        )
+        raise RuntimeError(f"internal inconsistency: closure routes differ by {worst:.3e} MHz")
     max_residual = max(abs(r) for r in residuals)
 
     gamma_ba = reduced_matrix_element(spec.level_b, spec.level_a, spec.dipole).value

@@ -39,6 +39,12 @@ class OrderingError(ValueError):
 class DegenerateLevelsWarning(UserWarning):
     """Two eigenvalues are (nearly) equal; their tau order is not physically defined."""
 
+    def __init__(self, J: int):
+        self.J = J
+        super().__init__(
+            f"degenerate levels in J={J} block; their tau order is not physically defined"
+        )
+
 
 @dataclass(frozen=True)
 class RotationalConstants:
@@ -126,7 +132,8 @@ def rotor_levels(constants: RotationalConstants, J: int) -> list[AsymTopLevel]:
     diagonalized by numpy.linalg.eigh.  Levels are ordered by a stable
     sort on frequency over the sub-blocks in that fixed order, so exact
     ties keep a deterministic order; near ties (< 1e-6 MHz) emit a
-    DegenerateLevelsWarning.
+    DegenerateLevelsWarning.  Raises ValueError when a level frequency is
+    not finite.
     """
     block = rotor_hamiltonian_block(constants, J)
     n = 2 * J + 1
@@ -157,12 +164,10 @@ def rotor_levels(constants: RotationalConstants, J: int) -> list[AsymTopLevel]:
     pairs.sort(key=lambda p: p[0])
 
     freqs = [p[0] for p in pairs]
+    if not np.isfinite(freqs).all():
+        raise ValueError(f"J={J} levels are not finite: the rotational constants overflow")
     if any(b - a < DEGENERACY_TOL_MHZ for a, b in zip(freqs, freqs[1:])):
-        warnings.warn(
-            f"degenerate levels in J={J} block; their tau order is not physically defined",
-            DegenerateLevelsWarning,
-            stacklevel=2,
-        )
+        warnings.warn(DegenerateLevelsWarning(J), stacklevel=2)
 
     return [
         AsymTopLevel(J=J, tau=tau, freq=freq, coeffs=_fix_phase(vec))

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from chiraloop import cli
 from chiraloop.cli import (
     MoleculeConfig,
     ParseError,
@@ -290,6 +291,51 @@ def test_bad_time_grid_exits_2(command, grid, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and "--t" in captured.err
     assert captured.out == ""
+
+
+def test_negative_jmax_exits_2(capsys):
+    assert run(["levels", "propanediol", "--jmax", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "--jmax" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("jmax", ["90", "1000000"])
+def test_jmax_over_row_budget_exits_2_before_any_level(jmax, capsys, monkeypatch):
+    """--jmax 89 is sum (2J+1)^2 = 971,970 rows, --jmax 90 is 1,004,731."""
+
+    def no_levels(*args):
+        raise AssertionError("a level was computed")
+
+    monkeypatch.setattr(cli, "rotor_levels", no_levels)
+    assert run(["levels", "propanediol", "--jmax", jmax]) == 2
+    captured = capsys.readouterr()
+    assert "table rows" in captured.err
+    assert captured.out == ""
+
+
+def test_overflowing_rotational_constants_exit_2(tmp_path, capsys):
+    path = tmp_path / "huge.mol"
+    path.write_text(
+        GOOD_CONFIG.replace("A_MHz = 8572.05", "A_MHz = 1e308")
+        .replace("B_MHz = 3640.10", "B_MHz = 1e307")
+        .replace("C_MHz = 2790.96", "C_MHz = 1e306")
+    )
+    assert run(["levels", str(path), "--jmax", "2"]) == 2
+    captured = capsys.readouterr()
+    assert "J=2" in captured.err and "not finite" in captured.err
+    assert captured.out == ""
+
+
+def test_degenerate_blocks_give_one_warning_line(capsys):
+    assert run(["levels", "propanediol", "--jmax", "20"]) == 0
+    captured = capsys.readouterr()
+    blocks = ", ".join(str(J) for J in range(9, 21))
+    assert captured.err.splitlines() == [
+        f"warning: degenerate levels in the J = {blocks} blocks; "
+        "their tau order is not physically defined"
+    ]
+    assert len(captured.out.splitlines()) == 1 + sum((2 * J + 1) ** 2 for J in range(21))
 
 
 def test_zero_duration_gives_one_row(capsys):

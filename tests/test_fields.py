@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from chiraloop.fields import (
     DriveField,
     ZeroVectorError,
+    linear_components,
     linear_polarization,
     polarization_angles,
 )
@@ -70,6 +71,16 @@ def test_y_polarization_components():
 def test_zero_direction_rejected():
     with pytest.raises(ZeroVectorError):
         linear_polarization((0.0, 0.0, 0.0), 1.0, 0.0, 100.0)
+
+
+def test_linear_components_are_the_drive_components():
+    assert linear_components((0.0, 0.0, 2.0), 1.5, 0.4) == {0: (1.5, 0.4)}
+    direction, amplitude, phase = (0.3, -1.0, 0.7), 2.0, -1.1
+    comps = linear_components(direction, amplitude, phase)
+    f = linear_polarization(direction, amplitude, phase, 10.0)
+    assert sorted(comps) == sorted(f.comps) == [-1, 0, 1]
+    for sigma, (amp, ph) in comps.items():
+        assert amp * cmath.exp(1j * ph) == pytest.approx(f.complex_amplitude(sigma), abs=1e-15)
 
 
 # ---------------------------------------------------------------------------

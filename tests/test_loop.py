@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from chiraloop import dynamics
+from chiraloop import dynamics, loop
 from chiraloop.dipole import BodyDipole, enantiomer
 from chiraloop.fields import DriveField
 from chiraloop.loop import (
@@ -32,6 +32,16 @@ from conftest import X, Y, Z, linear_loop_spec, pure_loop_spec, random_loop_spec
 
 # ---------------------------------------------------------------------------
 # spec validation
+
+def test_resonant_tunes_each_drive_to_its_transition(triad_a, dipole):
+    a, b, c = triad_a
+    comps = [{1: (1.0, 0.5)}, {-1: (2.0, -4.0), 0: (0.5, 0.0)}, {0: (-1.0, 0.0)}]
+    spec = LoopSpec.resonant(triad_a, dipole, comps)
+    assert (spec.level_a, spec.level_b, spec.level_c, spec.dipole) == (a, b, c, dipole)
+    fields = (spec.field1, spec.field2, spec.field3)
+    assert [f.freq for f in fields] == [b.freq - a.freq, c.freq - b.freq, c.freq - a.freq]
+    assert [f.comps for f in fields] == [DriveField(1.0, comp).comps for comp in comps]
+
 
 def test_loopspec_rejects_wrong_j(triad_a, dipole):
     a, b, c = triad_a
@@ -135,6 +145,28 @@ def test_closed_form_route_matches_block_route(triad_a, dipole):
             assert abs(x - y) <= 1e-12 * scale
         omega2_block = 2.0 * complex(ds.c.conj() @ block @ ds.b)
         assert abs(omega2_block - omega2_closed_form(spec)) <= 1e-12 * scale
+
+
+def test_verdict_checks_closed_form_once(triad_a, dipole, monkeypatch):
+    real = loop.closure_conditions_closed_form
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(loop, "closure_conditions_closed_form", counted)
+    spec = linear_loop_spec(triad_a, dipole, (Z, X, Y), amplitudes=(1.0, 0.75, 2.75))
+    diag = loop_diagnostics(spec)
+    assert calls == [spec]
+    assert closure_conditions(spec) == diag.residuals
+
+    def off_by_a_kilohertz(spec):
+        return tuple(r + 1e-3 for r in real(spec))
+
+    monkeypatch.setattr(loop, "closure_conditions_closed_form", off_by_a_kilohertz)
+    with pytest.raises(RuntimeError, match="closure routes differ"):
+        loop_diagnostics(spec)
 
 
 # ---------------------------------------------------------------------------
