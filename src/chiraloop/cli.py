@@ -218,9 +218,6 @@ def cmd_levels(args) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", DegenerateLevelsWarning)
         blocks = [rotor_levels(constants, J) for J in range(n + 1)]
-    for w in caught:
-        if w.category is not DegenerateLevelsWarning:
-            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     degenerate = [str(w.message.J) for w in caught if w.category is DegenerateLevelsWarning]
     if degenerate:
         print(
