@@ -55,15 +55,12 @@ def linear_loop_spec(levels, dip, directions, amplitudes=(1.0, 1.0, 1.0), phases
     return LoopSpec.resonant(levels, dip, comps)
 
 
-def random_components(rng, max_amp=2.0):
-    return {
-        sigma: (rng.uniform(0.05, max_amp), rng.uniform(-np.pi, np.pi))
-        for sigma in (-1, 0, 1)
-    }
-
-
 def random_loop_spec(rng, levels, dip):
-    return LoopSpec.resonant(levels, dip, [random_components(rng) for _ in range(3)])
+    comps = [
+        {sigma: (rng.uniform(0.05, 2.0), rng.uniform(-np.pi, np.pi)) for sigma in (-1, 0, 1)}
+        for _ in range(3)
+    ]
+    return LoopSpec.resonant(levels, dip, comps)
 
 
 def rk4_propagate(h, psi0, t, steps=4000):
