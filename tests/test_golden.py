@@ -52,6 +52,12 @@ CASES = {
     "enumerate_b": ["loops", "enumerate", "propanediol", "--triad", "b"],
     "enumerate_c": ["loops", "enumerate", "propanediol", "--triad", "c", "--csv"],
     "sample": ["loops", "sample", "propanediol", "--samples", "300", "--seed", "7"],
+    # the benchmark's sample size, more than one evaluation chunk
+    "sample_large": [
+        "loops", "sample", "propanediol", "--triad", "c", "--samples", "1800", "--seed", "11",
+    ],
+    # no random sample at all, one orthogonal one
+    "sample_empty": ["loops", "sample", "propanediol", "--samples", "0"],
     # one verdict per way of giving the drives, and one per failure kind
     "verify_pol": [
         "loops", "verify", "propanediol", "--triad", "b", "--pol", "ZXY",
