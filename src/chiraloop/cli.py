@@ -13,6 +13,7 @@ import importlib.resources
 import math
 import sys
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import dynamics, loop
 from .dipole import BodyDipole
-from .fields import _wrap_phase, linear_components
+from .fields import _wrap_phase, linear_components, stacked_linear_components
 from .rotor import AsymTopLevel, RangeError, RotationalConstants, rotor_levels
 from .rotor import DegenerateLevelsWarning, transition_frequency
 
@@ -153,6 +154,8 @@ def _parse_general_field(text: str) -> dict[int, tuple[float, float]]:
         if len(pieces) != 3:
             raise ValueError(f"--field component must be sigma:amp:phase, got {part!r}")
         sigma, amp, phase = int(pieces[0]), float(pieces[1]), float(pieces[2])
+        if sigma in comps:
+            raise ValueError(f"--field {text!r} gives sigma={sigma} more than once")
         comps[sigma] = (amp, phase)
     return comps
 
@@ -302,45 +305,46 @@ def cmd_loops_verify(args) -> int:
     return 0
 
 
+def _linear_verdicts(triad: loop.Triad, frames: np.ndarray) -> Iterator[loop.LoopDiagnostics]:
+    """Verdicts for unit linear drives 1, 2, 3 along frames[n, 0], [n, 1], [n, 2]."""
+    amps, phases = stacked_linear_components(frames.reshape(-1, 3))
+    return triad.diagnostics(amps.reshape(-1, 3, 3), phases.reshape(-1, 3, 3))
+
+
 def cmd_loops_sample(args) -> int:
     if args.samples < 0:
         raise ValueError(f"--samples must be >= 0, got {args.samples}")
     config = load_molecule(args.molecule)
-    levels = _triad(config, args.triad)
-    dip = config.dipole()
+    triad = loop.Triad(*_triad(config, args.triad), config.dipole())
     rng = np.random.default_rng(args.seed)
 
     n_random = args.samples
     n_orth = max(1, args.samples // 10)
-    closed_random = 0
-    orthogonal_random = 0
-    consistent = True
-    for _ in range(n_random):
-        dirs = rng.normal(size=(3, 3))
-        closed, _ = loop.verify_linear_orthogonality(*dirs, levels, dip)
-        units = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
-        dots = [abs(units[i] @ units[j]) for i, j in ((0, 1), (0, 2), (1, 2))]
-        orthogonal = max(dots) < 1e-8
-        closed_random += closed
-        orthogonal_random += orthogonal
-        consistent &= closed == orthogonal
+    dirs = rng.normal(size=(n_random, 3, 3))
+    closed = np.fromiter((d.closed for d in _linear_verdicts(triad, dirs)), bool, n_random)
+    units = dirs / np.linalg.norm(dirs, axis=2, keepdims=True)
+    dots = np.abs(units @ units.transpose(0, 2, 1))[:, (0, 0, 1), (1, 2, 2)]
+    orthogonal = dots.max(axis=1) < 1e-8
 
+    # drive k along column k of each random orthogonal matrix
+    q, _ = np.linalg.qr(rng.normal(size=(n_orth, 3, 3)))
     closed_orth = 0
     max_residual_orth = 0.0
-    for _ in range(n_orth):
-        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-        closed, residual = loop.verify_linear_orthogonality(q[:, 0], q[:, 1], q[:, 2], levels, dip)
-        closed_orth += closed
-        max_residual_orth = max(max_residual_orth, residual)
+    for diag in _linear_verdicts(triad, q.transpose(0, 2, 1)):
+        closed_orth += diag.closed
+        max_residual_orth = max(max_residual_orth, diag.max_residual)
 
     rows = [
         ["random_samples", str(n_random)],
-        ["random_closed", str(closed_random)],
-        ["random_orthogonal", str(orthogonal_random)],
+        ["random_closed", str(closed.sum())],
+        ["random_orthogonal", str(orthogonal.sum())],
         ["orthogonal_samples", str(n_orth)],
         ["orthogonal_closed", str(closed_orth)],
         ["orthogonal_max_residual", f"{max_residual_orth:.3e}"],
-        ["closure_iff_orthogonal", "true" if consistent and closed_orth == n_orth else "false"],
+        [
+            "closure_iff_orthogonal",
+            "true" if (closed == orthogonal).all() and closed_orth == n_orth else "false",
+        ],
     ]
     _emit(["quantity", "value"], rows, args.csv)
     return 0

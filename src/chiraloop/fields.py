@@ -21,6 +21,7 @@ __all__ = [
     "DriveField",
     "PolarizationAngles",
     "linear_components",
+    "stacked_linear_components",
     "linear_polarization",
     "polarization_angles",
 ]
@@ -32,11 +33,31 @@ class ZeroVectorError(ValueError):
     """A polarization direction has (numerically) zero length."""
 
 
-def _wrap_phase(phi: float) -> float:
+def _wrap_phase(phi):
+    """phi mapped into (-pi, pi]; elementwise on arrays, with the same bits."""
     phi = phi % (2.0 * math.pi)
-    if phi > math.pi:
-        phi -= 2.0 * math.pi
-    return phi
+    return phi - 2.0 * math.pi * (phi > math.pi)
+
+
+def _mul(a, b):
+    """a * b for (real, imag) pairs of floats or arrays, term for term as
+    Python multiplies complex numbers (a real x enters as (x, 0.0)), so the
+    result carries the scalar path's bits, signed zeros and NaNs included."""
+    (ar, ai), (br, bi) = a, b
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _div_real(a, x):
+    """a / x for a (real, imag) pair and a real x, as Python divides a complex by a float."""
+    ar, ai = a
+    return (ar + ai * 0.0) / x, (ai - ar * 0.0) / x
+
+
+def _complex(re, im) -> np.ndarray:
+    """The complex array re + i im, assembled without complex arithmetic."""
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real, out.imag = re, im
+    return out
 
 
 @dataclass(frozen=True)
@@ -61,7 +82,8 @@ class DriveField:
                 norm[sigma] = (amp, _wrap_phase(phase))
         if not norm:
             raise ValueError("drive field needs at least one nonzero amplitude")
-        object.__setattr__(self, "comps", norm)
+        # sigma order (+1, 0, -1), so that `total` sums in one fixed order
+        object.__setattr__(self, "comps", {s: norm[s] for s in SIGMAS if s in norm})
 
     @classmethod
     def pure(cls, sigma: int, amplitude: float, freq: float, phase: float = 0.0) -> "DriveField":
@@ -97,6 +119,23 @@ class PolarizationAngles(NamedTuple):
     phases: tuple[float, float, float]
 
 
+def _spherical_projections(amplitude: float, phase: float, n0, n1, n2):
+    """(real, imag) pairs of the sigma = +1, 0, -1 projections of
+    amplitude * e^{-i phase} * (n0, n1, n2), on floats or arrays.
+
+    Each is computed as Python computes c * complex(n0, -n1) / sqrt(2),
+    c * n2 and -c * complex(n0, n1) / sqrt(2) for c = amplitude *
+    cmath.exp(-1j * phase).
+    """
+    c = amplitude * cmath.exp(-1j * phase)
+    c, neg_c, sqrt2 = (c.real, c.imag), (-c.real, -c.imag), math.sqrt(2.0)
+    return (
+        _div_real(_mul(c, (n0, -n1)), sqrt2),
+        _mul(c, (n2, 0.0)),
+        _div_real(_mul(neg_c, (n0, n1)), sqrt2),
+    )
+
+
 def linear_components(
     direction: Iterable[float], amplitude: float, phase: float
 ) -> dict[int, tuple[float, float]]:
@@ -117,14 +156,37 @@ def linear_components(
     if amplitude < 0:
         raise ValueError("amplitude must be >= 0")
 
-    c = amplitude * cmath.exp(-1j * phase)
-    sqrt2 = math.sqrt(2.0)
-    projections = {
-        1: c * complex(n[0], -n[1]) / sqrt2,
-        0: c * n[2],
-        -1: -c * complex(n[0], n[1]) / sqrt2,
-    }
-    return {sigma: (abs(a), -cmath.phase(a)) for sigma, a in projections.items() if a != 0}
+    projections = _spherical_projections(amplitude, phase, *n.tolist())
+    values = {sigma: complex(*pair) for sigma, pair in zip(SIGMAS, projections)}
+    return {sigma: (abs(a), -cmath.phase(a)) for sigma, a in values.items() if a != 0}
+
+
+def stacked_linear_components(
+    directions, amplitude: float = 1.0, phase: float = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """linear_components of each row of `directions`, shape (N, 3), as
+    amplitudes and phases of shape (N, 3) over sigma = (+1, 0, -1).
+
+    An absent component has amplitude 0 and phase 0.  Every value has the
+    bits linear_components gives it.
+    """
+    n = np.asarray(directions, dtype=float)
+    if n.ndim != 2 or n.shape[1] != 3:
+        raise ValueError("directions must be an (N, 3) array")
+    # row by row the dot product np.linalg.norm takes of one vector
+    length = np.sqrt(n[:, None, :] @ n[:, :, None])[:, 0, 0]
+    if (length < 1e-300).any():
+        raise ZeroVectorError("polarization direction has zero length")
+    n = n / length[:, None]
+    if amplitude < 0:
+        raise ValueError("amplitude must be >= 0")
+
+    projections = _spherical_projections(amplitude, phase, *n.T)
+    values = np.stack([_complex(*pair) for pair in projections], axis=1).ravel().tolist()
+    amps = np.fromiter(map(abs, values), float, len(values)).reshape(-1, 3)
+    phases = np.fromiter((-cmath.phase(a) for a in values), float, len(values)).reshape(-1, 3)
+    phases[amps == 0.0] = 0.0
+    return amps, phases
 
 
 def linear_polarization(

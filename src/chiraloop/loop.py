@@ -7,28 +7,36 @@ four cross matrix elements of the middle drive between the dressed states
 and their orthogonal partners vanish.  This module builds dressed states,
 evaluates those closure conditions two independent ways, assembles the
 3-level loop Hamiltonian, enumerates the pure-polarization loop table, and
-verifies the linear-polarization orthogonality criterion.
+verifies the linear-polarization orthogonality criterion.  One verdict goes
+through `loop_diagnostics(spec)`; many drives on one triad go through
+`Triad.diagnostics`, which stacks them and returns the same verdicts bit
+for bit.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Iterator
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import dynamics
 from .dipole import DEBYE_VCM_TO_MHZ, BodyDipole, enantiomer, reduced_matrix_element
-from .fields import DriveField, linear_components
+from .fields import SIGMAS, DriveField, _complex, _div_real, _mul, _wrap_phase, linear_components
 from .rotor import AsymTopLevel
+from .wigner import w_coupling
 
 __all__ = [
     "DEFAULT_CLOSURE_TOL_MHZ",
+    "LOOP_BATCH_ROWS",
     "RESONANCE_TOL_MHZ",
     "NotClosedError",
     "ZeroRabiError",
     "LoopSpec",
+    "Triad",
     "DressedStates",
     "SingleLoopHamiltonian",
     "LoopDiagnostics",
@@ -50,6 +58,13 @@ __all__ = [
 DEFAULT_CLOSURE_TOL_MHZ = 1e-9
 
 RESONANCE_TOL_MHZ = dynamics.RESONANCE_TOL_MHZ
+
+# Drive rows `Triad.diagnostics` evaluates at once; bounds its temporaries
+# at any batch size.
+LOOP_BATCH_ROWS = 512
+
+# The dressed states divide by each drive's total amplitude.
+_UNDERFLOW = "drive amplitudes underflow: the total amplitude of a drive is 0"
 
 _SQRT3 = math.sqrt(3.0)
 _SQRT6 = math.sqrt(6.0)
@@ -77,6 +92,15 @@ class ZeroRabiError(ValueError):
         super().__init__(f"loop is open: |Omega| = ({mags}) MHz with tol {tol:.1e}")
 
 
+def _check_levels(a: AsymTopLevel, b: AsymTopLevel, c: AsymTopLevel) -> None:
+    if a.J != 0:
+        raise ValueError("level_a must have J = 0")
+    if b.J != 1 or c.J != 1:
+        raise ValueError("level_b and level_c must have J = 1")
+    if not (c.freq > b.freq > a.freq):
+        raise ValueError("levels must be ordered f_c > f_b > f_a")
+
+
 @dataclass(frozen=True)
 class LoopSpec:
     """Three levels, three resonant drives, one molecule-frame dipole.
@@ -95,12 +119,7 @@ class LoopSpec:
     dipole: BodyDipole
 
     def __post_init__(self):
-        if self.level_a.J != 0:
-            raise ValueError("level_a must have J = 0")
-        if self.level_b.J != 1 or self.level_c.J != 1:
-            raise ValueError("level_b and level_c must have J = 1")
-        if not (self.level_c.freq > self.level_b.freq > self.level_a.freq):
-            raise ValueError("levels must be ordered f_c > f_b > f_a")
+        _check_levels(self.level_a, self.level_b, self.level_c)
         for name, f, target in (
             ("field1", self.field1, self.f_ba),
             ("field2", self.field2, self.f_cb),
@@ -187,6 +206,8 @@ def _field_trig(f: DriveField) -> tuple[float, float, float, float]:
     acos/cos round trips, so absent components give exact structural zeros.
     """
     total = f.total
+    if total == 0.0:
+        raise ValueError(_UNDERFLOW)
     e_plus, e_zero, e_minus = f.amplitude(1), f.amplitude(0), f.amplitude(-1)
     ct = e_minus / total
     perp = math.hypot(e_plus, e_zero)
@@ -235,10 +256,6 @@ def _sandwich(bra: np.ndarray, block: np.ndarray, ket: np.ndarray) -> complex:
     return complex(bra.conj() @ block @ ket)
 
 
-def _ph(x: float) -> complex:
-    return cmath.exp(1j * x)
-
-
 def _closed_form_inputs(spec: LoopSpec):
     """Field trig, phases (phi_+1, phi_0, phi_-1) and the field-2 prefactor."""
     fields = (spec.field1, spec.field2, spec.field3)
@@ -249,60 +266,70 @@ def _closed_form_inputs(spec: LoopSpec):
     return trig, phases, pref
 
 
-def closure_conditions_closed_form(spec: LoopSpec) -> tuple[complex, complex, complex, complex]:
-    """Closed-form route to the four cross couplings (MHz).
+def _closed_form(trig, phases, pref):
+    """The four cross couplings and Omega2 in closed form, MHz.
 
-    Written out in the (theta, phi) field angles; independent of the
-    matrix assembly path and used as its oracle.
+    Written out in the (theta, phi) field angles and component phases,
+    independent of the matrix assembly path and used as its oracle.  Every
+    operation is a numpy one, so one body serves a single spec (floats)
+    and a stack of drives (arrays).
     """
-    trig, phases, pref = _closed_form_inputs(spec)
     (st1, ct1, sf1, cf1), (st2, ct2, sf2, cf2), (st3, ct3, sf3, cf3) = trig
     (a1, z1, m1), (a2, z2, m2), (a3, z3, m3) = phases
+    # the six phase combinations that occur
+    ph_maz = np.exp(1j * (m1 + a2 - z3))
+    ph_zaa = np.exp(1j * (z1 + a2 - a3))
+    ph_aza = np.exp(1j * (a1 + z2 - a3))
+    ph_amz = np.exp(1j * (a1 + m2 - z3))
+    ph_mzm = np.exp(1j * (m1 + z2 - m3))
+    ph_zmm = np.exp(1j * (z1 + m2 - m3))
     c_prime_b = pref * (
-        ct1 * st2 * cf2 * cf3 * _ph(m1 + a2 - z3)
-        - st1 * sf1 * st2 * cf2 * sf3 * _ph(z1 + a2 - a3)
-        + st1 * cf1 * st2 * sf2 * sf3 * _ph(a1 + z2 - a3)
-        - st1 * cf1 * ct2 * cf3 * _ph(a1 + m2 - z3)
+        ct1 * st2 * cf2 * cf3 * ph_maz
+        - st1 * sf1 * st2 * cf2 * sf3 * ph_zaa
+        + st1 * cf1 * st2 * sf2 * sf3 * ph_aza
+        - st1 * cf1 * ct2 * cf3 * ph_amz
     )
     c_dprime_b = pref * (
-        -ct1 * st2 * cf2 * ct3 * sf3 * _ph(m1 + a2 - z3)
-        + ct1 * st2 * sf2 * st3 * _ph(m1 + z2 - m3)
-        - st1 * sf1 * st2 * cf2 * ct3 * cf3 * _ph(z1 + a2 - a3)
-        - st1 * sf1 * ct2 * st3 * _ph(z1 + m2 - m3)
-        + st1 * cf1 * st2 * sf2 * ct3 * cf3 * _ph(a1 + z2 - a3)
-        + st1 * cf1 * ct2 * ct3 * sf3 * _ph(a1 + m2 - z3)
+        -ct1 * st2 * cf2 * ct3 * sf3 * ph_maz
+        + ct1 * st2 * sf2 * st3 * ph_mzm
+        - st1 * sf1 * st2 * cf2 * ct3 * cf3 * ph_zaa
+        - st1 * sf1 * ct2 * st3 * ph_zmm
+        + st1 * cf1 * st2 * sf2 * ct3 * cf3 * ph_aza
+        + st1 * cf1 * ct2 * ct3 * sf3 * ph_amz
     )
     c_b_prime = pref * (
-        cf1 * st2 * cf2 * st3 * cf3 * _ph(z1 + a2 - a3)
-        - cf1 * ct2 * ct3 * _ph(z1 + m2 - m3)
-        + sf1 * st2 * sf2 * st3 * cf3 * _ph(a1 + z2 - a3)
-        + sf1 * ct2 * st3 * sf3 * _ph(a1 + m2 - z3)
+        cf1 * st2 * cf2 * st3 * cf3 * ph_zaa
+        - cf1 * ct2 * ct3 * ph_zmm
+        + sf1 * st2 * sf2 * st3 * cf3 * ph_aza
+        + sf1 * ct2 * st3 * sf3 * ph_amz
     )
     c_b_dprime = pref * (
-        st1 * st2 * cf2 * st3 * sf3 * _ph(m1 + a2 - z3)
-        + st1 * st2 * sf2 * ct3 * _ph(m1 + z2 - m3)
-        - ct1 * sf1 * st2 * cf2 * st3 * cf3 * _ph(z1 + a2 - a3)
-        + ct1 * sf1 * ct2 * ct3 * _ph(z1 + m2 - m3)
-        + ct1 * cf1 * st2 * sf2 * st3 * cf3 * _ph(a1 + z2 - a3)
-        + ct1 * cf1 * ct2 * st3 * sf3 * _ph(a1 + m2 - z3)
+        st1 * st2 * cf2 * st3 * sf3 * ph_maz
+        + st1 * st2 * sf2 * ct3 * ph_mzm
+        - ct1 * sf1 * st2 * cf2 * st3 * cf3 * ph_zaa
+        + ct1 * sf1 * ct2 * ct3 * ph_zmm
+        + ct1 * cf1 * st2 * sf2 * st3 * cf3 * ph_aza
+        + ct1 * cf1 * ct2 * st3 * sf3 * ph_amz
     )
-    return c_prime_b, c_dprime_b, c_b_prime, c_b_dprime
+    half_omega2 = pref * (
+        -ct1 * st2 * cf2 * st3 * sf3 * ph_maz
+        - ct1 * st2 * sf2 * ct3 * ph_mzm
+        - st1 * sf1 * st2 * cf2 * st3 * cf3 * ph_zaa
+        + st1 * sf1 * ct2 * ct3 * ph_zmm
+        + st1 * cf1 * st2 * sf2 * st3 * cf3 * ph_aza
+        + st1 * cf1 * ct2 * st3 * sf3 * ph_amz
+    )
+    return c_prime_b, c_dprime_b, c_b_prime, c_b_dprime, 2.0 * half_omega2
+
+
+def closure_conditions_closed_form(spec: LoopSpec) -> tuple[complex, complex, complex, complex]:
+    """Closed-form route to the four cross couplings (MHz); see _closed_form."""
+    return tuple(complex(x) for x in _closed_form(*_closed_form_inputs(spec))[:4])
 
 
 def omega2_closed_form(spec: LoopSpec) -> complex:
     """Closed-form middle Rabi frequency 2 <c|H2|b>, MHz."""
-    trig, phases, pref = _closed_form_inputs(spec)
-    (st1, ct1, sf1, cf1), (st2, ct2, sf2, cf2), (st3, ct3, sf3, cf3) = trig
-    (a1, z1, m1), (a2, z2, m2), (a3, z3, m3) = phases
-    half_omega2 = pref * (
-        -ct1 * st2 * cf2 * st3 * sf3 * _ph(m1 + a2 - z3)
-        - ct1 * st2 * sf2 * ct3 * _ph(m1 + z2 - m3)
-        - st1 * sf1 * st2 * cf2 * st3 * cf3 * _ph(z1 + a2 - a3)
-        + st1 * sf1 * ct2 * ct3 * _ph(z1 + m2 - m3)
-        + st1 * cf1 * st2 * sf2 * st3 * cf3 * _ph(a1 + z2 - a3)
-        + st1 * cf1 * ct2 * st3 * sf3 * _ph(a1 + m2 - z3)
-    )
-    return 2.0 * half_omega2
+    return complex(_closed_form(*_closed_form_inputs(spec))[4])
 
 
 @dataclass(frozen=True)
@@ -338,15 +365,18 @@ def loop_diagnostics(spec: LoopSpec, tol: float = DEFAULT_CLOSURE_TOL_MHZ) -> Lo
     worst = max(abs(x - y) for x, y in zip(residuals, closed_form))
     if worst > 1e-12 * scale:
         raise RuntimeError(f"internal inconsistency: closure routes differ by {worst:.3e} MHz")
-    max_residual = max(abs(r) for r in residuals)
 
     gamma_ba = reduced_matrix_element(spec.level_b, spec.level_a, spec.dipole).value
     gamma_ca = reduced_matrix_element(spec.level_c, spec.level_a, spec.dipole).value
     omega1 = -gamma_ba * spec.field1.total * DEBYE_VCM_TO_MHZ / _SQRT3
     omega3 = -gamma_ca * spec.field3.total * DEBYE_VCM_TO_MHZ / _SQRT3
     omega2 = 2.0 * _sandwich(ds.c, block, ds.b)
-    omegas = (omega1, omega2, omega3)
+    return _verdict(residuals, (omega1, omega2, omega3), tol)
 
+
+def _verdict(residuals, omegas, tol: float) -> LoopDiagnostics:
+    """The verdict on one set of residuals and Rabi frequencies, failing closed."""
+    max_residual = max(abs(r) for r in residuals)
     if not all(cmath.isfinite(x) for x in (*residuals, *omegas)):
         failure = "non_finite"
     elif max_residual >= tol:
@@ -362,6 +392,160 @@ def loop_diagnostics(spec: LoopSpec, tol: float = DEFAULT_CLOSURE_TOL_MHZ) -> Lo
         closed=failure is None,
         failure=failure,
     )
+
+
+@dataclass(frozen=True)
+class Triad:
+    """The fixed half of a closure verdict: levels a, b, c, the dipole, and
+    the reduced elements Gamma_ba, Gamma_cb and Gamma_ca, computed once.
+
+    `diagnostics` evaluates a stack of drives on the triad at once.
+    """
+
+    level_a: AsymTopLevel
+    level_b: AsymTopLevel
+    level_c: AsymTopLevel
+    dipole: BodyDipole
+    gamma_ba: complex = field(init=False)
+    gamma_cb: complex = field(init=False)
+    gamma_ca: complex = field(init=False)
+    # (sigma index, row, column, sign, 3j coupling) of each entry of the
+    # field-2 block that a component can reach, as coupling_block fills it
+    _block_entries: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        a, b, c = self.level_a, self.level_b, self.level_c
+        _check_levels(a, b, c)
+        for name, upper, lower in (("gamma_ba", b, a), ("gamma_cb", c, b), ("gamma_ca", c, a)):
+            object.__setattr__(self, name, reduced_matrix_element(upper, lower, self.dipole).value)
+        m_values = (1, 0, -1)  # rows (M_c) and columns (M_b) of the block
+        entries = []
+        for k, sigma in enumerate(SIGMAS):
+            for i, m_c in enumerate(m_values):
+                m_b = m_c - sigma
+                if abs(m_b) <= 1 and (w := w_coupling(1, m_c, 1, m_b, sigma)) != 0.0:
+                    sign = -1.0 if (m_b + sigma) % 2 else 1.0
+                    entries.append((k, i, m_values.index(m_b), sign, w))
+        object.__setattr__(self, "_block_entries", tuple(entries))
+
+    def diagnostics(
+        self, amplitudes, phases, tol: float = DEFAULT_CLOSURE_TOL_MHZ
+    ) -> Iterator[LoopDiagnostics]:
+        """loop_diagnostics of every row of a stack of drives, bit for bit.
+
+        amplitudes (V/cm, >= 0) and phases (rad) have shape (N, 3, 3): drives
+        1, 2, 3 (tuned to b-a, c-b, c-a) over sigma = (+1, 0, -1), amplitude
+        0 for an absent component.  Row n's verdict is the one
+        loop_diagnostics gives the LoopSpec.resonant of the same components,
+        and like it is cross-checked against the closed form.  The arrays are
+        validated at once; the verdicts are computed LOOP_BATCH_ROWS rows at
+        a time as the iteration reaches them, so memory stays bounded.
+        """
+        amps = np.asarray(amplitudes, dtype=float)
+        phis = np.asarray(phases, dtype=float)
+        if amps.ndim != 3 or amps.shape[1:] != (3, 3) or phis.shape != amps.shape:
+            raise ValueError(
+                f"drive arrays must have shape (N, 3, 3), got {amps.shape} and {phis.shape}"
+            )
+        if not (np.isfinite(amps).all() and np.isfinite(phis).all() and (amps >= 0).all()):
+            raise ValueError("amplitudes must be finite and >= 0, phases finite")
+        phis = np.where(amps > 0, _wrap_phase(phis), 0.0)  # as DriveField stores them
+        chunks = (slice(i, i + LOOP_BATCH_ROWS) for i in range(0, len(amps), LOOP_BATCH_ROWS))
+        return itertools.chain.from_iterable(
+            self._diagnostics_chunk(amps[chunk], phis[chunk], tol) for chunk in chunks
+        )
+
+    # an overflowing amplitude fails its verdict as non_finite, silently
+    @np.errstate(all="ignore")
+    def _diagnostics_chunk(self, amps, phis, tol: float) -> list[LoopDiagnostics]:
+        # Each step repeats the scalar path's floating-point operations in
+        # its order: complex products as _mul, Python's abs and math.hypot
+        # mapped over lists, the sandwiches as the same stacked matmuls.
+        e = np.exp(1j * phis)
+        e_re, e_im = e.real, e.imag
+        sq = amps * amps
+        total = np.sqrt((sq[..., 0] + sq[..., 1]) + sq[..., 2])  # DriveField.total
+        if (total == 0.0).any():
+            raise ValueError(_UNDERFLOW)
+        trig = tuple(_stacked_trig(amps[:, d], total[:, d]) for d in range(3))
+        b, b_prime, b_dprime = _stacked_triple(trig[0], e_re[:, 0], e_im[:, 0])
+        c, c_prime, c_dprime = _stacked_triple(trig[2], e_re[:, 2], e_im[:, 2])
+        block = self._field2_block(amps[:, 1], e_re[:, 1], e_im[:, 1])
+
+        c_block = c.conj()[:, None, :] @ block
+        residuals = np.concatenate(
+            [
+                (c_prime.conj()[:, None, :] @ block) @ b[:, :, None],
+                (c_dprime.conj()[:, None, :] @ block) @ b[:, :, None],
+                c_block @ b_prime[:, :, None],
+                c_block @ b_dprime[:, :, None],
+            ],
+            axis=1,
+        )[..., 0]
+        phases = tuple(tuple(phis[:, d, k] for k in range(3)) for d in range(3))
+        pref = self.gamma_cb * total[:, 1] * DEBYE_VCM_TO_MHZ / (2.0 * _SQRT6)
+        closed_form = np.stack(_closed_form(trig, phases, pref)[:4], axis=1)
+        worst = np.abs(residuals - closed_form).max(axis=1)
+        scale = np.maximum(np.abs(block).max(axis=(1, 2)), 1e-300)
+        differ = worst > 1e-12 * scale
+        if differ.any():
+            raise RuntimeError(
+                f"internal inconsistency: closure routes differ by {worst[differ].max():.3e} MHz"
+            )
+
+        half = (c_block @ b[:, :, None])[:, 0, 0]
+        omegas = np.stack(
+            [
+                _complex(*_outer_rabi(self.gamma_ba, total[:, 0])),
+                _complex(*_mul((2.0, 0.0), (half.real, half.imag))),
+                _complex(*_outer_rabi(self.gamma_ca, total[:, 2])),
+            ],
+            axis=1,
+        )
+        return [
+            _verdict(tuple(r), tuple(o), tol) for r, o in zip(residuals.tolist(), omegas.tolist())
+        ]
+
+    def _field2_block(self, amps, e_re, e_im) -> np.ndarray:
+        """coupling_block(c, b, field 2, dipole) of each row, shape (n, 3, 3)."""
+        re, im = np.zeros((len(amps), 3, 3)), np.zeros((len(amps), 3, 3))
+        gamma = (self.gamma_cb.real, self.gamma_cb.imag)
+        for k, i, j, sign, w in self._block_entries:
+            # 0.5 * rabi_frequency: sign * amp * DEBYE * e^{i phase} * w * gamma
+            rabi = _mul((sign * amps[:, k] * DEBYE_VCM_TO_MHZ, 0.0), (e_re[:, k], e_im[:, k]))
+            half_re, half_im = _mul((0.5, 0.0), _mul(_mul(rabi, (w, 0.0)), gamma))
+            re[:, i, j] += half_re
+            im[:, i, j] += half_im
+        return _complex(re, im)
+
+
+def _stacked_trig(amps: np.ndarray, total: np.ndarray):
+    """_field_trig of each row of amps, shape (n, 3) over sigma = (+1, 0, -1)."""
+    e_plus, e_zero, e_minus = amps.T
+    ct = e_minus / total
+    perp = np.array(list(map(math.hypot, e_plus.tolist(), e_zero.tolist())), dtype=float)
+    st = perp / total
+    cp = np.where(perp > 0.0, e_plus / perp, 1.0)
+    sp = np.where(perp > 0.0, e_zero / perp, 0.0)
+    return st, ct, sp, cp
+
+
+def _stacked_triple(trig, e_re: np.ndarray, e_im: np.ndarray):
+    """_dressed_triple of each row, as (n, 3) arrays; e = e^{i phi_sigma}, shape (n, 3)."""
+    st, ct, sp, cp = trig
+
+    def state(*coefficients):
+        return _complex(*_mul((np.stack(coefficients, axis=1), 0.0), (e_re, e_im)))
+
+    prime = state(sp, -cp, np.zeros_like(sp))
+    prime[:, 2] = 0.0  # _dressed_triple's literal 0j, not a signed 0 * e^{i phi}
+    return state(st * cp, st * sp, ct), prime, state(ct * cp, ct * sp, -st)
+
+
+def _outer_rabi(gamma: complex, total: np.ndarray):
+    """Omega1 or Omega3 as loop_diagnostics computes them, as a (real, imag) pair."""
+    rabi = _mul(_mul((-gamma.real, -gamma.imag), (total, 0.0)), (DEBYE_VCM_TO_MHZ, 0.0))
+    return _div_real(rabi, _SQRT3)
 
 
 def build_single_loop(
@@ -431,25 +615,22 @@ def enumerate_pure_polarizations(
     sublevels with M_b = sigma1 and M_c = sigma3.  Closed rows come first,
     in TABLE_ROWS order, then the rejected rows lexicographically.
     """
-    rows = []
-    for s1 in (-1, 0, 1):
-        for s2 in (-1, 0, 1):
-            for s3 in (-1, 0, 1):
-                comps = [{s: (1.0, 0.0)} for s in (s1, s2, s3)]
-                spec = LoopSpec.resonant(levels, dipole, comps)
-                diag = loop_diagnostics(spec, tol)
-                rows.append(
-                    LoopCandidate(
-                        sigma1=s1,
-                        sigma2=s2,
-                        sigma3=s3,
-                        m_b=s1,
-                        m_c=s3,
-                        closed=diag.closed,
-                        omega_abs=tuple(abs(o) for o in diag.omegas),
-                        max_residual=diag.max_residual,
-                    )
-                )
+    triples = list(itertools.product((-1, 0, 1), repeat=3))
+    amps = np.array([[[float(s == t) for t in SIGMAS] for s in triple] for triple in triples])
+    diags = Triad(*levels, dipole).diagnostics(amps, np.zeros_like(amps), tol)
+    rows = [
+        LoopCandidate(
+            sigma1=s1,
+            sigma2=s2,
+            sigma3=s3,
+            m_b=s1,
+            m_c=s3,
+            closed=diag.closed,
+            omega_abs=tuple(abs(o) for o in diag.omegas),
+            max_residual=diag.max_residual,
+        )
+        for (s1, s2, s3), diag in zip(triples, diags)
+    ]
 
     def order(row: LoopCandidate):
         key = (row.sigma1, row.sigma2, row.sigma3, row.m_b, row.m_c)

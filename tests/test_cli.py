@@ -355,6 +355,29 @@ def test_non_finite_amplitude_exits_2(capsys):
     assert "closed" not in captured.out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["loops", "verify", "propanediol", "--sigma", "1,-1,0", "--amp", "1e-320,1,1"],
+        ["simulate", "propanediol", "--config", "ZXY", "--amp", "1e-170,1,1"],
+    ],
+)
+def test_underflowing_amplitude_exits_2(argv, capsys):
+    """The square of the first drive's amplitude underflows, so its total is 0."""
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "underflow" in captured.err
+    assert captured.out == ""
+
+
+def test_repeated_sigma_in_one_field_exits_2(capsys):
+    argv = ["loops", "verify", "propanediol", "--field=1:1:0,1:2:0", "--field=-1:1:0", "--field=0:1:0"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "sigma=1 more than once" in captured.err
+    assert captured.out == ""
+
+
 def test_non_finite_molecule_value_exits_2(tmp_path, capsys):
     path = tmp_path / "nan.mol"
     path.write_text(GOOD_CONFIG.replace("mu_x_D = 1.916", "mu_x_D = nan"))

@@ -5,9 +5,12 @@ per-step propagation loops that `dynamics.evolve` replaced, the `levels`
 files by the cyclic Jacobi solver that the Wang-block `eigh` replaced, and
 the `loops` files by the per-builder spec construction and the two-pass
 closure evaluation that `LoopSpec.resonant` and the single
-`loop_diagnostics` pass replaced, each from the argv in CASES.  A change to
-the propagator, the rotor solver, the loop evaluation or the emission path
-must reproduce them exactly; never regenerate them to make this test pass.
+`loop_diagnostics` pass replaced (`sample_large` and `sample_empty` by the
+one-verdict-at-a-time sampling that `Triad.diagnostics` replaced), each
+from the argv in CASES.  A change to the propagator, the rotor solver, the
+loop evaluation or the emission path must reproduce them exactly; never
+regenerate them to make this test pass.  No case writes to stderr, so a
+stray warning or diagnostic fails here too.
 """
 
 import gzip
@@ -112,7 +115,8 @@ def test_output_matches_golden(name, tmp_path, capsysbinary):
     if argv[-1] == "--csv":
         argv.append(str(csv_path))
     assert run(argv) == 0
-    out = capsysbinary.readouterr().out
-    assert_same_bytes(out, read_golden(name, "out"), "stdout")
+    captured = capsysbinary.readouterr()
+    assert captured.err == b"", "a golden case writes nothing to stderr"
+    assert_same_bytes(captured.out, read_golden(name, "out"), "stdout")
     if csv_path.exists():
         assert_same_bytes(csv_path.read_bytes(), read_golden(name, "csv"), "CSV")

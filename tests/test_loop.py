@@ -3,18 +3,23 @@ pure-polarization table, and the linear-polarization orthogonality rule."""
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chiraloop import dynamics, loop
 from chiraloop.dipole import BodyDipole, enantiomer
 from chiraloop.fields import DriveField
 from chiraloop.loop import (
+    LOOP_BATCH_ROWS,
     TABLE_ROWS,
     LoopSpec,
     NotClosedError,
     SingleLoopHamiltonian,
+    Triad,
     ZeroRabiError,
     build_single_loop,
     closure_conditions,
@@ -344,3 +349,131 @@ def test_non_finite_verdict_fails_closed(triad_a, dipole):
     assert not diag.closed and diag.failure == "non_finite"
     with pytest.raises(ValueError, match="not finite"):
         build_single_loop(pure_loop_spec(triad_a, dipole, (1, -1, 0), amplitudes=(1e200, 1, 1)))
+
+
+# ---------------------------------------------------------------------------
+# batched verdicts on a Triad
+
+TRIAD_TAUS = {"a": (-1, 1), "b": (-1, 0), "c": (0, 1)}
+
+
+def stack_drives(specs):
+    """The (N, 3, 3) amplitudes and phases of the specs' drives, sigma = +1, 0, -1."""
+    amps, phases = np.zeros((2, len(specs), 3, 3))
+    for n, spec in enumerate(specs):
+        for d, f in enumerate((spec.field1, spec.field2, spec.field3)):
+            for k, sigma in enumerate((1, 0, -1)):
+                amps[n, d, k], phases[n, d, k] = f.amplitude(sigma), f.phase(sigma)
+    return amps, phases
+
+
+def random_drives(kind, rng, levels, dip, count):
+    """Specs and their stacked drives: general drives, linear drives (random
+    or orthogonal frames), pure drives, or raw arrays with absent components
+    and unwrapped phases."""
+    specs, raw = [], []
+    for _ in range(count):
+        amplitudes, phases = rng.uniform(0.05, 3.0, 3), rng.uniform(-4.0, 4.0, 3)
+        if kind == "general":
+            specs.append(random_loop_spec(rng, levels, dip))
+        elif kind == "linear":
+            frame = rng.normal(size=(3, 3))
+            if rng.random() < 0.5:  # closed: residuals at rounding level
+                frame = np.linalg.qr(frame)[0].T
+            specs.append(linear_loop_spec(levels, dip, frame, amplitudes, phases))
+        elif kind == "pure":
+            sigmas = rng.integers(-1, 2, size=3).tolist()
+            specs.append(pure_loop_spec(levels, dip, sigmas, amplitudes, phases))
+        else:
+            amps = rng.uniform(0.05, 3.0, (3, 3)) * (rng.random((3, 3)) < 0.7)
+            amps[:, 0] += amps.sum(axis=1) == 0  # every drive keeps a component
+            phis = rng.uniform(-10.0, 10.0, (3, 3))
+            comps = [{s: (a, p) for s, a, p in zip((1, 0, -1), *row) if a > 0} for row in zip(amps, phis)]
+            specs.append(LoopSpec.resonant(levels, dip, comps))
+            raw.append((amps, phis))
+    if kind == "raw":
+        return specs, tuple(np.array([r[i] for r in raw]).reshape(count, 3, 3) for i in (0, 1))
+    return specs, stack_drives(specs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    which=st.sampled_from("abc"),
+    kind=st.sampled_from(["general", "linear", "pure", "raw"]),
+    count=st.sampled_from([0, 1, 7, LOOP_BATCH_ROWS + 3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batch_equals_scalar_bit_for_bit(which, kind, count, seed, ground, j1_levels, dipole):
+    tau_b, tau_c = TRIAD_TAUS[which]
+    levels = (ground, j1_levels[tau_b], j1_levels[tau_c])
+    specs, drives = random_drives(kind, np.random.default_rng(seed), levels, dipole, count)
+    batch = list(Triad(*levels, dipole).diagnostics(*drives))
+    # LoopDiagnostics compares residuals, omegas, max_residual, closed and failure with ==
+    assert batch == [loop_diagnostics(spec) for spec in specs]
+
+
+def test_batch_checks_every_chunk_against_closed_form(triad_a, dipole, monkeypatch):
+    specs = [linear_loop_spec(triad_a, dipole, (Z, X, Y))] * (LOOP_BATCH_ROWS + 1)
+    amps, phases = stack_drives(specs)
+    real = loop._closed_form
+    chunks = []
+
+    def off_by_a_kilohertz_in_second_chunk(trig, phases, pref):
+        chunks.append(len(pref))
+        values = real(trig, phases, pref)
+        return tuple(v + 1e-3 for v in values) if len(chunks) == 2 else values
+
+    monkeypatch.setattr(loop, "_closed_form", off_by_a_kilohertz_in_second_chunk)
+    with pytest.raises(RuntimeError, match="closure routes differ"):
+        list(Triad(*triad_a, dipole).diagnostics(amps, phases))
+    assert chunks == [LOOP_BATCH_ROWS, 1]
+
+
+def test_batch_overflow_is_non_finite_without_warning(triad_a, dipole):
+    specs = [
+        pure_loop_spec(triad_a, dipole, (1, -1, 0), amplitudes=(1e200, 1, 1)),
+        linear_loop_spec(triad_a, dipole, (Z, X, Y), amplitudes=(1e200, 1e200, 1e200)),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = list(Triad(*triad_a, dipole).diagnostics(*stack_drives(specs)))
+    for got, spec in zip(batch, specs):
+        want = loop_diagnostics(spec)
+        assert not got.closed and got.failure == want.failure == "non_finite"
+        for field in ("omegas", "residuals", "max_residual"):
+            assert np.array_equal(getattr(got, field), getattr(want, field), equal_nan=True)
+
+
+def test_triad_computes_each_reduced_element_once(triad_a, dipole, monkeypatch):
+    real = loop.reduced_matrix_element
+    calls = []
+
+    def counted(upper, lower, d):
+        calls.append((upper, lower))
+        return real(upper, lower, d)
+
+    monkeypatch.setattr(loop, "reduced_matrix_element", counted)
+    triad = Triad(*triad_a, dipole)
+    a, b, c = triad_a
+    assert calls == [(b, a), (c, b), (c, a)]
+    assert (triad.gamma_ba, triad.gamma_cb, triad.gamma_ca) == tuple(
+        real(upper, lower, dipole).value for upper, lower in calls
+    )
+    enumerate_pure_polarizations(triad_a, dipole)
+    assert len(calls) == 6
+
+
+@pytest.mark.parametrize(
+    "amps, phases, message",
+    [
+        (np.ones((2, 3)), np.zeros((2, 3)), "shape"),
+        (np.ones((2, 3, 3)), np.zeros((3, 3, 3)), "shape"),
+        (-np.ones((1, 3, 3)), np.zeros((1, 3, 3)), ">= 0"),
+        (np.full((1, 3, 3), np.inf), np.zeros((1, 3, 3)), "finite"),
+        (np.ones((1, 3, 3)), np.full((1, 3, 3), np.nan), "finite"),
+        (np.eye(3)[None] * 1e-200, np.zeros((1, 3, 3)), "underflow"),
+    ],
+)
+def test_triad_rejects_malformed_drives(triad_a, dipole, amps, phases, message):
+    with pytest.raises(ValueError, match=message):
+        list(Triad(*triad_a, dipole).diagnostics(amps, phases))
