@@ -409,24 +409,12 @@ class Triad:
     gamma_ba: complex = field(init=False)
     gamma_cb: complex = field(init=False)
     gamma_ca: complex = field(init=False)
-    # (sigma index, row, column, sign, 3j coupling) of each entry of the
-    # field-2 block that a component can reach, as coupling_block fills it
-    _block_entries: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a, b, c = self.level_a, self.level_b, self.level_c
         _check_levels(a, b, c)
         for name, upper, lower in (("gamma_ba", b, a), ("gamma_cb", c, b), ("gamma_ca", c, a)):
             object.__setattr__(self, name, reduced_matrix_element(upper, lower, self.dipole).value)
-        m_values = (1, 0, -1)  # rows (M_c) and columns (M_b) of the block
-        entries = []
-        for k, sigma in enumerate(SIGMAS):
-            for i, m_c in enumerate(m_values):
-                m_b = m_c - sigma
-                if abs(m_b) <= 1 and (w := w_coupling(1, m_c, 1, m_b, sigma)) != 0.0:
-                    sign = -1.0 if (m_b + sigma) % 2 else 1.0
-                    entries.append((k, i, m_values.index(m_b), sign, w))
-        object.__setattr__(self, "_block_entries", tuple(entries))
 
     def diagnostics(
         self, amplitudes, phases, tol: float = DEFAULT_CLOSURE_TOL_MHZ
@@ -450,23 +438,24 @@ class Triad:
         if not (np.isfinite(amps).all() and np.isfinite(phis).all() and (amps >= 0).all()):
             raise ValueError("amplitudes must be finite and >= 0, phases finite")
         phis = np.where(amps > 0, _wrap_phase(phis), 0.0)  # as DriveField stores them
+        with np.errstate(over="ignore"):  # an infinite total fails its verdict, below
+            sq = amps * amps
+            total = np.sqrt((sq[..., 0] + sq[..., 1]) + sq[..., 2])  # DriveField.total
+        if (total == 0.0).any():
+            raise ValueError(_UNDERFLOW)
         chunks = (slice(i, i + LOOP_BATCH_ROWS) for i in range(0, len(amps), LOOP_BATCH_ROWS))
         return itertools.chain.from_iterable(
-            self._diagnostics_chunk(amps[chunk], phis[chunk], tol) for chunk in chunks
+            self._diagnostics_chunk(amps[c], phis[c], total[c], tol) for c in chunks
         )
 
     # an overflowing amplitude fails its verdict as non_finite, silently
     @np.errstate(all="ignore")
-    def _diagnostics_chunk(self, amps, phis, tol: float) -> list[LoopDiagnostics]:
+    def _diagnostics_chunk(self, amps, phis, total, tol: float) -> list[LoopDiagnostics]:
         # Each step repeats the scalar path's floating-point operations in
         # its order: complex products as _mul, Python's abs and math.hypot
         # mapped over lists, the sandwiches as the same stacked matmuls.
         e = np.exp(1j * phis)
         e_re, e_im = e.real, e.imag
-        sq = amps * amps
-        total = np.sqrt((sq[..., 0] + sq[..., 1]) + sq[..., 2])  # DriveField.total
-        if (total == 0.0).any():
-            raise ValueError(_UNDERFLOW)
         trig = tuple(_stacked_trig(amps[:, d], total[:, d]) for d in range(3))
         b, b_prime, b_dprime = _stacked_triple(trig[0], e_re[:, 0], e_im[:, 0])
         c, c_prime, c_dprime = _stacked_triple(trig[2], e_re[:, 2], e_im[:, 2])
@@ -510,12 +499,18 @@ class Triad:
         """coupling_block(c, b, field 2, dipole) of each row, shape (n, 3, 3)."""
         re, im = np.zeros((len(amps), 3, 3)), np.zeros((len(amps), 3, 3))
         gamma = (self.gamma_cb.real, self.gamma_cb.imag)
-        for k, i, j, sign, w in self._block_entries:
-            # 0.5 * rabi_frequency: sign * amp * DEBYE * e^{i phase} * w * gamma
-            rabi = _mul((sign * amps[:, k] * DEBYE_VCM_TO_MHZ, 0.0), (e_re[:, k], e_im[:, k]))
-            half_re, half_im = _mul((0.5, 0.0), _mul(_mul(rabi, (w, 0.0)), gamma))
-            re[:, i, j] += half_re
-            im[:, i, j] += half_im
+        m_values = (1, 0, -1)  # rows (M_c) and columns (M_b)
+        for k, sigma in enumerate(SIGMAS):
+            for i, m_c in enumerate(m_values):
+                m_b = m_c - sigma
+                if abs(m_b) > 1 or (w := w_coupling(1, m_c, 1, m_b, sigma)) == 0.0:
+                    continue
+                # 0.5 * rabi_frequency: sign * amp * DEBYE * e^{i phase} * w * gamma
+                sign = -1.0 if (m_b + sigma) % 2 else 1.0
+                rabi = _mul((sign * amps[:, k] * DEBYE_VCM_TO_MHZ, 0.0), (e_re[:, k], e_im[:, k]))
+                half_re, half_im = _mul((0.5, 0.0), _mul(_mul(rabi, (w, 0.0)), gamma))
+                re[:, i, m_values.index(m_b)] += half_re
+                im[:, i, m_values.index(m_b)] += half_im
         return _complex(re, im)
 
 

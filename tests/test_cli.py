@@ -371,8 +371,8 @@ def test_underflowing_amplitude_exits_2(argv, capsys):
 
 
 def test_repeated_sigma_in_one_field_exits_2(capsys):
-    argv = ["loops", "verify", "propanediol", "--field=1:1:0,1:2:0", "--field=-1:1:0", "--field=0:1:0"]
-    assert run(argv) == 2
+    fields = ["--field=1:1:0,1:2:0", "--field=-1:1:0", "--field=0:1:0"]
+    assert run(["loops", "verify", "propanediol", *fields]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and "sigma=1 more than once" in captured.err
     assert captured.out == ""

@@ -371,7 +371,7 @@ def random_drives(kind, rng, levels, dip, count):
     """Specs and their stacked drives: general drives, linear drives (random
     or orthogonal frames), pure drives, or raw arrays with absent components
     and unwrapped phases."""
-    specs, raw = [], []
+    specs, raw_amps, raw_phases = [], [], []
     for _ in range(count):
         amplitudes, phases = rng.uniform(0.05, 3.0, 3), rng.uniform(-4.0, 4.0, 3)
         if kind == "general":
@@ -388,11 +388,15 @@ def random_drives(kind, rng, levels, dip, count):
             amps = rng.uniform(0.05, 3.0, (3, 3)) * (rng.random((3, 3)) < 0.7)
             amps[:, 0] += amps.sum(axis=1) == 0  # every drive keeps a component
             phis = rng.uniform(-10.0, 10.0, (3, 3))
-            comps = [{s: (a, p) for s, a, p in zip((1, 0, -1), *row) if a > 0} for row in zip(amps, phis)]
+            comps = [
+                {s: (a, p) for s, a, p in zip((1, 0, -1), row_amps, row_phis) if a > 0}
+                for row_amps, row_phis in zip(amps, phis)
+            ]
             specs.append(LoopSpec.resonant(levels, dip, comps))
-            raw.append((amps, phis))
+            raw_amps.append(amps)
+            raw_phases.append(phis)
     if kind == "raw":
-        return specs, tuple(np.array([r[i] for r in raw]).reshape(count, 3, 3) for i in (0, 1))
+        return specs, (np.reshape(raw_amps, (count, 3, 3)), np.reshape(raw_phases, (count, 3, 3)))
     return specs, stack_drives(specs)
 
 
@@ -475,5 +479,5 @@ def test_triad_computes_each_reduced_element_once(triad_a, dipole, monkeypatch):
     ],
 )
 def test_triad_rejects_malformed_drives(triad_a, dipole, amps, phases, message):
-    with pytest.raises(ValueError, match=message):
-        list(Triad(*triad_a, dipole).diagnostics(amps, phases))
+    with pytest.raises(ValueError, match=message):  # before any row is evaluated
+        Triad(*triad_a, dipole).diagnostics(amps, phases)
