@@ -28,6 +28,8 @@ __all__ = [
 
 SIGMAS = (1, 0, -1)
 
+_TOTAL_UNDERFLOW = "drive amplitudes underflow: the total amplitude of a drive is 0"
+
 
 class ZeroVectorError(ValueError):
     """A polarization direction has (numerically) zero length."""
@@ -102,8 +104,15 @@ class DriveField:
 
     @property
     def total(self) -> float:
-        """Total amplitude sqrt(sum_sigma E_sigma^2), V/cm."""
-        return math.sqrt(sum(a * a for a, _ in self.comps.values()))
+        """Total amplitude sqrt(sum_sigma E_sigma^2), V/cm.
+
+        Raises ValueError when the squares underflow to a total of 0, which
+        every quantity normalized by the total would divide by.
+        """
+        total = math.sqrt(sum(a * a for a, _ in self.comps.values()))
+        if total == 0.0:
+            raise ValueError(_TOTAL_UNDERFLOW)
+        return total
 
 
 class PolarizationAngles(NamedTuple):

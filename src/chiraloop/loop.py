@@ -25,7 +25,8 @@ import numpy as np
 
 from . import dynamics
 from .dipole import DEBYE_VCM_TO_MHZ, BodyDipole, enantiomer, reduced_matrix_element
-from .fields import SIGMAS, DriveField, _complex, _div_real, _mul, _wrap_phase, linear_components
+from .fields import SIGMAS, _TOTAL_UNDERFLOW, DriveField, _complex, _div_real, _mul, _wrap_phase
+from .fields import linear_components
 from .rotor import AsymTopLevel
 from .wigner import w_coupling
 
@@ -62,9 +63,6 @@ RESONANCE_TOL_MHZ = dynamics.RESONANCE_TOL_MHZ
 # Drive rows `Triad.diagnostics` evaluates at once; bounds its temporaries
 # at any batch size.
 LOOP_BATCH_ROWS = 512
-
-# The dressed states divide by each drive's total amplitude.
-_UNDERFLOW = "drive amplitudes underflow: the total amplitude of a drive is 0"
 
 _SQRT3 = math.sqrt(3.0)
 _SQRT6 = math.sqrt(6.0)
@@ -206,8 +204,6 @@ def _field_trig(f: DriveField) -> tuple[float, float, float, float]:
     acos/cos round trips, so absent components give exact structural zeros.
     """
     total = f.total
-    if total == 0.0:
-        raise ValueError(_UNDERFLOW)
     e_plus, e_zero, e_minus = f.amplitude(1), f.amplitude(0), f.amplitude(-1)
     ct = e_minus / total
     perp = math.hypot(e_plus, e_zero)
@@ -442,7 +438,7 @@ class Triad:
             sq = amps * amps
             total = np.sqrt((sq[..., 0] + sq[..., 1]) + sq[..., 2])  # DriveField.total
         if (total == 0.0).any():
-            raise ValueError(_UNDERFLOW)
+            raise ValueError(_TOTAL_UNDERFLOW)
         chunks = (slice(i, i + LOOP_BATCH_ROWS) for i in range(0, len(amps), LOOP_BATCH_ROWS))
         return itertools.chain.from_iterable(
             self._diagnostics_chunk(amps[c], phis[c], total[c], tol) for c in chunks

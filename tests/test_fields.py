@@ -184,6 +184,22 @@ def test_all_zero_amplitudes_rejected():
         DriveField(freq=1.0, comps={0: (0.0, 0.0), 1: (0.0, 1.0)})
 
 
+def test_underflowing_total_raises_value_error():
+    """1e-300 squares to 0: the field exists, its total and angles do not."""
+    f = DriveField(freq=1.0, comps={0: (1e-300, 0.0), 1: (1e-300, 0.5)})
+    assert f.amplitude(0) == 1e-300
+    with pytest.raises(ValueError, match="underflow"):
+        f.total
+    with pytest.raises(ValueError, match="underflow"):
+        polarization_angles(f)
+
+
+def test_components_stored_in_sigma_order():
+    f = DriveField(freq=1.0, comps={-1: (0.3, 0.0), 0: (0.2, 0.0), 1: (0.1, 0.0)})
+    assert list(f.comps) == [1, 0, -1]
+    assert f.total == math.sqrt(0.1 * 0.1 + 0.2 * 0.2 + 0.3 * 0.3)
+
+
 def test_unknown_sigma_rejected():
     with pytest.raises(ValueError):
         DriveField(freq=1.0, comps={2: (1.0, 0.0)})
