@@ -190,10 +190,11 @@ def stacked_linear_components(
     if amplitude < 0:
         raise ValueError("amplitude must be >= 0")
 
-    projections = _spherical_projections(amplitude, phase, *n.T)
-    values = np.stack([_complex(*pair) for pair in projections], axis=1).ravel().tolist()
-    amps = np.fromiter(map(abs, values), float, len(values)).reshape(-1, 3)
-    phases = np.fromiter((-cmath.phase(a) for a in values), float, len(values)).reshape(-1, 3)
+    amps, phases = np.empty((2, len(n), 3))
+    for k, pair in enumerate(_spherical_projections(amplitude, phase, *n.T)):
+        values = _complex(*pair).tolist()
+        amps[:, k] = np.fromiter(map(abs, values), float, len(values))
+        phases[:, k] = np.fromiter((-cmath.phase(a) for a in values), float, len(values))
     phases[amps == 0.0] = 0.0
     return amps, phases
 

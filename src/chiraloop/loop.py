@@ -433,7 +433,6 @@ class Triad:
             )
         if not (np.isfinite(amps).all() and np.isfinite(phis).all() and (amps >= 0).all()):
             raise ValueError("amplitudes must be finite and >= 0, phases finite")
-        phis = np.where(amps > 0, _wrap_phase(phis), 0.0)  # as DriveField stores them
         with np.errstate(over="ignore"):  # an infinite total fails its verdict, below
             sq = amps * amps
             total = np.sqrt((sq[..., 0] + sq[..., 1]) + sq[..., 2])  # DriveField.total
@@ -450,6 +449,7 @@ class Triad:
         # Each step repeats the scalar path's floating-point operations in
         # its order: complex products as _mul, Python's abs and math.hypot
         # mapped over lists, the sandwiches as the same stacked matmuls.
+        phis = np.where(amps > 0, _wrap_phase(phis), 0.0)  # as DriveField stores them
         e = np.exp(1j * phis)
         e_re, e_im = e.real, e.imag
         trig = tuple(_stacked_trig(amps[:, d], total[:, d]) for d in range(3))
