@@ -14,6 +14,7 @@ from chiraloop.fields import (
     linear_components,
     linear_polarization,
     polarization_angles,
+    stacked_linear_components,
 )
 
 ROOT2 = math.sqrt(2.0)
@@ -81,6 +82,28 @@ def test_linear_components_are_the_drive_components():
     assert sorted(comps) == sorted(f.comps) == [-1, 0, 1]
     for sigma, (amp, ph) in comps.items():
         assert amp * cmath.exp(1j * ph) == pytest.approx(f.complex_amplitude(sigma), abs=1e-15)
+
+
+def test_stacked_components_equal_linear_components_bit_for_bit():
+    rng = np.random.default_rng(8)
+    axes = np.vstack([np.eye(3), -np.eye(3), [[1.0, 1.0, 0.0], [0.0, -1.0, 1.0]]])
+    directions = np.vstack([axes, rng.normal(size=(500, 3))])
+    for amplitude, phase in ((1.0, 0.0), (2.5, -1.3), (0.7, math.pi)):
+        amps, phases = stacked_linear_components(directions, amplitude, phase)
+        for direction, *row in zip(directions, amps.tolist(), phases.tolist()):
+            comps = linear_components(direction, amplitude, phase)
+            want = [comps.get(s, (0.0, 0.0)) for s in (1, 0, -1)]
+            # float.hex tells the bits apart, signed zeros included
+            assert [x.hex() for x in row[0] + row[1]] == [
+                x.hex() for x in [a for a, _ in want] + [p for _, p in want]
+            ]
+
+
+def test_stacked_components_reject_bad_directions():
+    with pytest.raises(ValueError, match="3"):
+        stacked_linear_components(np.ones((2, 2)))
+    with pytest.raises(ZeroVectorError):
+        stacked_linear_components([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
 
 # ---------------------------------------------------------------------------
