@@ -306,7 +306,8 @@ def cmd_loops_verify(args) -> int:
 
 
 def _normal_frames(rng: np.random.Generator, n: int) -> Iterator[np.ndarray]:
-    """n standard-normal 3x3 draws, LOOP_BATCH_ROWS at a time; the stream of one draw."""
+    """n standard-normal 3x3 matrices, LOOP_BATCH_ROWS at a time: the numbers that
+    one rng.normal(size=(n, 3, 3)) draw gives."""
     for start in range(0, n, loop.LOOP_BATCH_ROWS):
         yield rng.normal(size=(min(loop.LOOP_BATCH_ROWS, n - start), 3, 3))
 

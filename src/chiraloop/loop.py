@@ -607,6 +607,7 @@ def enumerate_pure_polarizations(
     in TABLE_ROWS order, then the rejected rows lexicographically.
     """
     triples = list(itertools.product((-1, 0, 1), repeat=3))
+    # unit amplitude on the one component of each drive
     amps = np.array([[[float(s == t) for t in SIGMAS] for s in triple] for triple in triples])
     diags = Triad(*levels, dipole).diagnostics(amps, np.zeros_like(amps), tol)
     rows = [
