@@ -13,6 +13,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
+from .fields import _mul
 from .rotor import AsymTopLevel
 from .wigner import w_coupling
 
@@ -143,6 +144,20 @@ def symtop_reduced_element(
     return math.sqrt((2 * J_a + 1) * (2 * J_b + 1)) * total
 
 
+def _rabi_pair(M_lower: int, sigma: int, amplitude, e, w: float, gamma: complex):
+    """(-1)^(M_lower+sigma) E e W Gamma scaled to MHz, as a (real, imag) pair,
+    for e = e^(i phase); amplitude and e may be floats or arrays.
+
+    The one statement of the Rabi convention, which rabi_frequency and every
+    coupling block compute through.  Complex products go through
+    fields._mul, so the bits do not depend on how the interpreter mixes real
+    and complex operands.
+    """
+    sign = -1.0 if (M_lower + sigma) % 2 else 1.0
+    rabi = _mul((sign * amplitude * DEBYE_VCM_TO_MHZ, 0.0), (e.real, e.imag))
+    return _mul(_mul(rabi, (w, 0.0)), (gamma.real, gamma.imag))
+
+
 def rabi_frequency(
     upper: AsymTopLevel,
     M_upper: int,
@@ -157,8 +172,8 @@ def rabi_frequency(
     """Complex Rabi frequency (MHz) of one sigma-polarized drive component.
 
     Exactly 0 when M_upper - M_lower != sigma or the coupling coefficient
-    vanishes; otherwise
-    (-1)^(M_lower+sigma) E e^(i phase) W Gamma scaled to MHz.
+    vanishes; otherwise (-1)^(M_lower+sigma) E e^(i phase) W Gamma scaled
+    to MHz, as _rabi_pair computes it.
 
     `gamma` may carry a precomputed reduced element for the level pair
     (callers looping over M sublevels avoid recomputing it).
@@ -170,12 +185,5 @@ def rabi_frequency(
         return 0j
     if gamma is None:
         gamma = reduced_matrix_element(upper, lower, d).value
-    sign = -1.0 if (M_lower + sigma) % 2 else 1.0
-    return (
-        sign
-        * amplitude_V_per_cm
-        * DEBYE_VCM_TO_MHZ
-        * cmath.exp(1j * phase_rad)
-        * w
-        * gamma
-    )
+    e = cmath.exp(1j * phase_rad)
+    return complex(*_rabi_pair(M_lower, sigma, amplitude_V_per_cm, e, w, gamma))

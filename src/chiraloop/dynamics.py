@@ -10,14 +10,16 @@ accumulated phase is 2 pi H t with no hidden constants.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dipole import BodyDipole, rabi_frequency, reduced_matrix_element
-from .fields import DriveField
+from .dipole import BodyDipole, _rabi_pair, reduced_matrix_element
+from .fields import DriveField, _complex, _mul
 from .rotor import AsymTopLevel
+from .wigner import w_coupling
 
 if TYPE_CHECKING:  # avoid a runtime cycle; loop imports this module
     from numpy.typing import ArrayLike
@@ -88,19 +90,32 @@ def coupling_block(
     components.  Every Delta-M = sigma branch is included.
     """
     gamma = reduced_matrix_element(upper, lower, dipole).value
+    components = [(s, amp, cmath.exp(1j * phase)) for s, (amp, phase) in field.comps.items()]
+    return _stacked_coupling_block(upper, lower, gamma, components)
+
+
+def _stacked_coupling_block(
+    upper: AsymTopLevel, lower: AsymTopLevel, gamma: complex, components
+) -> np.ndarray:
+    """coupling_block of one drive or a stack, shape (..., 2J_upper+1, 2J_lower+1).
+
+    components holds (sigma, amplitude, e^(i phase)) per polarization
+    component, as floats or as arrays of the stack's shape; gamma is the
+    reduced element.  A stack gets the bits of its single drives.
+    """
     m_up = _m_values(upper.J)
     m_lo = _m_values(lower.J)
-    block = np.zeros((len(m_up), len(m_lo)), dtype=complex)
-    for sigma, (amp, phase) in field.comps.items():
+    # entry axes first while filling, so one drive's entries are floats
+    re, im = np.zeros((2, len(m_up), len(m_lo), *np.shape(components[0][1])))
+    for sigma, amp, e in components:
         for i, mu in enumerate(m_up):
             ml = mu - sigma
-            if abs(ml) > lower.J:
+            if abs(ml) > lower.J or (w := w_coupling(upper.J, mu, lower.J, ml, sigma)) == 0.0:
                 continue
-            j = m_lo.index(ml)
-            block[i, j] += 0.5 * rabi_frequency(
-                upper, mu, lower, ml, sigma, amp, phase, dipole, gamma=gamma
-            )
-    return block
+            half_re, half_im = _mul((0.5, 0.0), _rabi_pair(ml, sigma, amp, e, w, gamma))
+            re[i, m_lo.index(ml)] += half_re
+            im[i, m_lo.index(ml)] += half_im
+    return np.ascontiguousarray(_complex(re, im).transpose(*range(2, re.ndim), 0, 1))
 
 
 def assemble_full_hamiltonian(spec: "LoopSpec") -> np.ndarray:

@@ -41,16 +41,25 @@ def _wrap_phase(phi):
     return phi - 2.0 * math.pi * (phi > math.pi)
 
 
+def _sum_of_squares(e_plus, e_zero, e_minus):
+    """(E_+1^2 + E_0^2) + E_-1^2 in that order, on floats or arrays.
+
+    An explicit fold, not sum(), whose float rounding varies between Python
+    versions; every drive total is the square root of this.
+    """
+    return (e_plus * e_plus + e_zero * e_zero) + e_minus * e_minus
+
+
 def _mul(a, b):
-    """a * b for (real, imag) pairs of floats or arrays, term for term as
-    Python multiplies complex numbers (a real x enters as (x, 0.0)), so the
-    result carries the scalar path's bits, signed zeros and NaNs included."""
+    """a * b for (real, imag) pairs of floats or arrays, a real x entering as
+    (x, 0.0).  One drive and a stack of drives multiply through it, so they
+    agree bit for bit, signed zeros and NaNs included, on every interpreter."""
     (ar, ai), (br, bi) = a, b
     return ar * br - ai * bi, ar * bi + ai * br
 
 
 def _div_real(a, x):
-    """a / x for a (real, imag) pair and a real x, as Python divides a complex by a float."""
+    """a / x for a (real, imag) pair and a real x, as _mul is for products."""
     ar, ai = a
     return (ar + ai * 0.0) / x, (ai - ar * 0.0) / x
 
@@ -84,8 +93,7 @@ class DriveField:
                 norm[sigma] = (amp, _wrap_phase(phase))
         if not norm:
             raise ValueError("drive field needs at least one nonzero amplitude")
-        # sigma order (+1, 0, -1), so that `total` sums in one fixed order
-        object.__setattr__(self, "comps", {s: norm[s] for s in SIGMAS if s in norm})
+        object.__setattr__(self, "comps", norm)
 
     @classmethod
     def pure(cls, sigma: int, amplitude: float, freq: float, phase: float = 0.0) -> "DriveField":
@@ -109,7 +117,7 @@ class DriveField:
         Raises ValueError when the squares underflow to a total of 0, which
         every quantity normalized by the total would divide by.
         """
-        total = math.sqrt(sum(a * a for a, _ in self.comps.values()))
+        total = math.sqrt(_sum_of_squares(self.amplitude(1), self.amplitude(0), self.amplitude(-1)))
         if total == 0.0:
             raise ValueError(_TOTAL_UNDERFLOW)
         return total
@@ -170,11 +178,10 @@ def linear_components(
     return {sigma: (abs(a), -cmath.phase(a)) for sigma, a in values.items() if a != 0}
 
 
-def stacked_linear_components(
-    directions, amplitude: float = 1.0, phase: float = 0.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """linear_components of each row of `directions`, shape (N, 3), as
-    amplitudes and phases of shape (N, 3) over sigma = (+1, 0, -1).
+def stacked_linear_components(directions) -> tuple[np.ndarray, np.ndarray]:
+    """linear_components(direction, 1.0, 0.0) of each row of `directions`,
+    shape (N, 3), as amplitudes and phases of shape (N, 3) over sigma =
+    (+1, 0, -1).
 
     An absent component has amplitude 0 and phase 0.  Every value has the
     bits linear_components gives it.
@@ -187,11 +194,9 @@ def stacked_linear_components(
     if (length < 1e-300).any():
         raise ZeroVectorError("polarization direction has zero length")
     n = n / length[:, None]
-    if amplitude < 0:
-        raise ValueError("amplitude must be >= 0")
 
     amps, phases = np.empty((2, len(n), 3))
-    for k, pair in enumerate(_spherical_projections(amplitude, phase, *n.T)):
+    for k, pair in enumerate(_spherical_projections(1.0, 0.0, *n.T)):
         values = _complex(*pair).tolist()
         amps[:, k] = np.fromiter(map(abs, values), float, len(values))
         phases[:, k] = np.fromiter((-cmath.phase(a) for a in values), float, len(values))

@@ -26,9 +26,8 @@ import numpy as np
 from . import dynamics
 from .dipole import DEBYE_VCM_TO_MHZ, BodyDipole, enantiomer, reduced_matrix_element
 from .fields import SIGMAS, _TOTAL_UNDERFLOW, DriveField, _complex, _div_real, _mul, _wrap_phase
-from .fields import linear_components
+from .fields import _sum_of_squares, linear_components
 from .rotor import AsymTopLevel
-from .wigner import w_coupling
 
 __all__ = [
     "DEFAULT_CLOSURE_TOL_MHZ",
@@ -197,33 +196,58 @@ class SingleLoopHamiltonian:
         )
 
 
-def _field_trig(f: DriveField) -> tuple[float, float, float, float]:
-    """(sin theta, cos theta, sin phi, cos phi) as exact amplitude ratios.
+def _field_trig(e_plus, e_zero, e_minus, total):
+    """(sin theta, cos theta, sin phi, cos phi) as exact amplitude ratios,
+    of one drive (floats) or a stack (arrays) with component amplitudes
+    E_+1, E_0, E_-1 and total amplitude `total`.
 
     Computed directly from the component amplitudes rather than through
     acos/cos round trips, so absent components give exact structural zeros.
     """
-    total = f.total
-    e_plus, e_zero, e_minus = f.amplitude(1), f.amplitude(0), f.amplitude(-1)
     ct = e_minus / total
-    perp = math.hypot(e_plus, e_zero)
+    perp = _hypot(e_plus, e_zero)
     st = perp / total
-    if perp > 0.0:
-        cp, sp = e_plus / perp, e_zero / perp
-    else:
-        cp, sp = 1.0, 0.0
-    return st, ct, sp, cp
+    no_perp = perp == 0.0  # then E_+1 = E_0 = 0, and cos phi is 1
+    perp = perp + no_perp
+    return st, ct, e_zero / perp, e_plus / perp + no_perp
 
 
-def _dressed_triple(f: DriveField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    st, ct, sp, cp = _field_trig(f)
-    e_plus = cmath.exp(1j * f.phase(1))
-    e_zero = cmath.exp(1j * f.phase(0))
-    e_minus = cmath.exp(1j * f.phase(-1))
-    main = np.array([st * cp * e_plus, st * sp * e_zero, ct * e_minus])
-    prime = np.array([sp * e_plus, -cp * e_zero, 0.0j])
-    dprime = np.array([ct * cp * e_plus, ct * sp * e_zero, -st * e_minus])
-    return main, prime, dprime
+def _hypot(x, y):
+    """math.hypot of floats, or of arrays elementwise (np.hypot can differ in the last bit)."""
+    if isinstance(x, np.ndarray):
+        return np.array(list(map(math.hypot, x.tolist(), y.tolist())), dtype=float)
+    return math.hypot(x, y)
+
+
+def _drive_trig(f: DriveField):
+    return _field_trig(f.amplitude(1), f.amplitude(0), f.amplitude(-1), f.total)
+
+
+def _dressed_pairs(trig, e):
+    """The dressed triple (main, prime, dprime) of one drive or a stack, as
+    (real, imag) pairs over sigma = +1, 0, -1.
+
+    trig is _field_trig's and e holds e^{i phi_sigma}, floats or arrays.
+    Complex products go through _mul.
+    """
+    st, ct, sp, cp = trig
+    e_plus, e_zero, e_minus = ((x.real, x.imag) for x in e)
+
+    def times(k, e_sigma):
+        return _mul((k, 0.0), e_sigma)
+
+    return (
+        (times(st * cp, e_plus), times(st * sp, e_zero), times(ct, e_minus)),
+        # an exact 0, not a signed 0 * e^{i phi_-1}
+        (times(sp, e_plus), times(-cp, e_zero), (0.0, 0.0)),
+        (times(ct * cp, e_plus), times(ct * sp, e_zero), times(-st, e_minus)),
+    )
+
+
+def _drive_states(f: DriveField):
+    e = [cmath.exp(1j * f.phase(sigma)) for sigma in SIGMAS]
+    states = _dressed_pairs(_drive_trig(f), e)
+    return tuple(np.array([complex(*pair) for pair in state]) for state in states)
 
 
 def dressed_states(spec: LoopSpec) -> DressedStates:
@@ -233,8 +257,8 @@ def dressed_states(spec: LoopSpec) -> DressedStates:
     (amplitudes E_sigma e^{i phi_sigma} / E); b', b'' complete it to an
     orthonormal triple, and likewise c, c', c'' from field 3.
     """
-    b, bp, bpp = _dressed_triple(spec.field1)
-    c, cp, cpp = _dressed_triple(spec.field3)
+    b, bp, bpp = _drive_states(spec.field1)
+    c, cp, cpp = _drive_states(spec.field3)
     return DressedStates(b=b, b_prime=bp, b_dprime=bpp, c=c, c_prime=cp, c_dprime=cpp)
 
 
@@ -255,11 +279,15 @@ def _sandwich(bra: np.ndarray, block: np.ndarray, ket: np.ndarray) -> complex:
 def _closed_form_inputs(spec: LoopSpec):
     """Field trig, phases (phi_+1, phi_0, phi_-1) and the field-2 prefactor."""
     fields = (spec.field1, spec.field2, spec.field3)
-    trig = tuple(_field_trig(f) for f in fields)
+    trig = tuple(_drive_trig(f) for f in fields)
     phases = tuple((f.phase(1), f.phase(0), f.phase(-1)) for f in fields)
     gamma = reduced_matrix_element(spec.level_c, spec.level_b, spec.dipole).value
-    pref = gamma * spec.field2.total * DEBYE_VCM_TO_MHZ / (2.0 * _SQRT6)
-    return trig, phases, pref
+    return trig, phases, _closed_form_prefactor(gamma, spec.field2.total)
+
+
+def _closed_form_prefactor(gamma_cb: complex, total2):
+    """Gamma_cb E_2 / (2 sqrt 6) in MHz, of one drive or a stack."""
+    return gamma_cb * total2 * DEBYE_VCM_TO_MHZ / (2.0 * _SQRT6)
 
 
 def _closed_form(trig, phases, pref):
@@ -364,10 +392,22 @@ def loop_diagnostics(spec: LoopSpec, tol: float = DEFAULT_CLOSURE_TOL_MHZ) -> Lo
 
     gamma_ba = reduced_matrix_element(spec.level_b, spec.level_a, spec.dipole).value
     gamma_ca = reduced_matrix_element(spec.level_c, spec.level_a, spec.dipole).value
-    omega1 = -gamma_ba * spec.field1.total * DEBYE_VCM_TO_MHZ / _SQRT3
-    omega3 = -gamma_ca * spec.field3.total * DEBYE_VCM_TO_MHZ / _SQRT3
-    omega2 = 2.0 * _sandwich(ds.c, block, ds.b)
-    return _verdict(residuals, (omega1, omega2, omega3), tol)
+    omegas = _omegas(
+        gamma_ba, gamma_ca, spec.field1.total, spec.field3.total, _sandwich(ds.c, block, ds.b)
+    )
+    return _verdict(residuals, tuple(complex(*omega) for omega in omegas), tol)
+
+
+def _omegas(gamma_ba: complex, gamma_ca: complex, total1, total3, c_block_b):
+    """(Omega1, Omega2, Omega3) as (real, imag) pairs, of one drive triple or a
+    stack: -Gamma E / sqrt 3 on the outer legs, twice <c|H2|b> in the middle."""
+
+    def outer(gamma, total):
+        rabi = _mul(_mul((-gamma.real, -gamma.imag), (total, 0.0)), (DEBYE_VCM_TO_MHZ, 0.0))
+        return _div_real(rabi, _SQRT3)
+
+    omega2 = _mul((2.0, 0.0), (c_block_b.real, c_block_b.imag))
+    return outer(gamma_ba, total1), omega2, outer(gamma_ca, total3)
 
 
 def _verdict(residuals, omegas, tol: float) -> LoopDiagnostics:
@@ -434,8 +474,7 @@ class Triad:
         if not (np.isfinite(amps).all() and np.isfinite(phis).all() and (amps >= 0).all()):
             raise ValueError("amplitudes must be finite and >= 0, phases finite")
         with np.errstate(over="ignore"):  # an infinite total fails its verdict, below
-            sq = amps * amps
-            total = np.sqrt((sq[..., 0] + sq[..., 1]) + sq[..., 2])  # DriveField.total
+            total = np.sqrt(_sum_of_squares(*np.moveaxis(amps, -1, 0)))  # DriveField.total
         if (total == 0.0).any():
             raise ValueError(_TOTAL_UNDERFLOW)
         chunks = (slice(i, i + LOOP_BATCH_ROWS) for i in range(0, len(amps), LOOP_BATCH_ROWS))
@@ -446,16 +485,26 @@ class Triad:
     # an overflowing amplitude fails its verdict as non_finite, silently
     @np.errstate(all="ignore")
     def _diagnostics_chunk(self, amps, phis, total, tol: float) -> list[LoopDiagnostics]:
-        # Each step repeats the scalar path's floating-point operations in
-        # its order: complex products as _mul, Python's abs and math.hypot
-        # mapped over lists, the sandwiches as the same stacked matmuls.
+        # Every step calls the helper loop_diagnostics calls for the same
+        # quantity; the sandwiches are the same matmuls, stacked.
         phis = np.where(amps > 0, _wrap_phase(phis), 0.0)  # as DriveField stores them
         e = np.exp(1j * phis)
-        e_re, e_im = e.real, e.imag
-        trig = tuple(_stacked_trig(amps[:, d], total[:, d]) for d in range(3))
-        b, b_prime, b_dprime = _stacked_triple(trig[0], e_re[:, 0], e_im[:, 0])
-        c, c_prime, c_dprime = _stacked_triple(trig[2], e_re[:, 2], e_im[:, 2])
-        block = self._field2_block(amps[:, 1], e_re[:, 1], e_im[:, 1])
+        trig = tuple(_field_trig(*amps[:, d].T, total[:, d]) for d in range(3))
+
+        def dressed(d):
+            """The dressed triple of drive d, as three (n, 3) arrays."""
+            states = np.empty((3, len(amps), 3), dtype=complex)
+            for state, pairs in zip(states, _dressed_pairs(trig[d], e[:, d].T)):
+                for k, (re, im) in enumerate(pairs):
+                    state.real[:, k], state.imag[:, k] = re, im
+            return states
+
+        b, b_prime, b_dprime = dressed(0)
+        c, c_prime, c_dprime = dressed(2)
+        components = [(sigma, amps[:, 1, k], e[:, 1, k]) for k, sigma in enumerate(SIGMAS)]
+        block = dynamics._stacked_coupling_block(
+            self.level_c, self.level_b, self.gamma_cb, components
+        )
 
         c_block = c.conj()[:, None, :] @ block
         residuals = np.concatenate(
@@ -468,7 +517,7 @@ class Triad:
             axis=1,
         )[..., 0]
         phases = tuple(tuple(phis[:, d, k] for k in range(3)) for d in range(3))
-        pref = self.gamma_cb * total[:, 1] * DEBYE_VCM_TO_MHZ / (2.0 * _SQRT6)
+        pref = _closed_form_prefactor(self.gamma_cb, total[:, 1])
         closed_form = np.stack(_closed_form(trig, phases, pref)[:4], axis=1)
         worst = np.abs(residuals - closed_form).max(axis=1)
         scale = np.maximum(np.abs(block).max(axis=(1, 2)), 1e-300)
@@ -479,64 +528,11 @@ class Triad:
             )
 
         half = (c_block @ b[:, :, None])[:, 0, 0]
-        omegas = np.stack(
-            [
-                _complex(*_outer_rabi(self.gamma_ba, total[:, 0])),
-                _complex(*_mul((2.0, 0.0), (half.real, half.imag))),
-                _complex(*_outer_rabi(self.gamma_ca, total[:, 2])),
-            ],
-            axis=1,
-        )
+        omegas = _omegas(self.gamma_ba, self.gamma_ca, total[:, 0], total[:, 2], half)
+        omegas = np.stack([_complex(*omega) for omega in omegas], axis=1)
         return [
             _verdict(tuple(r), tuple(o), tol) for r, o in zip(residuals.tolist(), omegas.tolist())
         ]
-
-    def _field2_block(self, amps, e_re, e_im) -> np.ndarray:
-        """coupling_block(c, b, field 2, dipole) of each row, shape (n, 3, 3)."""
-        re, im = np.zeros((len(amps), 3, 3)), np.zeros((len(amps), 3, 3))
-        gamma = (self.gamma_cb.real, self.gamma_cb.imag)
-        m_values = (1, 0, -1)  # rows (M_c) and columns (M_b)
-        for k, sigma in enumerate(SIGMAS):
-            for i, m_c in enumerate(m_values):
-                m_b = m_c - sigma
-                if abs(m_b) > 1 or (w := w_coupling(1, m_c, 1, m_b, sigma)) == 0.0:
-                    continue
-                # 0.5 * rabi_frequency: sign * amp * DEBYE * e^{i phase} * w * gamma
-                sign = -1.0 if (m_b + sigma) % 2 else 1.0
-                rabi = _mul((sign * amps[:, k] * DEBYE_VCM_TO_MHZ, 0.0), (e_re[:, k], e_im[:, k]))
-                half_re, half_im = _mul((0.5, 0.0), _mul(_mul(rabi, (w, 0.0)), gamma))
-                re[:, i, m_values.index(m_b)] += half_re
-                im[:, i, m_values.index(m_b)] += half_im
-        return _complex(re, im)
-
-
-def _stacked_trig(amps: np.ndarray, total: np.ndarray):
-    """_field_trig of each row of amps, shape (n, 3) over sigma = (+1, 0, -1)."""
-    e_plus, e_zero, e_minus = amps.T
-    ct = e_minus / total
-    perp = np.array(list(map(math.hypot, e_plus.tolist(), e_zero.tolist())), dtype=float)
-    st = perp / total
-    cp = np.where(perp > 0.0, e_plus / perp, 1.0)
-    sp = np.where(perp > 0.0, e_zero / perp, 0.0)
-    return st, ct, sp, cp
-
-
-def _stacked_triple(trig, e_re: np.ndarray, e_im: np.ndarray):
-    """_dressed_triple of each row, as (n, 3) arrays; e = e^{i phi_sigma}, shape (n, 3)."""
-    st, ct, sp, cp = trig
-
-    def state(*coefficients):
-        return _complex(*_mul((np.stack(coefficients, axis=1), 0.0), (e_re, e_im)))
-
-    prime = state(sp, -cp, np.zeros_like(sp))
-    prime[:, 2] = 0.0  # _dressed_triple's literal 0j, not a signed 0 * e^{i phi}
-    return state(st * cp, st * sp, ct), prime, state(ct * cp, ct * sp, -st)
-
-
-def _outer_rabi(gamma: complex, total: np.ndarray):
-    """Omega1 or Omega3 as loop_diagnostics computes them, as a (real, imag) pair."""
-    rabi = _mul(_mul((-gamma.real, -gamma.imag), (total, 0.0)), (DEBYE_VCM_TO_MHZ, 0.0))
-    return _div_real(rabi, _SQRT3)
 
 
 def build_single_loop(

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chiraloop import loop
-from chiraloop.dipole import DEBYE_VCM_TO_MHZ, reduced_matrix_element
+from chiraloop.dipole import DEBYE_VCM_TO_MHZ, rabi_frequency, reduced_matrix_element
 from chiraloop.dynamics import (
     EVOLVE_BLOCK_ROWS,
     ResonanceAmbiguityError,
@@ -129,6 +129,24 @@ def test_coupling_block_shape_and_selection(triad_a, dipole):
     # sigma=-1 couples (b,M) -> (c,M-1): entries (c0<-b+1) and (c-1<-b0)
     nonzero = {(i, j) for i in range(3) for j in range(3) if block[i, j] != 0}
     assert nonzero == {(1, 0), (2, 1)}
+
+
+def test_coupling_block_entries_are_half_rabi_frequencies(triad_a, dipole):
+    """Block entries and rabi_frequency share one Rabi convention, bit for bit."""
+    a, b, c = triad_a
+    field = DriveField(c.freq - b.freq, {-1: (0.7, 2.9), 0: (1.3, -0.4), 1: (0.2, 1.1)})
+    block = coupling_block(c, b, field, dipole)
+    m_values = (1, 0, -1)
+    for i, m_c in enumerate(m_values):
+        for j, m_b in enumerate(m_values):
+            sigma = m_c - m_b
+            if abs(sigma) > 1:
+                assert block[i, j] == 0j
+                continue
+            omega = rabi_frequency(
+                c, m_c, b, m_b, sigma, field.amplitude(sigma), field.phase(sigma), dipole
+            )
+            assert block[i, j] == 0.5 * omega
 
 
 # ---------------------------------------------------------------------------

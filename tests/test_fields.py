@@ -88,15 +88,14 @@ def test_stacked_components_equal_linear_components_bit_for_bit():
     rng = np.random.default_rng(8)
     axes = np.vstack([np.eye(3), -np.eye(3), [[1.0, 1.0, 0.0], [0.0, -1.0, 1.0]]])
     directions = np.vstack([axes, rng.normal(size=(500, 3))])
-    for amplitude, phase in ((1.0, 0.0), (2.5, -1.3), (0.7, math.pi)):
-        amps, phases = stacked_linear_components(directions, amplitude, phase)
-        for direction, *row in zip(directions, amps.tolist(), phases.tolist()):
-            comps = linear_components(direction, amplitude, phase)
-            want = [comps.get(s, (0.0, 0.0)) for s in (1, 0, -1)]
-            # float.hex tells the bits apart, signed zeros included
-            assert [x.hex() for x in row[0] + row[1]] == [
-                x.hex() for x in [a for a, _ in want] + [p for _, p in want]
-            ]
+    amps, phases = stacked_linear_components(directions)
+    for direction, *row in zip(directions, amps.tolist(), phases.tolist()):
+        comps = linear_components(direction, 1.0, 0.0)
+        want = [comps.get(s, (0.0, 0.0)) for s in (1, 0, -1)]
+        # float.hex tells the bits apart, signed zeros included
+        assert [x.hex() for x in row[0] + row[1]] == [
+            x.hex() for x in [a for a, _ in want] + [p for _, p in want]
+        ]
 
 
 def test_stacked_components_reject_bad_directions():
@@ -217,10 +216,13 @@ def test_underflowing_total_raises_value_error():
         polarization_angles(f)
 
 
-def test_components_stored_in_sigma_order():
-    f = DriveField(freq=1.0, comps={-1: (0.3, 0.0), 0: (0.2, 0.0), 1: (0.1, 0.0)})
-    assert list(f.comps) == [1, 0, -1]
-    assert f.total == math.sqrt(0.1 * 0.1 + 0.2 * 0.2 + 0.3 * 0.3)
+def test_total_sums_in_sigma_order():
+    """The total folds the squares over sigma = +1, 0, -1 whatever order the
+    components come in, so a drive built from arrays gets the same bits."""
+    want = math.sqrt((0.1 * 0.1 + 0.2 * 0.2) + 0.3 * 0.3)
+    for order in ((-1, 0, 1), (0, -1, 1), (1, 0, -1)):
+        amps = {1: 0.1, 0: 0.2, -1: 0.3}
+        assert DriveField(freq=1.0, comps={s: (amps[s], 0.0) for s in order}).total == want
 
 
 def test_unknown_sigma_rejected():
