@@ -486,7 +486,9 @@ class Triad:
     @np.errstate(all="ignore")
     def _diagnostics_chunk(self, amps, phis, total, tol: float) -> list[LoopDiagnostics]:
         # Every step calls the helper loop_diagnostics calls for the same
-        # quantity; the sandwiches are the same matmuls, stacked.
+        # quantity, and the sandwiches are the same matmuls, stacked.  Only
+        # e^{i phi} differs: np.exp here, cmath.exp there; the bit-for-bit
+        # property test checks that they agree.
         phis = np.where(amps > 0, _wrap_phase(phis), 0.0)  # as DriveField stores them
         e = np.exp(1j * phis)
         trig = tuple(_field_trig(*amps[:, d].T, total[:, d]) for d in range(3))
