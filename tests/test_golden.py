@@ -48,8 +48,14 @@ CASES = {
     "leaky_simulate": [
         "simulate", "propanediol", "--config", "XYX", "--t", "5", "--dt", "0.01", "--csv",
     ],
+    # a one-row grid: every header is wider than its column's cell
+    "simulate_one_row": [
+        "simulate", "propanediol", "--config", "1,-1,0", "--t", "0", "--csv",
+    ],
     # every level to J = 2 with its K expansion, zeros printed unsigned
     "levels": ["levels", "propanediol", "--jmax", "2", "--csv"],
+    # 969 rows with coefficients of both signs and ulp-split doublets
+    "levels_j8": ["levels", "propanediol", "--jmax", "8", "--csv"],
     # the 27-row pure-polarization table of each triad
     "enumerate_a": ["loops", "enumerate", "propanediol", "--triad", "a"],
     "enumerate_b": ["loops", "enumerate", "propanediol", "--triad", "b"],
