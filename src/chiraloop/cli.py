@@ -2,13 +2,13 @@
 and dynamics runs, with aligned text tables and optional CSV output.
 
 Exit codes: 0 success, 2 validation failure (bad arguments, config or
-molecule files), 1 internal error.  Diagnostics go to stderr.
+molecule files), 1 internal error, 141 stdout closed early (as by
+`| head`).  Diagnostics go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import importlib.resources
 import math
 import sys
@@ -34,8 +34,10 @@ _TRIADS = {"a": (-1, 1), "b": (-1, 0), "c": (0, 1)}
 _AXES = {"X": (1.0, 0.0, 0.0), "Y": (0.0, 1.0, 0.0), "Z": (0.0, 0.0, 1.0)}
 
 # Longest table a command builds (time steps of `simulate` and `contrast`,
-# K rows of `levels`): every row is held in memory.
+# K rows of `levels`): it bounds the float columns held in memory and the run
+# time, as the text is written a block at a time.
 MAX_TABLE_ROWS = 1_000_000
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by it
 
 
 class ParseError(ValueError):
@@ -199,16 +201,61 @@ def _loop_spec(config: MoleculeConfig, args) -> loop.LoopSpec:
     return loop.LoopSpec.resonant(_triad(config, args.triad), config.dipole(), comps)
 
 
-def _emit(headers: list[str], rows: list[list[str]], csv_path: str | None) -> None:
-    widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h) for i, h in enumerate(headers)]
-    print("  ".join(h.rjust(w) for h, w in zip(headers, widths)))
-    for row in rows:
-        print("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
-    if csv_path:
-        with open(csv_path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(headers)
-            writer.writerows(rows)
+def _csv_field(text: str) -> str:
+    """A CSV field quoted as csv.writer quotes it (excel dialect, minimal quoting)."""
+    return '"' + text.replace('"', '""') + '"' if any(ch in text for ch in ',"\r\n') else text
+
+
+def _width(fmt: str, column: np.ndarray) -> int:
+    """Length of the widest `fmt % x` over a column (strings: cell by cell).
+
+    Over the nonzero finite values of one sign the length never falls as |x|
+    grows, except that an exponent takes a third digit at either end, so the
+    only candidates are the smallest and largest such |x|, the signed zeros
+    and the non-finite values."""
+    if column.dtype.kind != "f":
+        return max((len(fmt % x) for x in column.tolist()), default=0)
+    finite = np.isfinite(column)
+    candidates = np.unique(column[~finite]).tolist()
+    signed = np.signbit(column)
+    for group in (finite & signed, finite & ~signed):
+        for part in (group & (column == 0), group & (column != 0)):
+            values = column[part]
+            if values.size:
+                size = np.abs(values)
+                candidates += [values[size.argmin()], values[size.argmax()]]
+    return max((len(fmt % x) for x in candidates), default=0)
+
+
+def _emit(headers: list[str], rows: np.ndarray | list[list[str]], csv_path: str | None,
+          formats: list[str] | None = None) -> None:
+    """Write a table to stdout, right-aligned, and to csv_path as CSV if given.
+
+    rows is a 2-D array (or a list of rows of strings) with one column per
+    header, formats one % conversion per column ("%s" by default).  The widths
+    come from the columns up front; each block of EVOLVE_BLOCK_ROWS rows then
+    takes one .tolist(), one width-baked line template repeated per row, and
+    one write per file."""
+    formats = formats or ["%s"] * len(headers)
+    rows = np.asarray(rows).reshape(len(rows), len(headers))
+    widths = [max(len(h), _width(f, rows[:, i])) for i, (h, f) in enumerate(zip(headers, formats))]
+    line = "  ".join(f"%{w}{f[1:]}" for w, f in zip(widths, formats)) + "\n"
+    csv_line = ",".join(formats) + "\r\n"
+    handle = open(csv_path, "w", newline="") if csv_path else None
+    try:
+        sys.stdout.write("  ".join(h.rjust(w) for h, w in zip(headers, widths)) + "\n")
+        if handle:
+            handle.write(",".join(map(_csv_field, headers)) + "\r\n")
+        for start in range(0, len(rows), dynamics.EVOLVE_BLOCK_ROWS):
+            block = rows[start : start + dynamics.EVOLVE_BLOCK_ROWS]
+            cells = tuple(block.ravel().tolist())
+            sys.stdout.write((line * len(block)) % cells)
+            if handle:
+                quoted = cells if rows.dtype.kind == "f" else tuple(map(_csv_field, cells))
+                handle.write((csv_line * len(block)) % quoted)
+    finally:
+        if handle:
+            handle.close()
 
 
 def cmd_levels(args) -> int:
@@ -228,15 +275,12 @@ def cmd_levels(args) -> int:
             "their tau order is not physically defined",
             file=sys.stderr,
         )
-    rows = []
-    for J, levels in enumerate(blocks):
-        for level in levels:
-            head = [str(J), str(level.tau), f"{level.freq:.2f}"]
-            for K, c in zip(range(-J, J + 1), level.coeffs.tolist()):
-                cell = f"{c:.6f}"
-                # a coefficient that rounds to zero prints unsigned
-                rows.append([*head, str(K), "0.000000" if cell == "-0.000000" else cell])
-    _emit(["J", "tau", "freq_MHz", "K", "coeff"], rows, args.csv)
+    table = np.array([(J, level.tau, level.freq, K, c) for J, levels in enumerate(blocks)
+                      for level in levels for K, c in zip(range(-J, J + 1), level.coeffs.tolist())])
+    # a coefficient that rounds to zero prints unsigned: 5e-7 as a double lies
+    # just below 5e-7, so these are exactly the ones that print as -0.000000
+    table[np.abs(table[:, 4]) <= 5e-7, 4] = 0.0
+    _emit(["J", "tau", "freq_MHz", "K", "coeff"], table, args.csv, ["%d", "%d", "%.2f", "%d", "%.6f"])
     return 0
 
 
@@ -255,22 +299,11 @@ def cmd_transitions(args) -> int:
 def cmd_loops_enumerate(args) -> int:
     config = load_molecule(args.molecule)
     levels = _triad(config, args.triad)
-    rows = []
-    for cand in loop.enumerate_pure_polarizations(levels, config.dipole()):
-        rows.append(
-            [
-                str(cand.sigma1),
-                str(cand.sigma2),
-                str(cand.sigma3),
-                str(cand.m_b),
-                str(cand.m_c),
-                "true" if cand.closed else "false",
-                f"{cand.omega_abs[0]:.4f}",
-                f"{cand.omega_abs[1]:.4f}",
-                f"{cand.omega_abs[2]:.4f}",
-                f"{cand.max_residual:.3e}",
-            ]
-        )
+    rows = [
+        [*map(str, (c.sigma1, c.sigma2, c.sigma3, c.m_b, c.m_c)), "true" if c.closed else "false",
+         *(f"{o:.4f}" for o in c.omega_abs), f"{c.max_residual:.3e}"]
+        for c in loop.enumerate_pure_polarizations(levels, config.dipole())
+    ]
     _emit(
         ["sigma1", "sigma2", "sigma3", "Mb", "Mc", "closed", "|O1|", "|O2|", "|O3|", "residual_max"],
         rows,
@@ -378,11 +411,10 @@ def cmd_simulate(args) -> int:
     config = load_molecule(args.molecule)
     spec = _loop_spec(config, args)
     pops = dynamics.loop_populations(spec, times, (1.0, 0.0, 0.0))
-    rows = []
-    for t, (pa, pb, pc) in zip(times, pops):
-        leak = max(0.0, 1.0 - (pa + pb + pc))
-        rows.append([f"{t:.4f}", f"{pa:.6f}", f"{pb:.6f}", f"{pc:.6f}", f"{leak:.3e}"])
-    _emit(["t_us", "P_a", "P_b", "P_c", "leakage"], rows, args.csv)
+    # fmax, like max(0.0, x), maps a NaN sum to 0
+    leak = np.fmax(0.0, 1.0 - ((pops[:, 0] + pops[:, 1]) + pops[:, 2]))
+    _emit(["t_us", "P_a", "P_b", "P_c", "leakage"], np.column_stack((times, pops, leak)), args.csv,
+          ["%.4f", "%.6f", "%.6f", "%.6f", "%.3e"])
     return 0
 
 
@@ -394,14 +426,11 @@ def cmd_contrast(args) -> int:
         dynamics.loop_populations(s, times, (1.0, 0.0, 0.0)) for s in (spec, spec.mirrored())
     )
     d_pc = np.abs(right[:, 2] - left[:, 2])
-    rows = [
-        [f"{t:.4f}"] + [f"{p:.6f}" for p in (*r, *l, d)]
-        for t, r, l, d in zip(times, right, left, d_pc)
-    ]
     _emit(
         ["t_us", "P_a_R", "P_b_R", "P_c_R", "P_a_L", "P_b_L", "P_c_L", "dP_c"],
-        rows,
+        np.column_stack((times, right, left, d_pc)),
         args.csv,
+        ["%.4f"] + ["%.6f"] * 7,
     )
     print(f"max |P_c_R - P_c_L| = {d_pc.max():.6f}")
     return 0
@@ -486,7 +515,11 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows up here, not at exit
+        return code
+    except BrokenPipeError:  # the reader went away; not an error of ours
+        return EXIT_BROKEN_PIPE
     except (ParseError, RangeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -496,7 +529,11 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    if code == EXIT_BROKEN_PIPE:  # what is still buffered goes to devnull, not to a failing flush
+        import os
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

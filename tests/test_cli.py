@@ -1,14 +1,22 @@
 """Command line behavior: config parsing, tables, CSV, exit codes."""
 
+import contextlib
 import csv
+import io
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chiraloop import cli
+from chiraloop import cli, dynamics
 from chiraloop.cli import (
     MoleculeConfig,
     ParseError,
@@ -405,11 +413,7 @@ def test_loop_phase_canonical(capsys):
 
 
 def test_module_entry_point_stderr_clean():
-    import chiraloop
-
-    src = str(Path(chiraloop.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    env = _module_env()
     proc = subprocess.run(
         [sys.executable, "-m", "chiraloop.cli", "transitions", "propanediol"],
         capture_output=True, text=True, env=env, timeout=60,
@@ -417,3 +421,122 @@ def test_module_entry_point_stderr_clean():
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert "12212.15" in proc.stdout
+
+
+def _module_env() -> dict:
+    import chiraloop
+
+    src = str(Path(chiraloop.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+# ---------------------------------------------------------------------------
+# closed stdout
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_exits_141_in_process(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert run(["levels", "propanediol", "--jmax", "3"]) == 141
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_pipe_exits_141_without_traceback():
+    """`chiraloop simulate ... | head -1`: the reader leaves after one line."""
+    with subprocess.Popen(
+        [sys.executable, "-m", "chiraloop.cli", "simulate", "propanediol", "--config", "ZXY",
+         "--t", "20", "--dt", "0.002"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_module_env(),
+    ) as proc:
+        assert proc.stdout.readline().split()[0] == b"t_us"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+    assert proc.returncode == 141
+    assert stderr == b""
+
+
+# ---------------------------------------------------------------------------
+# table emission
+
+SPECIAL_VALUES = [
+    0.0, -0.0, -1e-9, -4.9e-7, 5e-7, -5e-7, 9.9999996, -9.9999996, 9.9999995, 99.995, 0.99995,
+    9.9995e99, 1e100, -1e100, 1e-100, -1e-100, 1e-300, 5e-324, 1.7e308, -1.7e308,
+    math.nan, -math.nan, math.inf, -math.inf,
+]
+
+WIDTH_FORMATS = ["%.2f", "%.4f", "%.6f", "%.3e", "%d"]
+
+
+def _brute_width(fmt, values):
+    return max((len(fmt % x) for x in values), default=0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    fmt=st.sampled_from(WIDTH_FORMATS),
+    values=st.lists(st.one_of(st.sampled_from(SPECIAL_VALUES), st.floats()), max_size=12),
+)
+def test_column_width_matches_brute_force(fmt, values):
+    if fmt == "%d":  # %d has no text for a non-finite value
+        values = [x for x in values if math.isfinite(x)]
+    assert cli._width(fmt, np.array(values, dtype=float)) == _brute_width(fmt, values)
+
+
+@pytest.mark.parametrize("fmt", WIDTH_FORMATS)
+def test_column_width_edge_values(fmt):
+    values = [x for x in SPECIAL_VALUES if fmt != "%d" or math.isfinite(x)]
+    for column in [[], *([x] for x in values), values, [0.0, -0.0], [-0.0, -0.0]]:
+        assert cli._width(fmt, np.array(column, dtype=float)) == _brute_width(fmt, column)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet=st.sampled_from('ab ,"\r\n|:'), max_size=8))
+def test_csv_field_quotes_as_csv_writer(text):
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow([text, "x"])
+    assert cli._csv_field(text) + ",x\r\n" == buffer.getvalue()
+
+
+def _reference_table(headers, cells):
+    """The table and CSV text of right-justified per-cell strings, one row at a time."""
+    widths = [max([len(h)] + [len(r[i]) for r in cells]) for i, h in enumerate(headers)]
+    text = "".join("  ".join(c.rjust(w) for c, w in zip(row, widths)) + "\n" for row in [headers, *cells])
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows([headers, *cells])
+    return text, buffer.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    formats=st.lists(st.sampled_from(WIDTH_FORMATS[:-1]), min_size=1, max_size=4),
+    data=st.data(),
+)
+def test_emit_matches_per_cell_formatting(formats, data):
+    """Tables longer than one block come out as per-cell formatting gives them."""
+    n = data.draw(st.integers(0, 8))
+    value = st.one_of(st.sampled_from(SPECIAL_VALUES), st.floats())
+    rows = np.array(
+        data.draw(st.lists(st.lists(value, min_size=len(formats), max_size=len(formats)),
+                           min_size=n, max_size=n)),
+        dtype=float,
+    ).reshape(n, len(formats))
+    headers = [f"c{i}" for i in range(len(formats))]
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(dynamics, "EVOLVE_BLOCK_ROWS", 3):
+        path = Path(tmp) / "table.csv"
+        with contextlib.redirect_stdout(out):
+            cli._emit(headers, rows, str(path), formats)
+        written = path.read_bytes().decode()
+    cells = [[f % x for f, x in zip(formats, row)] for row in rows.tolist()]
+    assert (out.getvalue(), written) == _reference_table(headers, cells)
+
+
+def test_emit_string_table_quotes_csv(tmp_path, capsys):
+    path = tmp_path / "t.csv"
+    assert run(["transitions", "propanediol", "--csv", str(path)]) == 0
+    lines = path.read_bytes().decode().split("\r\n")
+    assert lines[0] == "line,upper,lower,freq_MHz"
+    assert lines[1].startswith('nu1,"(1,-1)","(0,0)",')

@@ -6,8 +6,9 @@ files by the cyclic Jacobi solver that the Wang-block `eigh` replaced, and
 the `loops` files by the per-builder spec construction and the two-pass
 closure evaluation that `LoopSpec.resonant` and the single
 `loop_diagnostics` pass replaced (`sample_large` and `sample_empty` by the
-one-verdict-at-a-time sampling that `Triad.diagnostics` replaced), each
-from the argv in CASES.  A change to the propagator, the rotor solver, the
+one-verdict-at-a-time sampling that `Triad.diagnostics` replaced, and
+`levels_j8` and `simulate_one_row` by the row-at-a-time string emission
+that the block writer `cli._emit` replaced), each from the argv in CASES.  A change to the propagator, the rotor solver, the
 loop evaluation or the emission path must reproduce them exactly; never
 regenerate them to make this test pass.  No case writes to stderr, so a
 stray warning or diagnostic fails here too.
