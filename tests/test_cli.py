@@ -412,6 +412,13 @@ def test_loop_phase_canonical(capsys):
     assert rows["loop_phase_rad"] == "3.1416"
 
 
+def _module_env() -> dict:
+    import chiraloop
+
+    src = str(Path(chiraloop.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_module_entry_point_stderr_clean():
     env = _module_env()
     proc = subprocess.run(
@@ -421,13 +428,6 @@ def test_module_entry_point_stderr_clean():
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert "12212.15" in proc.stdout
-
-
-def _module_env() -> dict:
-    import chiraloop
-
-    src = str(Path(chiraloop.__file__).resolve().parents[1])
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 # ---------------------------------------------------------------------------
