@@ -9,6 +9,7 @@ molecule files), 1 internal error, 141 stdout closed early (as by
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.resources
 import math
 import sys
@@ -241,7 +242,10 @@ def _emit(headers: list[str], rows: np.ndarray | list[list[str]], csv_path: str 
     widths = [max(len(h), _width(f, rows[:, i])) for i, (h, f) in enumerate(zip(headers, formats))]
     line = "  ".join(f"%{w}{f[1:]}" for w, f in zip(widths, formats)) + "\n"
     csv_line = ",".join(formats) + "\r\n"
-    handle = open(csv_path, "w", newline="") if csv_path else None
+    try:
+        handle = open(csv_path, "w", newline="") if csv_path else None
+    except OSError as exc:
+        raise ValueError(f"cannot write --csv {csv_path!r}: {exc.strerror or exc}") from None
     try:
         sys.stdout.write("  ".join(h.rjust(w) for h, w in zip(headers, widths)) + "\n")
         if handle:
@@ -406,10 +410,18 @@ def _time_grid(args) -> np.ndarray:
     return np.arange(steps + 1) * args.dt
 
 
+def _driven_spec(args) -> loop.LoopSpec:
+    """The drives of simulate and contrast; refused when their closure verdict
+    is non_finite, whose populations would be NaN or meaningless."""
+    spec = _loop_spec(load_molecule(args.molecule), args)
+    if loop.loop_diagnostics(spec).failure == "non_finite":
+        raise ValueError("the drives' closure residuals or Rabi frequencies are not finite")
+    return spec
+
+
 def cmd_simulate(args) -> int:
     times = _time_grid(args)
-    config = load_molecule(args.molecule)
-    spec = _loop_spec(config, args)
+    spec = _driven_spec(args)
     pops = dynamics.loop_populations(spec, times, (1.0, 0.0, 0.0))
     # fmax, like max(0.0, x), maps a NaN sum to 0
     leak = np.fmax(0.0, 1.0 - ((pops[:, 0] + pops[:, 1]) + pops[:, 2]))
@@ -420,8 +432,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_contrast(args) -> int:
     times = _time_grid(args)
-    config = load_molecule(args.molecule)
-    spec = _loop_spec(config, args)
+    spec = _driven_spec(args)
     right, left = (
         dynamics.loop_populations(s, times, (1.0, 0.0, 0.0)) for s in (spec, spec.mirrored())
     )
@@ -436,6 +447,7 @@ def cmd_contrast(args) -> int:
     return 0
 
 
+@functools.cache  # built at the first run, and then reused
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chiraloop",

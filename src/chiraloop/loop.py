@@ -9,8 +9,8 @@ evaluates those closure conditions two independent ways, assembles the
 3-level loop Hamiltonian, enumerates the pure-polarization loop table, and
 verifies the linear-polarization orthogonality criterion.  One verdict goes
 through `loop_diagnostics(spec)`; many drives on one triad go through
-`Triad.diagnostics`, which stacks them and returns the same verdicts bit
-for bit.
+`Triad.diagnostics`, which stacks them.  Both run the one matrix-route body,
+`Triad._matrix_route`, and so give the same verdicts bit for bit.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import dynamics
 from .dipole import DEBYE_VCM_TO_MHZ, BodyDipole, enantiomer, reduced_matrix_element
-from .fields import SIGMAS, _TOTAL_UNDERFLOW, DriveField, _complex, _div_real, _mul, _wrap_phase
+from .fields import SIGMAS, _TOTAL_UNDERFLOW, DriveField, _div_real, _mul, _wrap_phase
 from .fields import _sum_of_squares, linear_components
 from .rotor import AsymTopLevel
 
@@ -219,35 +219,33 @@ def _hypot(x, y):
     return math.hypot(x, y)
 
 
-def _drive_trig(f: DriveField):
-    return _field_trig(f.amplitude(1), f.amplitude(0), f.amplitude(-1), f.total)
+def _drive_arrays(spec: LoopSpec):
+    """A spec's drives as [drive][sigma] amplitudes and phases, and totals[drive],
+    over drives 1, 2, 3 and sigma = +1, 0, -1 (amplitude and phase 0 if absent)."""
+    fields = (spec.field1, spec.field2, spec.field3)
+    comps = [[f.comps.get(sigma, (0.0, 0.0)) for sigma in SIGMAS] for f in fields]
+    amps = [[amp for amp, _ in drive] for drive in comps]
+    return amps, [[phase for _, phase in drive] for drive in comps], [f.total for f in fields]
 
 
-def _dressed_pairs(trig, e):
-    """The dressed triple (main, prime, dprime) of one drive or a stack, as
-    (real, imag) pairs over sigma = +1, 0, -1.
+def _dressed(trig1, trig3, e1, e3) -> np.ndarray:
+    """The dressed triples (main, prime, dprime) of drives 1 and 3 (b and c),
+    of one drive triple or a stack, shape (2, 3, ..., 3): triple, state, the
+    stack's shape, amplitudes over sigma = +1, 0, -1.
 
-    trig is _field_trig's and e holds e^{i phi_sigma}, floats or arrays.
-    Complex products go through _mul.
+    trig is _field_trig's of the drive and e[k] its e^{i phi_sigma} at sigma
+    = SIGMAS[k], floats or arrays.  Each amplitude is numpy's complex product
+    (x + 0i) e[k] of a real coefficient x, the formula _mul spells out.
     """
-    st, ct, sp, cp = trig
-    e_plus, e_zero, e_minus = ((x.real, x.imag) for x in e)
 
-    def times(k, e_sigma):
-        return _mul((k, 0.0), e_sigma)
+    def coeffs(st, ct, sp, cp):
+        # the prime state's sigma = -1 entry is a placeholder: its amplitude
+        # is set to an exact 0 below, not a signed 0 * e^{i phi_-1}
+        return (st * cp, st * sp, ct), (sp, -cp, sp), (ct * cp, ct * sp, -st)
 
-    return (
-        (times(st * cp, e_plus), times(st * sp, e_zero), times(ct, e_minus)),
-        # an exact 0, not a signed 0 * e^{i phi_-1}
-        (times(sp, e_plus), times(-cp, e_zero), (0.0, 0.0)),
-        (times(ct * cp, e_plus), times(ct * sp, e_zero), times(-st, e_minus)),
-    )
-
-
-def _drive_states(f: DriveField):
-    e = [cmath.exp(1j * f.phase(sigma)) for sigma in SIGMAS]
-    states = _dressed_pairs(_drive_trig(f), e)
-    return tuple(np.array([complex(*pair) for pair in state]) for state in states)
+    states = np.array((coeffs(*trig1), coeffs(*trig3))) * np.array((e1, e3))[:, None]
+    states[:, 1, 2] = 0.0
+    return np.ascontiguousarray(states.transpose(0, 1, *range(3, states.ndim), 2))
 
 
 def dressed_states(spec: LoopSpec) -> DressedStates:
@@ -257,9 +255,10 @@ def dressed_states(spec: LoopSpec) -> DressedStates:
     (amplitudes E_sigma e^{i phi_sigma} / E); b', b'' complete it to an
     orthonormal triple, and likewise c, c', c'' from field 3.
     """
-    b, bp, bpp = _drive_states(spec.field1)
-    c, cp, cpp = _drive_states(spec.field3)
-    return DressedStates(b=b, b_prime=bp, b_dprime=bpp, c=c, c_prime=cp, c_dprime=cpp)
+    amps, phis, totals = _drive_arrays(spec)
+    e = np.exp(1j * np.array(phis))
+    b, c = _dressed(*(_field_trig(*amps[d], totals[d]) for d in (0, 2)), e[0], e[2])
+    return DressedStates(*b, *c)
 
 
 def closure_conditions(spec: LoopSpec) -> tuple[complex, complex, complex, complex]:
@@ -272,17 +271,12 @@ def closure_conditions(spec: LoopSpec) -> tuple[complex, complex, complex, compl
     return loop_diagnostics(spec).residuals
 
 
-def _sandwich(bra: np.ndarray, block: np.ndarray, ket: np.ndarray) -> complex:
-    return complex(bra.conj() @ block @ ket)
-
-
 def _closed_form_inputs(spec: LoopSpec):
     """Field trig, phases (phi_+1, phi_0, phi_-1) and the field-2 prefactor."""
-    fields = (spec.field1, spec.field2, spec.field3)
-    trig = tuple(_drive_trig(f) for f in fields)
-    phases = tuple((f.phase(1), f.phase(0), f.phase(-1)) for f in fields)
+    amps, phis, totals = _drive_arrays(spec)
+    trig = tuple(_field_trig(*amps[d], totals[d]) for d in range(3))
     gamma = reduced_matrix_element(spec.level_c, spec.level_b, spec.dipole).value
-    return trig, phases, _closed_form_prefactor(gamma, spec.field2.total)
+    return trig, phis, _closed_form_prefactor(gamma, totals[1])
 
 
 def _closed_form_prefactor(gamma_cb: complex, total2):
@@ -371,31 +365,34 @@ def loop_diagnostics(spec: LoopSpec, tol: float = DEFAULT_CLOSURE_TOL_MHZ) -> Lo
     """Residuals, Rabi frequencies, and the closure verdict for a candidate.
 
     The residuals and Omega2 are sandwiches of one field-2 coupling block
-    between the dressed states; the residuals are cross-checked against
-    the closed-form route, which must agree to 1e-12 relative.  The verdict
-    fails closed: a NaN or infinite residual or Rabi frequency (say, from
-    an overflowing amplitude) is never closed.
+    between the dressed states (Triad._matrix_route); the residuals are
+    cross-checked against the closed-form route, which must agree to 1e-12
+    relative.  The verdict fails closed: a NaN or infinite residual or Rabi
+    frequency (say, from an overflowing amplitude) is never closed.
     """
-    ds = dressed_states(spec)
-    block = dynamics.coupling_block(spec.level_c, spec.level_b, spec.field2, spec.dipole)
-    residuals = (
-        _sandwich(ds.c_prime, block, ds.b),
-        _sandwich(ds.c_dprime, block, ds.b),
-        _sandwich(ds.c, block, ds.b_prime),
-        _sandwich(ds.c, block, ds.b_dprime),
-    )
-    closed_form = closure_conditions_closed_form(spec)
-    scale = max(np.abs(block).max(), 1e-300)
-    worst = max(abs(x - y) for x, y in zip(residuals, closed_form))
-    if worst > 1e-12 * scale:
-        raise RuntimeError(f"internal inconsistency: closure routes differ by {worst:.3e} MHz")
+    triad = Triad(spec.level_a, spec.level_b, spec.level_c, spec.dipole)
+    amps, phis, totals = _drive_arrays(spec)
+    e = np.exp(1j * np.array(phis)).tolist()  # e^{i phi} as the batch takes it, as Python scalars
+    _, block, residuals, omegas = triad._matrix_route(amps, e, totals)
+    return _judged(block, residuals, omegas, closure_conditions_closed_form(spec), tol)[0]
 
-    gamma_ba = reduced_matrix_element(spec.level_b, spec.level_a, spec.dipole).value
-    gamma_ca = reduced_matrix_element(spec.level_c, spec.level_a, spec.dipole).value
-    omegas = _omegas(
-        gamma_ba, gamma_ca, spec.field1.total, spec.field3.total, _sandwich(ds.c, block, ds.b)
-    )
-    return _verdict(residuals, tuple(complex(*omega) for omega in omegas), tol)
+
+def _judged(block, residuals, omegas, closed_form, tol: float) -> list[LoopDiagnostics]:
+    """The verdict of each drive triple of _matrix_route's block, residuals
+    and omegas, once the residuals agree with the closed-form route."""
+    deviation = np.abs(residuals - closed_form)
+    bound = 1e-12 * np.maximum.reduce(np.abs(block), axis=(-2, -1), initial=1e-300)
+    if (deviation > bound).any():
+        worst = deviation.max(axis=0)
+        raise RuntimeError(
+            f"internal inconsistency: closure routes differ by {worst[worst > bound].max():.3e} MHz"
+        )
+    # rows of Omega (real, imag) pairs: re1, re2, re3, im1, im2, im3
+    rows = zip(residuals.T.reshape(-1, 4).tolist(), np.array(omegas).T.reshape(-1, 6).tolist())
+    return [
+        _verdict(tuple(r), (complex(o[0], o[3]), complex(o[1], o[4]), complex(o[2], o[5])), tol)
+        for r, o in rows
+    ]
 
 
 def _omegas(gamma_ba: complex, gamma_ca: complex, total1, total3, c_block_b):
@@ -412,22 +409,16 @@ def _omegas(gamma_ba: complex, gamma_ca: complex, total1, total3, c_block_b):
 
 def _verdict(residuals, omegas, tol: float) -> LoopDiagnostics:
     """The verdict on one set of residuals and Rabi frequencies, failing closed."""
-    max_residual = max(abs(r) for r in residuals)
-    if not all(cmath.isfinite(x) for x in (*residuals, *omegas)):
+    max_residual = max(map(abs, residuals))
+    if not all(map(cmath.isfinite, (*residuals, *omegas))):
         failure = "non_finite"
     elif max_residual >= tol:
         failure = "not_closed"
-    elif min(abs(o) for o in omegas) <= tol:
+    elif min(map(abs, omegas)) <= tol:
         failure = "zero_rabi"
     else:
         failure = None
-    return LoopDiagnostics(
-        omegas=omegas,
-        residuals=residuals,
-        max_residual=max_residual,
-        closed=failure is None,
-        failure=failure,
-    )
+    return LoopDiagnostics(omegas, residuals, max_residual, failure is None, failure)
 
 
 @dataclass(frozen=True)
@@ -435,7 +426,8 @@ class Triad:
     """The fixed half of a closure verdict: levels a, b, c, the dipole, and
     the reduced elements Gamma_ba, Gamma_cb and Gamma_ca, computed once.
 
-    `diagnostics` evaluates a stack of drives on the triad at once.
+    `diagnostics` evaluates a stack of drives on the triad at once, through
+    the same `_matrix_route` that `loop_diagnostics` runs on one triple.
     """
 
     level_a: AsymTopLevel
@@ -485,56 +477,43 @@ class Triad:
     # an overflowing amplitude fails its verdict as non_finite, silently
     @np.errstate(all="ignore")
     def _diagnostics_chunk(self, amps, phis, total, tol: float) -> list[LoopDiagnostics]:
-        # Every step calls the helper loop_diagnostics calls for the same
-        # quantity, and the sandwiches are the same matmuls, stacked.  Only
-        # e^{i phi} differs: np.exp here, cmath.exp there; the bit-for-bit
-        # property test checks that they agree.
         phis = np.where(amps > 0, _wrap_phase(phis), 0.0)  # as DriveField stores them
         e = np.exp(1j * phis)
-        trig = tuple(_field_trig(*amps[:, d].T, total[:, d]) for d in range(3))
+        trig, block, residuals, omegas = self._matrix_route(
+            amps.transpose(1, 2, 0), e.transpose(1, 2, 0), total.T
+        )
+        pref = _closed_form_prefactor(self.gamma_cb, total[:, 1])
+        closed_form = _closed_form(trig, phis.transpose(1, 2, 0), pref)[:4]
+        return _judged(block, residuals, omegas, closed_form, tol)
 
-        def dressed(d):
-            """The dressed triple of drive d, as three (n, 3) arrays."""
-            states = np.empty((3, len(amps), 3), dtype=complex)
-            for state, pairs in zip(states, _dressed_pairs(trig[d], e[:, d].T)):
-                for k, (re, im) in enumerate(pairs):
-                    state.real[:, k], state.imag[:, k] = re, im
-            return states
+    def _matrix_route(self, amps, e, totals):
+        """The matrix route of the verdict on one drive triple or on a stack.
 
-        b, b_prime, b_dprime = dressed(0)
-        c, c_prime, c_dprime = dressed(2)
-        components = [(sigma, amps[:, 1, k], e[:, 1, k]) for k, sigma in enumerate(SIGMAS)]
+        amps[d][k] is drive d's amplitude and e[d][k] the e^{i phi} of its
+        stored phase (wrapped, 0 if absent) at sigma = SIGMAS[k], and
+        totals[d] its total: scalars for one triple, arrays of the stack's
+        shape for a stack.  Returns the field trig of the three drives, the
+        field-2 block (stack's shape first), the four residuals (shape
+        (4, ...)) and (Omega1, Omega2, Omega3) as (real, imag) pairs.
+        """
+        trig = tuple(_field_trig(*amps[d], totals[d]) for d in range(3))
+        b, c = _dressed(trig[0], trig[2], e[0], e[2])
+        # a component that no drive has adds exact zeros to the block
+        components = [
+            (sigma, amps[1][k], e[1][k])
+            for k, sigma in enumerate(SIGMAS)
+            if np.count_nonzero(amps[1][k])
+        ]
         block = dynamics._stacked_coupling_block(
             self.level_c, self.level_b, self.gamma_cb, components
         )
-
-        c_block = c.conj()[:, None, :] @ block
-        residuals = np.concatenate(
-            [
-                (c_prime.conj()[:, None, :] @ block) @ b[:, :, None],
-                (c_dprime.conj()[:, None, :] @ block) @ b[:, :, None],
-                c_block @ b_prime[:, :, None],
-                c_block @ b_dprime[:, :, None],
-            ],
-            axis=1,
-        )[..., 0]
-        phases = tuple(tuple(phis[:, d, k] for k in range(3)) for d in range(3))
-        pref = _closed_form_prefactor(self.gamma_cb, total[:, 1])
-        closed_form = np.stack(_closed_form(trig, phases, pref)[:4], axis=1)
-        worst = np.abs(residuals - closed_form).max(axis=1)
-        scale = np.maximum(np.abs(block).max(axis=(1, 2)), 1e-300)
-        differ = worst > 1e-12 * scale
-        if differ.any():
-            raise RuntimeError(
-                f"internal inconsistency: closure routes differ by {worst[differ].max():.3e} MHz"
-            )
-
-        half = (c_block @ b[:, :, None])[:, 0, 0]
-        omegas = _omegas(self.gamma_ba, self.gamma_ca, total[:, 0], total[:, 2], half)
-        omegas = np.stack([_complex(*omega) for omega in omegas], axis=1)
-        return [
-            _verdict(tuple(r), tuple(o), tol) for r, o in zip(residuals.tolist(), omegas.tolist())
-        ]
+        # <c_i|H2|b_j> over the two triples, shape (3, 3, ...): the four
+        # residuals are <c'|H2|b>, <c''|H2|b>, <c|H2|b'> and <c|H2|b''>, and
+        # Omega2 is twice <c|H2|b>
+        bras = c.conj()[:, None, ..., None, :] @ block
+        sandwiches = (bras @ b[None, ..., None])[..., 0, 0]
+        omegas = _omegas(self.gamma_ba, self.gamma_ca, totals[0], totals[2], sandwiches[0, 0])
+        return trig, block, sandwiches[(1, 2, 0, 0), (0, 0, 1, 2)], omegas
 
 
 def build_single_loop(

@@ -1,10 +1,14 @@
-"""Shared fixtures: the bundled molecule, its triad levels, spec builders."""
+"""Shared fixtures: the bundled molecule, its triad levels, spec builders,
+and the written-out scalar closure verdict used as an oracle."""
+
+import cmath
 
 import numpy as np
 import pytest
 
-from chiraloop.dipole import BodyDipole
-from chiraloop.fields import linear_components
+from chiraloop import dynamics, loop
+from chiraloop.dipole import BodyDipole, reduced_matrix_element
+from chiraloop.fields import _mul, linear_components
 from chiraloop.loop import LoopSpec
 from chiraloop.rotor import RotationalConstants, rotor_levels
 
@@ -61,6 +65,49 @@ def random_loop_spec(rng, levels, dip):
         for _ in range(3)
     ]
     return LoopSpec.resonant(levels, dip, comps)
+
+
+def reference_dressed(f):
+    """Dressed triple (main, prime, dprime) of one drive as three complex
+    vectors over sigma = +1, 0, -1, one amplitude at a time."""
+    st, ct, sp, cp = loop._field_trig(f.amplitude(1), f.amplitude(0), f.amplitude(-1), f.total)
+    phase_factors = (cmath.exp(1j * f.phase(sigma)) for sigma in (1, 0, -1))
+    e_plus, e_zero, e_minus = ((e.real, e.imag) for e in phase_factors)
+
+    def times(x, e_sigma):
+        return complex(*_mul((x, 0.0), e_sigma))
+
+    return (
+        np.array([times(st * cp, e_plus), times(st * sp, e_zero), times(ct, e_minus)]),
+        np.array([times(sp, e_plus), times(-cp, e_zero), 0j]),
+        np.array([times(ct * cp, e_plus), times(ct * sp, e_zero), times(-st, e_minus)]),
+    )
+
+
+def reference_diagnostics(spec, tol=loop.DEFAULT_CLOSURE_TOL_MHZ):
+    """The closure verdict of one spec on the scalar route: complex dressed
+    vectors, dynamics.coupling_block, one sandwich per cross coupling, the
+    closed-form cross-check and the verdict rule.  Oracle for both
+    loop_diagnostics and Triad.diagnostics, which must match it bit for bit."""
+    b, b_prime, b_dprime = reference_dressed(spec.field1)
+    c, c_prime, c_dprime = reference_dressed(spec.field3)
+    block = dynamics.coupling_block(spec.level_c, spec.level_b, spec.field2, spec.dipole)
+
+    def sandwich(bra, ket):
+        return complex(bra.conj() @ block @ ket)
+
+    residuals = (
+        sandwich(c_prime, b), sandwich(c_dprime, b), sandwich(c, b_prime), sandwich(c, b_dprime)
+    )
+    closed_form = loop.closure_conditions_closed_form(spec)
+    scale = max(np.abs(block).max(), 1e-300)
+    assert not max(abs(x - y) for x, y in zip(residuals, closed_form)) > 1e-12 * scale
+    gamma_ba, gamma_ca = (
+        reduced_matrix_element(upper, spec.level_a, spec.dipole).value
+        for upper in (spec.level_b, spec.level_c)
+    )
+    omegas = loop._omegas(gamma_ba, gamma_ca, spec.field1.total, spec.field3.total, sandwich(c, b))
+    return loop._verdict(residuals, tuple(complex(*omega) for omega in omegas), tol)
 
 
 def rk4_propagate(h, psi0, t, steps=4000):

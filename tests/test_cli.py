@@ -386,6 +386,40 @@ def test_repeated_sigma_in_one_field_exits_2(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["simulate", "contrast"])
+@pytest.mark.parametrize("amp", ["1e308", "1e200"])
+def test_non_finite_verdict_drives_exit_2(command, amp, capsys):
+    """Drives that loops verify judges non_finite print no NaN (1e308) or
+    meaningless (1e200) populations, and raise no numpy warning."""
+    argv = [command, "propanediol", "--config", "ZXY", "--t", "0.01", "--dt", "0.005"]
+    assert run([*argv, "--amp", ",".join([amp] * 3)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "not finite" in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_unwritable_csv_path_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.csv"
+    assert run(["transitions", "propanediol", "--csv", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and str(path) in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    fields = ["--field=1:1:0", "--field=-1:0.75:0", "--field=0:2.75:0"]
+    argv = ["loops", "verify", "propanediol", *fields]
+    assert run(argv) == 0
+    first = capsys.readouterr().out
+    assert run(["loops", "verify", "propanediol", "--field=1:1:0", "--no-such-flag"]) == 2
+    capsys.readouterr()
+    assert run(argv) == 0  # the --field list of the failed parse is not carried over
+    assert capsys.readouterr().out == first
+    assert cli._parser() is cli._parser()
+
+
 def test_non_finite_molecule_value_exits_2(tmp_path, capsys):
     path = tmp_path / "nan.mol"
     path.write_text(GOOD_CONFIG.replace("mu_x_D = 1.916", "mu_x_D = nan"))

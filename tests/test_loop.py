@@ -33,6 +33,7 @@ from chiraloop.loop import (
 )
 
 from conftest import X, Y, Z, linear_loop_spec, pure_loop_spec, random_loop_spec
+from conftest import reference_diagnostics, reference_dressed
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +415,25 @@ def test_batch_equals_scalar_bit_for_bit(which, kind, count, seed, ground, j1_le
     batch = list(Triad(*levels, dipole).diagnostics(*drives))
     # LoopDiagnostics compares residuals, omegas, max_residual, closed and failure with ==
     assert batch == [loop_diagnostics(spec) for spec in specs]
+    assert batch == [reference_diagnostics(spec) for spec in specs]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    which=st.sampled_from("abc"),
+    kind=st.sampled_from(["general", "linear", "pure", "raw"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dressed_states_equal_reference_bit_for_bit(which, kind, seed, ground, j1_levels, dipole):
+    tau_b, tau_c = TRIAD_TAUS[which]
+    levels = (ground, j1_levels[tau_b], j1_levels[tau_c])
+    specs, _ = random_drives(kind, np.random.default_rng(seed), levels, dipole, 20)
+    for spec in specs:
+        ds = dressed_states(spec)
+        got = (ds.b, ds.b_prime, ds.b_dprime, ds.c, ds.c_prime, ds.c_dprime)
+        want = (*reference_dressed(spec.field1), *reference_dressed(spec.field3))
+        for x, y in zip(got, want):  # bits, signed zeros included
+            assert x.tobytes() == y.tobytes()
 
 
 def test_batch_checks_every_chunk_against_closed_form(triad_a, dipole, monkeypatch):
