@@ -411,8 +411,7 @@ def _time_grid(args) -> np.ndarray:
 
 
 def _driven_spec(args) -> loop.LoopSpec:
-    """The drives of simulate and contrast; refused when their closure verdict
-    is non_finite, whose populations would be NaN or meaningless."""
+    """simulate's and contrast's drives, refused when their verdict is non_finite."""
     spec = _loop_spec(load_molecule(args.molecule), args)
     if loop.loop_diagnostics(spec).failure == "non_finite":
         raise ValueError("the drives' closure residuals or Rabi frequencies are not finite")

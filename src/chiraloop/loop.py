@@ -66,6 +66,9 @@ LOOP_BATCH_ROWS = 512
 _SQRT3 = math.sqrt(3.0)
 _SQRT6 = math.sqrt(6.0)
 
+# (i, j) of <c'|H2|b>, <c''|H2|b>, <c|H2|b'> and <c|H2|b''> among the <c_i|H2|b_j>
+_RESIDUAL_SANDWICHES = (np.array([1, 2, 0, 0]), np.array([0, 0, 1, 2]))
+
 
 class NotClosedError(ValueError):
     """Some closure residual exceeds tolerance: the configuration leaks."""
@@ -241,9 +244,10 @@ def _dressed(trig1, trig3, e1, e3) -> np.ndarray:
     def coeffs(st, ct, sp, cp):
         # the prime state's sigma = -1 entry is a placeholder: its amplitude
         # is set to an exact 0 below, not a signed 0 * e^{i phi_-1}
-        return (st * cp, st * sp, ct), (sp, -cp, sp), (ct * cp, ct * sp, -st)
+        return st * cp, st * sp, ct, sp, -cp, sp, ct * cp, ct * sp, -st
 
-    states = np.array((coeffs(*trig1), coeffs(*trig3))) * np.array((e1, e3))[:, None]
+    flat = np.array((*coeffs(*trig1), *coeffs(*trig3)))  # faster than nested tuples
+    states = flat.reshape(2, 3, 3, *flat.shape[1:]) * np.array((e1, e3))[:, None]
     states[:, 1, 2] = 0.0
     return np.ascontiguousarray(states.transpose(0, 1, *range(3, states.ndim), 2))
 
@@ -372,7 +376,8 @@ def loop_diagnostics(spec: LoopSpec, tol: float = DEFAULT_CLOSURE_TOL_MHZ) -> Lo
     """
     triad = Triad(spec.level_a, spec.level_b, spec.level_c, spec.dipole)
     amps, phis, totals = _drive_arrays(spec)
-    e = np.exp(1j * np.array(phis)).tolist()  # e^{i phi} as the batch takes it, as Python scalars
+    # e^{i phi} as Triad.diagnostics takes it, then as Python scalars
+    e = np.exp(np.multiply(1j, phis)).tolist()
     _, block, residuals, omegas = triad._matrix_route(amps, e, totals)
     return _judged(block, residuals, omegas, closure_conditions_closed_form(spec), tol)[0]
 
@@ -381,16 +386,16 @@ def _judged(block, residuals, omegas, closed_form, tol: float) -> list[LoopDiagn
     """The verdict of each drive triple of _matrix_route's block, residuals
     and omegas, once the residuals agree with the closed-form route."""
     deviation = np.abs(residuals - closed_form)
-    bound = 1e-12 * np.maximum.reduce(np.abs(block), axis=(-2, -1), initial=1e-300)
-    if (deviation > bound).any():
-        worst = deviation.max(axis=0)
+    bound = 1e-12 * np.abs(block).max(axis=(-2, -1), initial=1e-300)
+    differ = deviation > bound
+    if differ.any():
         raise RuntimeError(
-            f"internal inconsistency: closure routes differ by {worst[worst > bound].max():.3e} MHz"
+            f"internal inconsistency: closure routes differ by {deviation[differ].max():.3e} MHz"
         )
-    # rows of Omega (real, imag) pairs: re1, re2, re3, im1, im2, im3
-    rows = zip(residuals.T.reshape(-1, 4).tolist(), np.array(omegas).T.reshape(-1, 6).tolist())
+    parts = np.array((*omegas[0], *omegas[1], *omegas[2]))  # re1, im1, re2, im2, re3, im3
+    rows = zip(residuals.T.reshape(-1, 4).tolist(), parts.T.reshape(-1, 6).tolist())
     return [
-        _verdict(tuple(r), (complex(o[0], o[3]), complex(o[1], o[4]), complex(o[2], o[5])), tol)
+        _verdict(tuple(r), (complex(o[0], o[1]), complex(o[2], o[3]), complex(o[4], o[5])), tol)
         for r, o in rows
     ]
 
@@ -418,7 +423,13 @@ def _verdict(residuals, omegas, tol: float) -> LoopDiagnostics:
         failure = "zero_rabi"
     else:
         failure = None
-    return LoopDiagnostics(omegas, residuals, max_residual, failure is None, failure)
+    return LoopDiagnostics(  # positional: this runs once per row of every stack
+        omegas,
+        residuals,
+        max_residual,
+        failure is None,  # closed
+        failure,
+    )
 
 
 @dataclass(frozen=True)
@@ -465,25 +476,24 @@ class Triad:
             )
         if not (np.isfinite(amps).all() and np.isfinite(phis).all() and (amps >= 0).all()):
             raise ValueError("amplitudes must be finite and >= 0, phases finite")
+        # [drive][sigma] first, as _matrix_route takes them
+        amps, phis = (np.ascontiguousarray(x.transpose(1, 2, 0)) for x in (amps, phis))
         with np.errstate(over="ignore"):  # an infinite total fails its verdict, below
-            total = np.sqrt(_sum_of_squares(*np.moveaxis(amps, -1, 0)))  # DriveField.total
+            total = np.sqrt(_sum_of_squares(*amps.swapaxes(0, 1)))  # DriveField.total
         if (total == 0.0).any():
             raise ValueError(_TOTAL_UNDERFLOW)
-        chunks = (slice(i, i + LOOP_BATCH_ROWS) for i in range(0, len(amps), LOOP_BATCH_ROWS))
+        chunks = (slice(i, i + LOOP_BATCH_ROWS) for i in range(0, amps.shape[-1], LOOP_BATCH_ROWS))
         return itertools.chain.from_iterable(
-            self._diagnostics_chunk(amps[c], phis[c], total[c], tol) for c in chunks
+            self._diagnostics_chunk(amps[..., c], phis[..., c], total[..., c], tol) for c in chunks
         )
 
     # an overflowing amplitude fails its verdict as non_finite, silently
     @np.errstate(all="ignore")
     def _diagnostics_chunk(self, amps, phis, total, tol: float) -> list[LoopDiagnostics]:
         phis = np.where(amps > 0, _wrap_phase(phis), 0.0)  # as DriveField stores them
-        e = np.exp(1j * phis)
-        trig, block, residuals, omegas = self._matrix_route(
-            amps.transpose(1, 2, 0), e.transpose(1, 2, 0), total.T
-        )
-        pref = _closed_form_prefactor(self.gamma_cb, total[:, 1])
-        closed_form = _closed_form(trig, phis.transpose(1, 2, 0), pref)[:4]
+        trig, block, residuals, omegas = self._matrix_route(amps, np.exp(1j * phis), total)
+        pref = _closed_form_prefactor(self.gamma_cb, total[1])
+        closed_form = _closed_form(trig, phis, pref)[:4]
         return _judged(block, residuals, omegas, closed_form, tol)
 
     def _matrix_route(self, amps, e, totals):
@@ -498,22 +508,21 @@ class Triad:
         """
         trig = tuple(_field_trig(*amps[d], totals[d]) for d in range(3))
         b, c = _dressed(trig[0], trig[2], e[0], e[2])
-        # a component that no drive has adds exact zeros to the block
+        # a component absent from one drive triple adds exact zeros to the block
         components = [
-            (sigma, amps[1][k], e[1][k])
-            for k, sigma in enumerate(SIGMAS)
-            if np.count_nonzero(amps[1][k])
+            (sigma, amp, e_sigma)
+            for sigma, amp, e_sigma in zip(SIGMAS, amps[1], e[1])
+            if isinstance(amp, np.ndarray) or amp != 0.0
         ]
         block = dynamics._stacked_coupling_block(
             self.level_c, self.level_b, self.gamma_cb, components
         )
-        # <c_i|H2|b_j> over the two triples, shape (3, 3, ...): the four
-        # residuals are <c'|H2|b>, <c''|H2|b>, <c|H2|b'> and <c|H2|b''>, and
-        # Omega2 is twice <c|H2|b>
+        # <c_i|H2|b_j> over the two triples, shape (3, 3, ...): the residuals
+        # and <c|H2|b>, half of Omega2
         bras = c.conj()[:, None, ..., None, :] @ block
         sandwiches = (bras @ b[None, ..., None])[..., 0, 0]
         omegas = _omegas(self.gamma_ba, self.gamma_ca, totals[0], totals[2], sandwiches[0, 0])
-        return trig, block, sandwiches[(1, 2, 0, 0), (0, 0, 1, 2)], omegas
+        return trig, block, sandwiches[_RESIDUAL_SANDWICHES], omegas
 
 
 def build_single_loop(
