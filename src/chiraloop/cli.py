@@ -244,7 +244,7 @@ def _emit(headers: list[str], rows: np.ndarray | list[list[str]], csv_path: str 
     csv_line = ",".join(formats) + "\r\n"
     try:
         handle = open(csv_path, "w", newline="") if csv_path else None
-    except OSError as exc:
+    except OSError as exc:  # the open only: a closed stdout stays a BrokenPipeError
         raise ValueError(f"cannot write --csv {csv_path!r}: {exc.strerror or exc}") from None
     try:
         sys.stdout.write("  ".join(h.rjust(w) for h, w in zip(headers, widths)) + "\n")

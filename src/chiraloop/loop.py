@@ -236,9 +236,9 @@ def _dressed(trig1, trig3, e1, e3) -> np.ndarray:
     of one drive triple or a stack, shape (2, 3, ..., 3): triple, state, the
     stack's shape, amplitudes over sigma = +1, 0, -1.
 
-    trig is _field_trig's of the drive and e[k] its e^{i phi_sigma} at sigma
-    = SIGMAS[k], floats or arrays.  Each amplitude is numpy's complex product
-    (x + 0i) e[k] of a real coefficient x, the formula _mul spells out.
+    trig1, trig3 are _field_trig's of the two drives and e1[k], e3[k] their
+    e^{i phi} at sigma = SIGMAS[k], floats or arrays.  Each amplitude is numpy's
+    complex product (x + 0i) e[k] of a real coefficient x, _mul's formula.
     """
 
     def coeffs(st, ct, sp, cp):
