@@ -1,7 +1,9 @@
 """Spherical components, reduced matrix elements, and Rabi frequencies."""
 
 import cmath
+import gzip
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,13 +20,19 @@ from chiraloop.dipole import (
 )
 from chiraloop.rotor import RotationalConstants, rotor_levels
 
-from conftest import PROPANEDIOL_DIPOLE
+from conftest import PROPANEDIOL, PROPANEDIOL_DIPOLE
 
 ROOT2 = math.sqrt(2.0)
 ROOT3 = math.sqrt(3.0)
 ROOT6 = math.sqrt(6.0)
 
 component = st.floats(min_value=0.05, max_value=5.0)
+
+# A generic asymmetric top with all three dipole components nonzero.
+FIXED_TOP = RotationalConstants(A=9000.0, B=4000.0, C=2500.0)
+FIXED_TOP_DIPOLE = BodyDipole(mu_x=1.2, mu_y=-0.7, mu_z=2.1)
+
+REDUCED_GOLDEN = Path(__file__).parent / "golden" / "reduced_j8.txt.gz"
 
 
 def test_calibration_constant():
@@ -172,6 +180,39 @@ def test_two_sign_flips_leave_magnitudes_and_product(triad_a, dipole):
         for v, w in zip(values, base):
             assert abs(v) == abs(w)
         assert values[0] * values[1] * values[2] == base_product
+
+
+def reduced_element_lines(jmax=8):
+    """One line per ordered level pair with |Delta J| <= 1 up to jmax, on
+    propanediol and the fixed top: the molecule, (J, tau) of the upper and
+    the lower level, then float.hex of the real and imaginary parts."""
+    lines = []
+    for name, constants, d in (
+        ("propanediol", PROPANEDIOL, PROPANEDIOL_DIPOLE),
+        ("fixed_top", FIXED_TOP, FIXED_TOP_DIPOLE),
+    ):
+        levels = [rotor_levels(constants, J) for J in range(jmax + 1)]
+        for J_u in range(jmax + 1):
+            for J_l in range(max(J_u - 1, 0), min(J_u + 1, jmax) + 1):
+                for up in levels[J_u]:
+                    for low in levels[J_l]:
+                        value = reduced_matrix_element(up, low, d).value
+                        lines.append(
+                            f"{name} {J_u} {up.tau} {J_l} {low.tau} "
+                            f"{value.real.hex()} {value.imag.hex()}"
+                        )
+    return lines
+
+
+def test_reduced_elements_match_golden_bit_for_bit():
+    """Every Delta J <= 1 element up to J = 8 keeps its bits; the golden was
+    written by the per-K loop over w_coupling that the coupling-term table
+    replaced.  Never regenerate it to make this test pass."""
+    expected = gzip.decompress(REDUCED_GOLDEN.read_bytes()).decode().splitlines()
+    actual = reduced_element_lines()
+    assert len(actual) == len(expected)
+    for got, want in zip(actual, expected):
+        assert got == want
 
 
 # ---------------------------------------------------------------------------
