@@ -3,8 +3,11 @@
 The reduced element between two asymmetric-top levels contracts the
 spherical dipole components with 3j coupling coefficients over both
 prolate-basis expansions; it is independent of the lab-frame projection M
-and of drive polarization.  Rabi frequencies are returned in MHz for field
-amplitudes in V/cm and dipoles in Debye.
+and of drive polarization.  The coupling terms that survive the selection
+rules depend only on the two J values, so they are tabulated once per
+(J_upper, J_lower) pair and each element is a sum over its pair's table.
+Rabi frequencies are returned in MHz for field amplitudes in V/cm and
+dipoles in Debye.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .fields import _mul
 from .rotor import AsymTopLevel
@@ -88,31 +92,46 @@ def enantiomer(d: BodyDipole) -> BodyDipole:
     return BodyDipole(d.mu_x, d.mu_y, -d.mu_z)
 
 
+@lru_cache(maxsize=None)
+def _coupling_terms(J_u: int, J_l: int) -> tuple[tuple[tuple[int, int, float, float], ...], ...]:
+    """The terms of the reduced element between blocks J_u and J_l, one tuple
+    per sigma = -1, 0, 1: (K_u index, K_l index, sign, W) in ascending K_u,
+    for every K_l = K_u - sigma whose coupling coefficient W is nonzero.
+
+    Indices address a level's coeffs (K + J); sign is (-1)^(sigma - K_l).
+    A line list asks for at most 3 tables per J (|J_u - J_l| <= 1), so the
+    cache stays small.
+    """
+    return tuple(
+        tuple(
+            (ku + J_u, kl + J_l, -1.0 if (sig - kl) % 2 else 1.0, w)
+            for ku in range(-J_u, J_u + 1)
+            if abs(kl := ku - sig) <= J_l and (w := w_coupling(J_u, ku, J_l, kl, sig)) != 0.0
+        )
+        for sig in (-1, 0, 1)
+    )
+
+
 def reduced_matrix_element(
     upper: AsymTopLevel, lower: AsymTopLevel, d: BodyDipole
 ) -> ReducedElement:
     """Reduced dipole element between two asymmetric-top levels, complex Debye.
 
+    Sums sign * c_upper(K_u) * c_lower(K_l) * W over the pair's tabulated
+    coupling terms per sigma, then contracts with the spherical dipole.
     Exactly zero when |J_upper - J_lower| > 1 (triangle rule).
     """
     tag = ((upper.J, upper.tau), (lower.J, lower.tau))
     if abs(upper.J - lower.J) > 1:
         return ReducedElement(0j, *tag)
-    mu_minus, mu_0, mu_plus = spherical_components(d)
+    cu, cl = upper.coeffs.tolist(), lower.coeffs.tolist()
     total = 0j
-    for sig, mu_s in ((-1, mu_minus), (0, mu_0), (1, mu_plus)):
+    for mu_s, terms in zip(spherical_components(d), _coupling_terms(upper.J, lower.J)):
         if mu_s == 0:
             continue
         acc = 0.0
-        for ku in range(-upper.J, upper.J + 1):
-            kl = ku - sig  # coupling coefficient vanishes otherwise
-            if abs(kl) > lower.J:
-                continue
-            w = w_coupling(upper.J, ku, lower.J, kl, sig)
-            if w == 0.0:
-                continue
-            sign = -1.0 if (sig - kl) % 2 else 1.0
-            acc += sign * upper.coeff(ku) * lower.coeff(kl) * w
+        for iu, il, sign, w in terms:
+            acc += sign * cu[iu] * cl[il] * w
         total += mu_s * acc
     norm = math.sqrt((2 * upper.J + 1) * (2 * lower.J + 1))
     return ReducedElement(norm * total, *tag)
@@ -176,8 +195,11 @@ def rabi_frequency(
     to MHz, as _rabi_pair computes it.
 
     `gamma` may carry a precomputed reduced element for the level pair
-    (callers looping over M sublevels avoid recomputing it).
+    (callers looping over M sublevels avoid recomputing it).  Raises
+    ValueError for a negative or non-finite amplitude or a non-finite phase.
     """
+    if not (math.isfinite(amplitude_V_per_cm) and math.isfinite(phase_rad)):
+        raise ValueError("field amplitude and phase must be finite")
     if amplitude_V_per_cm < 0:
         raise ValueError("field amplitude must be >= 0")
     w = w_coupling(upper.J, M_upper, lower.J, M_lower, sigma)

@@ -1,16 +1,19 @@
 """Shared fixtures: the bundled molecule, its triad levels, spec builders,
-and the written-out scalar closure verdict used as an oracle."""
+and the written-out per-K reduced element and scalar closure verdict used
+as oracles."""
 
 import cmath
+import math
 
 import numpy as np
 import pytest
 
 from chiraloop import dynamics, loop
-from chiraloop.dipole import BodyDipole, reduced_matrix_element
+from chiraloop.dipole import BodyDipole, reduced_matrix_element, spherical_components
 from chiraloop.fields import _mul, linear_components
 from chiraloop.loop import LoopSpec
 from chiraloop.rotor import RotationalConstants, rotor_levels
+from chiraloop.wigner import w_coupling
 
 PROPANEDIOL = RotationalConstants(A=8572.05, B=3640.10, C=2790.96)
 PROPANEDIOL_DIPOLE = BodyDipole(mu_x=1.916, mu_y=0.365, mu_z=1.201)
@@ -65,6 +68,32 @@ def random_loop_spec(rng, levels, dip):
         for _ in range(3)
     ]
     return LoopSpec.resonant(levels, dip, comps)
+
+
+def reference_reduced_element(upper, lower, d):
+    """The reduced element of two levels on the per-K route: one w_coupling
+    and two coefficient reads per term, every K_u in ascending order.
+    Oracle for reduced_matrix_element, which must match it bit for bit."""
+    if abs(upper.J - lower.J) > 1:
+        return 0j
+    mu_minus, mu_0, mu_plus = spherical_components(d)
+    total = 0j
+    for sig, mu_s in ((-1, mu_minus), (0, mu_0), (1, mu_plus)):
+        if mu_s == 0:
+            continue
+        acc = 0.0
+        for ku in range(-upper.J, upper.J + 1):
+            kl = ku - sig  # coupling coefficient vanishes otherwise
+            if abs(kl) > lower.J:
+                continue
+            w = w_coupling(upper.J, ku, lower.J, kl, sig)
+            if w == 0.0:
+                continue
+            sign = -1.0 if (sig - kl) % 2 else 1.0
+            acc += sign * upper.coeff(ku) * lower.coeff(kl) * w
+        total += mu_s * acc
+    norm = math.sqrt((2 * upper.J + 1) * (2 * lower.J + 1))
+    return norm * total
 
 
 def reference_dressed(f):

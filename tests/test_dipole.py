@@ -3,12 +3,14 @@
 import cmath
 import gzip
 import math
+import warnings
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chiraloop import dipole as dipole_module
 from chiraloop.dipole import (
     DEBYE_VCM_TO_MHZ,
     BodyDipole,
@@ -18,9 +20,9 @@ from chiraloop.dipole import (
     spherical_components,
     symtop_reduced_element,
 )
-from chiraloop.rotor import RotationalConstants, rotor_levels
+from chiraloop.rotor import DegenerateLevelsWarning, RotationalConstants, rotor_levels
 
-from conftest import PROPANEDIOL, PROPANEDIOL_DIPOLE
+from conftest import PROPANEDIOL, PROPANEDIOL_DIPOLE, reference_reduced_element
 
 ROOT2 = math.sqrt(2.0)
 ROOT3 = math.sqrt(3.0)
@@ -215,6 +217,75 @@ def test_reduced_elements_match_golden_bit_for_bit():
         assert got == want
 
 
+def _bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
+dipole_component = st.one_of(
+    st.sampled_from([0.0, -0.0]), st.floats(min_value=-5.0, max_value=5.0)
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    abc=st.lists(st.floats(min_value=1.0, max_value=1e5), min_size=3, max_size=3).map(
+        lambda v: sorted(v, reverse=True)
+    ),
+    mu=st.tuples(dipole_component, dipole_component, dipole_component),
+    J_l=st.integers(min_value=0, max_value=6),
+    delta=st.integers(min_value=-2, max_value=2),
+)
+def test_reduced_element_equals_per_k_reference_bit_for_bit(abc, mu, J_l, delta):
+    """Any A >= B >= C and any dipole, zero components included: every element
+    between two J <= 6 blocks with |Delta J| <= 1 has the per-K route's bits,
+    and |Delta J| = 2 gives an exact 0j."""
+    J_u = J_l + delta
+    if not 0 <= J_u <= 6:
+        J_u = J_l - delta
+    constants = RotationalConstants(*abc)
+    d = BodyDipole(*mu)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateLevelsWarning)
+        uppers, lowers = rotor_levels(constants, J_u), rotor_levels(constants, J_l)
+    for up in uppers:
+        for low in lowers:
+            value = reduced_matrix_element(up, low, d).value
+            if abs(delta) == 2:
+                assert _bits(value) == _bits(0j)
+            else:
+                assert _bits(value) == _bits(reference_reduced_element(up, low, d))
+
+
+def test_line_list_tabulates_each_coupling_term_once(monkeypatch):
+    """A J <= 12 line list (every Delta J <= 1 pair, upper block J or J + 1,
+    as bench/workloads.line_list builds it) computes each nonzero coupling
+    coefficient once per J pair: under 5,000 w_coupling calls where the
+    per-K route made 224,507, and at most 3 tables per J."""
+    calls = 0
+    w_coupling = dipole_module.w_coupling
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return w_coupling(*args)
+
+    monkeypatch.setattr(dipole_module, "w_coupling", counting)
+    dipole_module._coupling_terms.cache_clear()
+    jtop = 12
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateLevelsWarning)
+        levels = [rotor_levels(FIXED_TOP, J) for J in range(jtop + 1)]
+    lines = 0
+    for J in range(jtop + 1):
+        for i, low in enumerate(levels[J]):
+            for up in levels[J][i:] + (levels[J + 1] if J < jtop else []):
+                reduced_matrix_element(up, low, FIXED_TOP_DIPOLE)
+                lines += 1
+    assert lines == 4135
+    assert 0 < calls <= 5000
+    assert dipole_module._coupling_terms.cache_info().currsize <= 3 * (jtop + 1)
+
+
 # ---------------------------------------------------------------------------
 # symmetric-top elements: the no-go the asymmetric mixing evades
 
@@ -295,6 +366,16 @@ def test_rabi_negative_amplitude_rejected(triad_a, dipole):
     a, b, c = triad_a
     with pytest.raises(ValueError):
         rabi_frequency(b, 1, a, 0, 1, -1.0, 0.0, dipole)
+
+
+@pytest.mark.parametrize(
+    "amplitude,phase",
+    [(math.nan, 0.0), (math.inf, 0.0), (1.0, math.nan), (1.0, math.inf), (1.0, -math.inf)],
+)
+def test_rabi_non_finite_amplitude_or_phase_rejected(triad_a, dipole, amplitude, phase):
+    a, b, c = triad_a
+    with pytest.raises(ValueError):
+        rabi_frequency(b, 1, a, 0, 1, amplitude, phase, dipole)
 
 
 def test_rabi_precomputed_gamma_matches(triad_a, dipole):
