@@ -198,10 +198,8 @@ def rabi_frequency(
     (callers looping over M sublevels avoid recomputing it).  Raises
     ValueError for a negative or non-finite amplitude or a non-finite phase.
     """
-    if not (math.isfinite(amplitude_V_per_cm) and math.isfinite(phase_rad)):
-        raise ValueError("field amplitude and phase must be finite")
-    if amplitude_V_per_cm < 0:
-        raise ValueError("field amplitude must be >= 0")
+    if not (math.isfinite(phase_rad) and 0 <= amplitude_V_per_cm < math.inf):
+        raise ValueError("field amplitude must be finite and >= 0, phase finite")
     w = w_coupling(upper.J, M_upper, lower.J, M_lower, sigma)
     if w == 0.0:
         return 0j
