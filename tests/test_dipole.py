@@ -258,7 +258,7 @@ def test_reduced_element_equals_per_k_reference_bit_for_bit(abc, mu, J_l, delta)
 
 def test_line_list_tabulates_each_coupling_term_once(monkeypatch):
     """A J <= 12 line list (every Delta J <= 1 pair, upper block J or J + 1,
-    as bench/workloads.line_list builds it) computes each nonzero coupling
+    as bench/workloads.line_list builds it) evaluates each coupling
     coefficient once per J pair: under 5,000 w_coupling calls where the
     per-K route made 224,507, and at most 3 tables per J."""
     calls = 0
