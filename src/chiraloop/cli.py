@@ -207,41 +207,91 @@ def _csv_field(text: str) -> str:
     return '"' + text.replace('"', '""') + '"' if any(ch in text for ch in ',"\r\n') else text
 
 
-def _width(fmt: str, column: np.ndarray) -> int:
-    """Length of the widest `fmt % x` over a column (strings: cell by cell).
+@functools.cache
+def _quad_table() -> np.ndarray:
+    """Four characters as uint32: 0 to 9999 with blanks for leading zeros
+    ("   0", "  42"), then with the zeros ("0042"), then four blanks."""
+    i, places = np.arange(10**4)[:, None], 10 ** np.arange(3, -1, -1)
+    zeros = i // places % 10 + 48
+    blanks = np.where((i < places) & (places > 1), 32, zeros)
+    return np.concatenate([blanks, zeros, [[32] * 4]]).astype(np.uint8).view(np.uint32).ravel()
 
-    Over the nonzero finite values of one sign the length never falls as |x|
-    grows, except that an exponent takes a third digit at either end, so the
-    only candidates are the smallest and largest such |x|, the signed zeros
-    and the non-finite values."""
-    if column.dtype.kind != "f":
-        return max((len(fmt % x) for x in column.tolist()), default=0)
-    finite = np.isfinite(column)
-    candidates = np.unique(column[~finite]).tolist()
-    signed = np.signbit(column)
-    for group in (finite & signed, finite & ~signed):
-        for part in (group & (column == 0), group & (column != 0)):
-            values = column[part]
-            if values.size:
-                size = np.abs(values)
-                candidates += [values[size.argmin()], values[size.argmax()]]
-    return max((len(fmt % x) for x in candidates), default=0)
+
+class _Column:
+    """One column's `fmt % x` cells as right-aligned ASCII bytes, a block at a time.
+
+    `%.Nf` cells of a float column (N <= 15) are rounded and spelled in numpy;
+    the rest take `fmt % x` once per distinct value (bit pattern), up front."""
+
+    def __init__(self, fmt: str, column: np.ndarray):
+        floats = column.dtype.kind == "f"
+        fixed = floats and fmt[:2] == "%." and fmt[-1:] == "f" and fmt[2:-1].isdigit()
+        self.n = int(fmt[2:-1]) if fixed and int(fmt[2:-1]) <= 15 else None
+        self.column, self.keys = column, column.view(np.int64) if floats else column
+        exact = self._rounded(column)[1]
+        # a fixed-point text never shortens as |x| grows: the largest cell of each sign is widest
+        signs = (column[exact], column[exact & np.signbit(column)]) if self.n is not None else ()
+        widest = [fmt % cells[np.abs(cells).argmax()] for cells in signs if cells.size]
+        # an index flag keeps np.unique from importing numpy.ma
+        self.distinct, first = np.unique(self.keys[~exact], return_index=True)
+        texts = [fmt % x for x in column[~exact][first].tolist()]
+        self.width = max(map(len, texts + widest), default=0)
+        table = "".join(t.rjust(self.width) for t in texts).encode("ascii")
+        self.table = np.frombuffer(table, np.uint8).reshape(len(texts), self.width)
+
+    def _rounded(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """q = rint(|x| 10**n), and where q is the rounding `%.{n}f` prints: 10**n is exact, so
+        scaled is within scaled * 2**-53 of |x| 10**n and rounds as `%` does (half to even)
+        unless it is within scaled * 2**-52 of a half-integer, not finite, or 2**51 or more."""
+        if self.n is None:
+            return x, np.zeros(len(x), bool)
+        scaled = np.minimum(np.abs(x), 2.0**51) * 10.0**self.n  # no overflow; NaN stays NaN
+        exact = (scaled < 2.0**51) & (np.abs(scaled - np.floor(scaled) - 0.5) > scaled * 2.0**-52)
+        return np.where(exact, np.rint(scaled), 0.0), exact
+
+    def render(self, rows: slice) -> np.ndarray:
+        """The cells of rows as a (rows, width) uint8 block."""
+        x, keys = self.column[rows], self.keys[rows]
+        q, exact = self._rounded(x)
+        if not exact.any():
+            return self.table[np.searchsorted(self.distinct, keys)]
+        n, whole = self.n, np.floor(q / 10.0**self.n)  # every step is exact, as q < 2**51
+        # four characters at a time, right to left: the decimals with their zeros, the integer
+        # part with zeros below its top digit and blanks above it, the dot over decimal padding
+        quads = (-(-n // 4), -(-len(str(int(whole.max()))) // 4))
+        size = 4 * sum(quads) + self.width
+        text, dot = np.full((len(x), size), 32, np.uint8), size - n - (n > 0)
+        for part, count, end, zeros in ((q - whole * 10.0**n, quads[0], size, True),
+                                        (whole, quads[1], dot, False)):
+            high = [np.floor(part / 10.0 ** (4 * j)) for j in range(count)] + [0.0]
+            cells = text[:, end - 4 * count : end].view(np.uint32)
+            for j in range(count):
+                index = high[j] - high[j + 1] * 1e4 + 1e4 * (zeros or high[j + 1] > 0)
+                if j and not zeros:
+                    index[high[j] == 0] = 2e4
+                cells[:, -1 - j] = _quad_table().take(index.astype(np.intp))
+        text[:, dot : dot + (n > 0)] = 46
+        text = text[:, 4 * sum(quads) :]
+        negative = np.signbit(x) & exact
+        text[negative, np.argmax(text[negative] != 32, axis=1) - 1] = 45
+        text[~exact] = self.table[np.searchsorted(self.distinct, keys[~exact])]
+        return text
 
 
 def _emit(headers: list[str], rows: np.ndarray | list[list[str]], csv_path: str | None,
           formats: list[str] | None = None) -> None:
     """Write a table to stdout, right-aligned, and to csv_path as CSV if given.
 
-    rows is a 2-D array (or a list of rows of strings) with one column per
-    header, formats one % conversion per column ("%s" by default).  The widths
-    come from the columns up front; each block of EVOLVE_BLOCK_ROWS rows then
-    takes one .tolist(), one width-baked line template repeated per row, and
-    one write per file."""
+    rows is a 2-D array (or a list of rows of ASCII strings) with one column
+    per header, formats one % conversion per column ("%s" by default).  Each
+    block of EVOLVE_BLOCK_ROWS rows is rendered as bytes (`_Column`) and written
+    once per file.  A float's text holds no space, so a float table's CSV is the
+    same bytes with commas and without spaces; string cells are quoted."""
     formats = formats or ["%s"] * len(headers)
     rows = np.asarray(rows).reshape(len(rows), len(headers))
-    widths = [max(len(h), _width(f, rows[:, i])) for i, (h, f) in enumerate(zip(headers, formats))]
-    line = "  ".join(f"%{w}{f[1:]}" for w, f in zip(widths, formats)) + "\n"
-    csv_line = ",".join(formats) + "\r\n"
+    columns = [_Column(f, rows[:, i]) for i, f in enumerate(formats)]
+    widths = [max(len(h), c.width) for h, c in zip(headers, columns)]
+    ends = np.cumsum(widths) + 2 * np.arange(len(widths))  # where each column's cells end
     try:
         handle = open(csv_path, "w", newline="") if csv_path else None
     except OSError as exc:  # the open only: a closed stdout stays a BrokenPipeError
@@ -251,12 +301,18 @@ def _emit(headers: list[str], rows: np.ndarray | list[list[str]], csv_path: str 
         if handle:
             handle.write(",".join(map(_csv_field, headers)) + "\r\n")
         for start in range(0, len(rows), dynamics.EVOLVE_BLOCK_ROWS):
-            block = rows[start : start + dynamics.EVOLVE_BLOCK_ROWS]
-            cells = tuple(block.ravel().tolist())
-            sys.stdout.write((line * len(block)) % cells)
-            if handle:
-                quoted = cells if rows.dtype.kind == "f" else tuple(map(_csv_field, cells))
-                handle.write((csv_line * len(block)) % quoted)
+            block = slice(start, start + dynamics.EVOLVE_BLOCK_ROWS)
+            line = np.full((len(rows[block]), ends[-1] + 1), 32, np.uint8)
+            for column, end in zip(columns, ends):
+                line[:, end - column.width : end] = column.render(block)
+            line[:, -1] = 10
+            sys.stdout.write(line.tobytes().decode("ascii"))
+            if handle and rows.dtype.kind == "f":
+                line[:, ends[:-1]] = 44
+                handle.write(line[line != 32].tobytes().decode("ascii").replace("\n", "\r\n"))
+            elif handle:
+                for r in rows[block].tolist():
+                    handle.write(",".join(_csv_field(f % x) for f, x in zip(formats, r)) + "\r\n")
     finally:
         if handle:
             handle.close()
@@ -279,8 +335,11 @@ def cmd_levels(args) -> int:
             "their tau order is not physically defined",
             file=sys.stderr,
         )
-    table = np.array([(J, level.tau, level.freq, K, c) for J, levels in enumerate(blocks)
-                      for level in levels for K, c in zip(range(-J, J + 1), level.coeffs.tolist())])
+    # one row per (level, K): J, tau and freq repeat over K, K repeats over levels
+    table = np.concatenate([np.column_stack((
+        np.full(len(lv) ** 2, J), np.repeat([(v.tau, v.freq) for v in lv], len(lv), axis=0),
+        np.tile(np.arange(-J, J + 1), len(lv)), np.ravel([v.coeffs for v in lv]),
+    )) for J, lv in enumerate(blocks)])
     # a coefficient that rounds to zero prints unsigned: 5e-7 as a double lies
     # just below 5e-7, so these are exactly the ones that print as -0.000000
     table[np.abs(table[:, 4]) <= 5e-7, 4] = 0.0

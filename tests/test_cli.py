@@ -516,14 +516,14 @@ def _brute_width(fmt, values):
 def test_column_width_matches_brute_force(fmt, values):
     if fmt == "%d":  # %d has no text for a non-finite value
         values = [x for x in values if math.isfinite(x)]
-    assert cli._width(fmt, np.array(values, dtype=float)) == _brute_width(fmt, values)
+    assert cli._Column(fmt, np.array(values, dtype=float)).width == _brute_width(fmt, values)
 
 
 @pytest.mark.parametrize("fmt", WIDTH_FORMATS)
 def test_column_width_edge_values(fmt):
     values = [x for x in SPECIAL_VALUES if fmt != "%d" or math.isfinite(x)]
     for column in [[], *([x] for x in values), values, [0.0, -0.0], [-0.0, -0.0]]:
-        assert cli._width(fmt, np.array(column, dtype=float)) == _brute_width(fmt, column)
+        assert cli._Column(fmt, np.array(column, dtype=float)).width == _brute_width(fmt, column)
 
 
 @settings(max_examples=200, deadline=None)
@@ -566,6 +566,52 @@ def test_emit_matches_per_cell_formatting(formats, data):
         written = path.read_bytes().decode()
     cells = [[f % x for f, x in zip(formats, row)] for row in rows.tolist()]
     assert (out.getvalue(), written) == _reference_table(headers, cells)
+
+
+def _near_ties(n):
+    """Cells whose |x| 10**n lies on or next to a half-integer, or at 2**51 and 2**52."""
+    ties = [0.0078125, 0.125, 2.5, 0.5 / 10**n, 2.5 / 10**n, 12345.5 / 10**n]
+    ties += [2.0**51 / 10**n, 2.0**52 / 10**n]
+    cells = []
+    for x in ties:
+        cells += [x, math.nextafter(x, math.inf), math.nextafter(x, -math.inf)]
+    return cells + [-x for x in cells]
+
+
+@pytest.mark.parametrize("fmt", ["%.0f", "%.2f", "%.4f", "%.6f"])
+def test_fixed_point_cells_match_percent_formatting(fmt):
+    """Cells near a rounding tie, at the rounding guard's bounds, and at the
+    edges of the float range come out as `fmt % x` gives them."""
+    n = int(fmt[2:-1])
+    values = _near_ties(n) + [
+        5e-324, 0.0, -0.0, -1e-9, 1e300, -1e300, math.nan, math.inf, -math.inf,
+        9.9999996, 10001.0, 1e8 + 0.25, 100000000.0, -123456789012.0, 1e15, 2.0**52,
+    ]
+    rows = np.array([values, values[::-1], [1.0] * len(values)], dtype=float).T
+    headers = ["a", "b", "c"]
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(dynamics, "EVOLVE_BLOCK_ROWS", 7):
+        path = Path(tmp) / "table.csv"
+        with contextlib.redirect_stdout(out):
+            cli._emit(headers, rows, str(path), [fmt] * 3)
+        written = path.read_bytes().decode()
+    cells = [[fmt % x for x in row] for row in rows.tolist()]
+    assert max(len(c) for row in cells for c in row) > 300  # the 1e300 cell
+    assert (out.getvalue(), written) == _reference_table(headers, cells)
+
+
+def test_tables_do_not_import_numpy_ma(tmp_path):
+    """numpy.ma costs 10-14 ms to import; no table needs it."""
+    script = (
+        "import sys\n"
+        "from chiraloop import cli\n"
+        "assert cli.run(['simulate', 'propanediol', '--config', 'ZXY', '--t', '0.1']) == 0\n"
+        f"assert cli.run(['levels', 'propanediol', '--csv', {str(tmp_path / 'l.csv')!r}]) == 0\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=_module_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_emit_string_table_quotes_csv(tmp_path, capsys):
