@@ -218,19 +218,18 @@ def _quad_table() -> np.ndarray:
 
 
 class _Column:
-    """One column's `fmt % x` cells as right-aligned ASCII bytes, a block at a time.
+    """A float column's `fmt % x` cells as right-aligned ASCII bytes, a block at a time.
 
-    `%.Nf` cells of a float column (N <= 15) are rounded and spelled in numpy;
-    the rest take `fmt % x` once per distinct value (bit pattern), up front."""
+    `%.Nf` cells (N <= 15) are rounded and spelled in numpy; the rest take
+    `fmt % x` once per distinct value (bit pattern), up front."""
 
     def __init__(self, fmt: str, column: np.ndarray):
-        floats = column.dtype.kind == "f"
-        fixed = floats and fmt[:2] == "%." and fmt[-1:] == "f" and fmt[2:-1].isdigit()
+        fixed = fmt[:2] == "%." and fmt[-1:] == "f" and fmt[2:-1].isdigit()
         self.n = int(fmt[2:-1]) if fixed and int(fmt[2:-1]) <= 15 else None
-        self.column, self.keys = column, column.view(np.int64) if floats else column
+        self.column, self.keys = column, column.view(np.int64)
         exact = self._rounded(column)[1]
         # a fixed-point text never shortens as |x| grows: the largest cell of each sign is widest
-        signs = (column[exact], column[exact & np.signbit(column)]) if self.n is not None else ()
+        signs = (column[exact], column[exact & np.signbit(column)])
         widest = [fmt % cells[np.abs(cells).argmax()] for cells in signs if cells.size]
         # an index flag keeps np.unique from importing numpy.ma
         self.distinct, first = np.unique(self.keys[~exact], return_index=True)
@@ -282,37 +281,38 @@ def _emit(headers: list[str], rows: np.ndarray | list[list[str]], csv_path: str 
           formats: list[str] | None = None) -> None:
     """Write a table to stdout, right-aligned, and to csv_path as CSV if given.
 
-    rows is a 2-D array (or a list of rows of ASCII strings) with one column
-    per header, formats one % conversion per column ("%s" by default).  Each
-    block of EVOLVE_BLOCK_ROWS rows is rendered as bytes (`_Column`) and written
-    once per file.  A float's text holds no space, so a float table's CSV is the
-    same bytes with commas and without spaces; string cells are quoted."""
+    rows is a 2-D float array with one column per header, or a short list of rows
+    of strings; formats has one % conversion per column ("%s" by default).
+    Float rows are rendered as bytes (`_Column`), EVOLVE_BLOCK_ROWS at a time; a
+    float's text holds no space, so its CSV is the same bytes, unpadded, with commas."""
     formats = formats or ["%s"] * len(headers)
     rows = np.asarray(rows).reshape(len(rows), len(headers))
-    columns = [_Column(f, rows[:, i]) for i, f in enumerate(formats)]
-    widths = [max(len(h), c.width) for h, c in zip(headers, columns)]
-    ends = np.cumsum(widths) + 2 * np.arange(len(widths))  # where each column's cells end
+    texts, columns = [headers], []  # the lines Python writes: the header, and any strings
+    if rows.dtype.kind == "f":
+        columns = [_Column(f, rows[:, i]) for i, f in enumerate(formats)]
+        widths = [max(len(h), c.width) for h, c in zip(headers, columns)]
+        ends = np.cumsum(widths) + 2 * np.arange(len(widths))  # where each column's cells end
+    else:  # a few rows of strings: cell by cell in Python costs less than numpy's set-up
+        texts += [[f % x for f, x in zip(formats, r)] for r in rows.tolist()]
+        widths = [max(map(len, column)) for column in zip(*texts)]
     try:
         handle = open(csv_path, "w", newline="") if csv_path else None
     except OSError as exc:  # the open only: a closed stdout stays a BrokenPipeError
         raise ValueError(f"cannot write --csv {csv_path!r}: {exc.strerror or exc}") from None
     try:
-        sys.stdout.write("  ".join(h.rjust(w) for h, w in zip(headers, widths)) + "\n")
+        sys.stdout.write("".join("  ".join(map(str.rjust, r, widths)) + "\n" for r in texts))
         if handle:
-            handle.write(",".join(map(_csv_field, headers)) + "\r\n")
-        for start in range(0, len(rows), dynamics.EVOLVE_BLOCK_ROWS):
+            handle.write("".join(",".join(map(_csv_field, r)) + "\r\n" for r in texts))
+        for start in range(0, len(rows) if columns else 0, dynamics.EVOLVE_BLOCK_ROWS):
             block = slice(start, start + dynamics.EVOLVE_BLOCK_ROWS)
             line = np.full((len(rows[block]), ends[-1] + 1), 32, np.uint8)
             for column, end in zip(columns, ends):
                 line[:, end - column.width : end] = column.render(block)
             line[:, -1] = 10
             sys.stdout.write(line.tobytes().decode("ascii"))
-            if handle and rows.dtype.kind == "f":
+            if handle:
                 line[:, ends[:-1]] = 44
                 handle.write(line[line != 32].tobytes().decode("ascii").replace("\n", "\r\n"))
-            elif handle:
-                for r in rows[block].tolist():
-                    handle.write(",".join(_csv_field(f % x) for f, x in zip(formats, r)) + "\r\n")
     finally:
         if handle:
             handle.close()
