@@ -241,11 +241,11 @@ class _Column:
     def _rounded(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """q = rint(|x| 10**n), and where q is the rounding `%.{n}f` prints: 10**n is exact, so
         scaled is within scaled * 2**-53 of |x| 10**n and rounds as `%` does (half to even)
-        unless it is within scaled * 2**-52 of a half-integer, not finite, or 2**51 or more."""
+        unless within scaled * 2**-52 of a half-integer, as NaN and any scaled >= 2**51 are."""
         if self.n is None:
             return x, np.zeros(len(x), bool)
         scaled = np.minimum(np.abs(x), 2.0**51) * 10.0**self.n  # no overflow; NaN stays NaN
-        exact = (scaled < 2.0**51) & (np.abs(scaled - np.floor(scaled) - 0.5) > scaled * 2.0**-52)
+        exact = np.abs(scaled - np.floor(scaled) - 0.5) > scaled * 2.0**-52
         return np.where(exact, np.rint(scaled), 0.0), exact
 
     def render(self, rows: slice) -> np.ndarray:
