@@ -9,8 +9,8 @@ evaluates those closure conditions two independent ways, assembles the
 3-level loop Hamiltonian, enumerates the pure-polarization loop table, and
 verifies the linear-polarization orthogonality criterion.  One verdict goes
 through `loop_diagnostics(spec)`; many drives on one triad go through
-`Triad.diagnostics`, which stacks them.  Both run the one matrix-route body,
-`Triad._matrix_route`, and so give the same verdicts bit for bit.
+`Triad.diagnostics`, which stacks them.  Both run the one verdict body,
+`Triad._verdicts`, and so give the same verdicts bit for bit.
 """
 
 from __future__ import annotations
@@ -71,25 +71,25 @@ _RESIDUAL_SANDWICHES = (np.array([1, 2, 0, 0]), np.array([0, 0, 1, 2]))
 
 
 class NotClosedError(ValueError):
-    """Some closure residual exceeds tolerance: the configuration leaks."""
+    """Some closure residual reaches DEFAULT_CLOSURE_TOL_MHZ: the configuration leaks."""
 
-    def __init__(self, max_residual: float, tol: float):
+    def __init__(self, max_residual: float):
         self.max_residual = max_residual
-        self.tol = tol
         super().__init__(
             f"configuration is not a single loop: max closure residual "
-            f"{max_residual:.3e} MHz >= {tol:.1e} MHz"
+            f"{max_residual:.3e} MHz >= {DEFAULT_CLOSURE_TOL_MHZ:.1e} MHz"
         )
 
 
 class ZeroRabiError(ValueError):
     """Some loop Rabi frequency vanishes: the loop is open, not cyclic."""
 
-    def __init__(self, omegas: tuple[complex, complex, complex], tol: float):
+    def __init__(self, omegas: tuple[complex, complex, complex]):
         self.omegas = omegas
-        self.tol = tol
         mags = ", ".join(f"{abs(o):.3e}" for o in omegas)
-        super().__init__(f"loop is open: |Omega| = ({mags}) MHz with tol {tol:.1e}")
+        super().__init__(
+            f"loop is open: |Omega| = ({mags}) MHz with tol {DEFAULT_CLOSURE_TOL_MHZ:.1e}"
+        )
 
 
 def _check_levels(a: AsymTopLevel, b: AsymTopLevel, c: AsymTopLevel) -> None:
@@ -365,39 +365,16 @@ class LoopDiagnostics:
     failure: str | None  # None, "non_finite", "not_closed", or "zero_rabi"
 
 
-def loop_diagnostics(spec: LoopSpec, tol: float = DEFAULT_CLOSURE_TOL_MHZ) -> LoopDiagnostics:
+def loop_diagnostics(spec: LoopSpec) -> LoopDiagnostics:
     """Residuals, Rabi frequencies, and the closure verdict for a candidate.
 
     The residuals and Omega2 are sandwiches of one field-2 coupling block
-    between the dressed states (Triad._matrix_route); the residuals are
-    cross-checked against the closed-form route, which must agree to 1e-12
-    relative.  The verdict fails closed: a NaN or infinite residual or Rabi
-    frequency (say, from an overflowing amplitude) is never closed.
+    between the dressed states, cross-checked against the closed-form route
+    (Triad._verdicts).  The verdict fails closed: a NaN or infinite residual
+    or Rabi frequency (say, from an overflowing amplitude) is never closed.
     """
     triad = Triad(spec.level_a, spec.level_b, spec.level_c, spec.dipole)
-    amps, phis, totals = _drive_arrays(spec)
-    # e^{i phi} as Triad.diagnostics takes it, then as Python scalars
-    e = np.exp(np.multiply(1j, phis)).tolist()
-    _, block, residuals, omegas = triad._matrix_route(amps, e, totals)
-    return _judged(block, residuals, omegas, closure_conditions_closed_form(spec), tol)[0]
-
-
-def _judged(block, residuals, omegas, closed_form, tol: float) -> list[LoopDiagnostics]:
-    """The verdict of each drive triple of _matrix_route's block, residuals
-    and omegas, once the residuals agree with the closed-form route."""
-    deviation = np.abs(residuals - closed_form)
-    bound = 1e-12 * np.abs(block).max(axis=(-2, -1), initial=1e-300)
-    differ = deviation > bound
-    if differ.any():
-        raise RuntimeError(
-            f"internal inconsistency: closure routes differ by {deviation[differ].max():.3e} MHz"
-        )
-    parts = np.array((*omegas[0], *omegas[1], *omegas[2]))  # re1, im1, re2, im2, re3, im3
-    rows = zip(residuals.T.reshape(-1, 4).tolist(), parts.T.reshape(-1, 6).tolist())
-    return [
-        _verdict(tuple(r), (complex(o[0], o[1]), complex(o[2], o[3]), complex(o[4], o[5])), tol)
-        for r, o in rows
-    ]
+    return triad._verdicts(*_drive_arrays(spec))[0]
 
 
 def _omegas(gamma_ba: complex, gamma_ca: complex, total1, total3, c_block_b):
@@ -412,14 +389,14 @@ def _omegas(gamma_ba: complex, gamma_ca: complex, total1, total3, c_block_b):
     return outer(gamma_ba, total1), omega2, outer(gamma_ca, total3)
 
 
-def _verdict(residuals, omegas, tol: float) -> LoopDiagnostics:
+def _verdict(residuals, omegas) -> LoopDiagnostics:
     """The verdict on one set of residuals and Rabi frequencies, failing closed."""
     max_residual = max(map(abs, residuals))
     if not all(map(cmath.isfinite, (*residuals, *omegas))):
         failure = "non_finite"
-    elif max_residual >= tol:
+    elif max_residual >= DEFAULT_CLOSURE_TOL_MHZ:
         failure = "not_closed"
-    elif min(map(abs, omegas)) <= tol:
+    elif min(map(abs, omegas)) <= DEFAULT_CLOSURE_TOL_MHZ:
         failure = "zero_rabi"
     else:
         failure = None
@@ -438,7 +415,7 @@ class Triad:
     the reduced elements Gamma_ba, Gamma_cb and Gamma_ca, computed once.
 
     `diagnostics` evaluates a stack of drives on the triad at once, through
-    the same `_matrix_route` that `loop_diagnostics` runs on one triple.
+    the same `_verdicts` that `loop_diagnostics` runs on one triple.
     """
 
     level_a: AsymTopLevel
@@ -455,9 +432,7 @@ class Triad:
         for name, upper, lower in (("gamma_ba", b, a), ("gamma_cb", c, b), ("gamma_ca", c, a)):
             object.__setattr__(self, name, reduced_matrix_element(upper, lower, self.dipole).value)
 
-    def diagnostics(
-        self, amplitudes, phases, tol: float = DEFAULT_CLOSURE_TOL_MHZ
-    ) -> Iterator[LoopDiagnostics]:
+    def diagnostics(self, amplitudes, phases) -> Iterator[LoopDiagnostics]:
         """loop_diagnostics of every row of a stack of drives, bit for bit.
 
         amplitudes (V/cm, >= 0) and phases (rad) have shape (N, 3, 3): drives
@@ -476,36 +451,33 @@ class Triad:
             )
         if not (np.isfinite(amps).all() and np.isfinite(phis).all() and (amps >= 0).all()):
             raise ValueError("amplitudes must be finite and >= 0, phases finite")
-        # [drive][sigma] first, as _matrix_route takes them
+        # [drive][sigma] first, as _verdicts takes them
         amps, phis = (np.ascontiguousarray(x.transpose(1, 2, 0)) for x in (amps, phis))
+        phis = np.where(amps > 0, _wrap_phase(phis), 0.0)  # as DriveField stores them
         with np.errstate(over="ignore"):  # an infinite total fails its verdict, below
             total = np.sqrt(_sum_of_squares(*amps.swapaxes(0, 1)))  # DriveField.total
         if (total == 0.0).any():
             raise ValueError(_TOTAL_UNDERFLOW)
         chunks = (slice(i, i + LOOP_BATCH_ROWS) for i in range(0, amps.shape[-1], LOOP_BATCH_ROWS))
         return itertools.chain.from_iterable(
-            self._diagnostics_chunk(amps[..., c], phis[..., c], total[..., c], tol) for c in chunks
+            self._verdicts(amps[..., c], phis[..., c], total[..., c]) for c in chunks
         )
 
     # an overflowing amplitude fails its verdict as non_finite, silently
     @np.errstate(all="ignore")
-    def _diagnostics_chunk(self, amps, phis, total, tol: float) -> list[LoopDiagnostics]:
-        phis = np.where(amps > 0, _wrap_phase(phis), 0.0)  # as DriveField stores them
-        trig, block, residuals, omegas = self._matrix_route(amps, np.exp(1j * phis), total)
-        pref = _closed_form_prefactor(self.gamma_cb, total[1])
-        closed_form = _closed_form(trig, phis, pref)[:4]
-        return _judged(block, residuals, omegas, closed_form, tol)
+    def _verdicts(self, amps, phis, totals) -> list[LoopDiagnostics]:
+        """The verdict on one drive triple, or on each triple of a stack.
 
-    def _matrix_route(self, amps, e, totals):
-        """The matrix route of the verdict on one drive triple or on a stack.
-
-        amps[d][k] is drive d's amplitude and e[d][k] the e^{i phi} of its
-        stored phase (wrapped, 0 if absent) at sigma = SIGMAS[k], and
-        totals[d] its total: scalars for one triple, arrays of the stack's
-        shape for a stack.  Returns the field trig of the three drives, the
-        field-2 block (stack's shape first), the four residuals (shape
-        (4, ...)) and (Omega1, Omega2, Omega3) as (real, imag) pairs.
+        amps[d][k] is drive d's amplitude and phis[d][k] its stored phase
+        (wrapped, 0 if absent) at sigma = SIGMAS[k], and totals[d] its
+        total: floats for one triple, arrays of the stack's shape for a
+        stack.  The matrix route gives the residuals and Omega2; the
+        residuals must agree with the closed-form route, on the same field
+        trig, to 1e-12 of the block's largest entry before they are judged.
         """
+        e = np.exp(np.multiply(1j, phis))
+        if e.ndim == 2:  # one triple: Python scalars from here on
+            e = e.tolist()
         trig = tuple(_field_trig(*amps[d], totals[d]) for d in range(3))
         b, c = _dressed(trig[0], trig[2], e[0], e[2])
         # a component absent from one drive triple adds exact zeros to the block
@@ -521,27 +493,40 @@ class Triad:
         # and <c|H2|b>, half of Omega2
         bras = c.conj()[:, None, ..., None, :] @ block
         sandwiches = (bras @ b[None, ..., None])[..., 0, 0]
+        residuals = sandwiches[_RESIDUAL_SANDWICHES]
         omegas = _omegas(self.gamma_ba, self.gamma_ca, totals[0], totals[2], sandwiches[0, 0])
-        return trig, block, sandwiches[_RESIDUAL_SANDWICHES], omegas
+
+        closed_form = _closed_form(trig, phis, _closed_form_prefactor(self.gamma_cb, totals[1]))
+        deviation = np.abs(residuals - closed_form[:4])
+        bound = 1e-12 * np.abs(block).max(axis=(-2, -1), initial=1e-300)
+        differ = deviation > bound
+        if differ.any():
+            raise RuntimeError(
+                f"internal inconsistency: closure routes differ by {deviation[differ].max():.3e} MHz"
+            )
+        parts = np.array((*omegas[0], *omegas[1], *omegas[2]))  # re1, im1, re2, im2, re3, im3
+        rows = zip(residuals.T.reshape(-1, 4).tolist(), parts.T.reshape(-1, 6).tolist())
+        return [
+            _verdict(tuple(r), (complex(o[0], o[1]), complex(o[2], o[3]), complex(o[4], o[5])))
+            for r, o in rows
+        ]
 
 
-def build_single_loop(
-    spec: LoopSpec, tol: float = DEFAULT_CLOSURE_TOL_MHZ
-) -> SingleLoopHamiltonian:
+def build_single_loop(spec: LoopSpec) -> SingleLoopHamiltonian:
     """Verify closure and return the loop's three Rabi frequencies.
 
-    Raises NotClosedError when a residual reaches tol (the configuration
-    is multi-loop / leaky) and ZeroRabiError when some |Omega| <= tol (the
-    cycle is broken, e.g. three parallel Z drives); ValueError when a
-    residual or Rabi frequency is not finite.
+    Raises NotClosedError when a residual reaches DEFAULT_CLOSURE_TOL_MHZ
+    (the configuration is multi-loop / leaky) and ZeroRabiError when some
+    |Omega| is at most that (the cycle is broken, e.g. three parallel Z
+    drives); ValueError when a residual or Rabi frequency is not finite.
     """
-    diag = loop_diagnostics(spec, tol)
+    diag = loop_diagnostics(spec)
     if diag.failure == "non_finite":
         raise ValueError("closure residuals or Rabi frequencies are not finite")
     if diag.failure == "not_closed":
-        raise NotClosedError(diag.max_residual, tol)
+        raise NotClosedError(diag.max_residual)
     if diag.failure == "zero_rabi":
-        raise ZeroRabiError(diag.omegas, tol)
+        raise ZeroRabiError(diag.omegas)
     return SingleLoopHamiltonian(*diag.omegas)
 
 
@@ -583,7 +568,6 @@ TABLE_ROWS = (
 def enumerate_pure_polarizations(
     levels: tuple[AsymTopLevel, AsymTopLevel, AsymTopLevel],
     dipole: BodyDipole,
-    tol: float = DEFAULT_CLOSURE_TOL_MHZ,
 ) -> list[LoopCandidate]:
     """Try all 27 single-component polarization triples on the triad.
 
@@ -595,7 +579,7 @@ def enumerate_pure_polarizations(
     triples = list(itertools.product((-1, 0, 1), repeat=3))
     # unit amplitude on the one component of each drive
     amps = np.array([[[float(s == t) for t in SIGMAS] for s in triple] for triple in triples])
-    diags = Triad(*levels, dipole).diagnostics(amps, np.zeros_like(amps), tol)
+    diags = Triad(*levels, dipole).diagnostics(amps, np.zeros_like(amps))
     rows = [
         LoopCandidate(
             sigma1=s1,
@@ -627,15 +611,13 @@ def verify_linear_orthogonality(
     dir3,
     levels: tuple[AsymTopLevel, AsymTopLevel, AsymTopLevel],
     dipole: BodyDipole,
-    amplitude: float = 1.0,
-    tol: float = DEFAULT_CLOSURE_TOL_MHZ,
 ) -> tuple[bool, float]:
-    """Closure verdict for three linearly polarized drives along dir1..3.
+    """Closure verdict for three unit linearly polarized drives along dir1..3.
 
     Returns (closed, max closure residual in MHz).  Closed requires both
     vanishing residuals and three nonzero Rabi frequencies; it holds
     exactly when the three directions are mutually orthogonal.
     """
-    comps = [linear_components(d, amplitude, 0.0) for d in (dir1, dir2, dir3)]
-    diag = loop_diagnostics(LoopSpec.resonant(levels, dipole, comps), tol)
+    comps = [linear_components(d, 1.0, 0.0) for d in (dir1, dir2, dir3)]
+    diag = loop_diagnostics(LoopSpec.resonant(levels, dipole, comps))
     return diag.closed, diag.max_residual

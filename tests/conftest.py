@@ -113,7 +113,7 @@ def reference_dressed(f):
     )
 
 
-def reference_diagnostics(spec, tol=loop.DEFAULT_CLOSURE_TOL_MHZ):
+def reference_diagnostics(spec):
     """The closure verdict of one spec on the scalar route: complex dressed
     vectors, dynamics.coupling_block, one sandwich per cross coupling, the
     closed-form cross-check and the verdict rule.  Oracle for both
@@ -136,7 +136,7 @@ def reference_diagnostics(spec, tol=loop.DEFAULT_CLOSURE_TOL_MHZ):
         for upper in (spec.level_b, spec.level_c)
     )
     omegas = loop._omegas(gamma_ba, gamma_ca, spec.field1.total, spec.field3.total, sandwich(c, b))
-    return loop._verdict(residuals, tuple(complex(*omega) for omega in omegas), tol)
+    return loop._verdict(residuals, tuple(complex(*omega) for omega in omegas))
 
 
 def rk4_propagate(h, psi0, t, steps=4000):

@@ -154,25 +154,40 @@ def test_closed_form_route_matches_block_route(triad_a, dipole):
 
 
 def test_verdict_checks_closed_form_once(triad_a, dipole, monkeypatch):
-    real = loop.closure_conditions_closed_form
-    calls = []
+    real = loop._closed_form
+    prefactors = []
 
-    def counted(spec):
-        calls.append(spec)
-        return real(spec)
+    def counted(trig, phases, pref):
+        prefactors.append(pref)
+        return real(trig, phases, pref)
 
-    monkeypatch.setattr(loop, "closure_conditions_closed_form", counted)
+    monkeypatch.setattr(loop, "_closed_form", counted)
     spec = linear_loop_spec(triad_a, dipole, (Z, X, Y), amplitudes=(1.0, 0.75, 2.75))
     diag = loop_diagnostics(spec)
-    assert calls == [spec]
+    gamma_cb = Triad(*triad_a, dipole).gamma_cb
+    assert prefactors == [loop._closed_form_prefactor(gamma_cb, spec.field2.total)]
     assert closure_conditions(spec) == diag.residuals
 
-    def off_by_a_kilohertz(spec):
-        return tuple(r + 1e-3 for r in real(spec))
+    def off_by_a_kilohertz(trig, phases, pref):
+        return tuple(v + 1e-3 for v in real(trig, phases, pref))
 
-    monkeypatch.setattr(loop, "closure_conditions_closed_form", off_by_a_kilohertz)
+    monkeypatch.setattr(loop, "_closed_form", off_by_a_kilohertz)
     with pytest.raises(RuntimeError, match="closure routes differ"):
         loop_diagnostics(spec)
+
+
+def test_single_verdict_computes_three_reduced_elements(triad_a, dipole, monkeypatch):
+    real = loop.reduced_matrix_element
+    calls = []
+
+    def counted(upper, lower, d):
+        calls.append((upper, lower))
+        return real(upper, lower, d)
+
+    monkeypatch.setattr(loop, "reduced_matrix_element", counted)
+    loop_diagnostics(linear_loop_spec(triad_a, dipole, (Z, X, Y)))
+    a, b, c = triad_a
+    assert calls == [(b, a), (c, b), (c, a)]
 
 
 # ---------------------------------------------------------------------------
