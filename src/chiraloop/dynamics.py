@@ -121,48 +121,41 @@ def _stacked_coupling_block(
 def assemble_full_hamiltonian(spec: "LoopSpec") -> np.ndarray:
     """Full 7x7 resonant RWA Hamiltonian over the SublevelBasis ordering, MHz.
 
-    Each drive is assigned, by resonance within 1e-3 MHz, to the one level
-    pair it addresses; all its polarization components couple every
-    M-allowed sublevel pair of that transition, including branches outside
-    the intended loop.  Off-resonant pairs are omitted.  Raises
-    ResonanceAmbiguityError when a drive matches more than one pair.
+    Drives 1, 2 and 3 address b <- a, c <- b and c <- a, the transitions
+    LoopSpec holds them resonant with; all the polarization components of a
+    drive couple every M-allowed sublevel pair of its transition, including
+    branches outside the intended loop.  Raises ResonanceAmbiguityError when
+    a drive is also resonant, within 1e-3 MHz, with another transition.
     """
-    pairs = {
-        ("b", "a"): (spec.level_b, spec.level_a, spec.f_ba, slice(1, 4), slice(0, 1)),
-        ("c", "a"): (spec.level_c, spec.level_a, spec.f_ca, slice(4, 7), slice(0, 1)),
-        ("c", "b"): (spec.level_c, spec.level_b, spec.f_cb, slice(4, 7), slice(1, 4)),
-    }
+    transitions = {("b", "a"): spec.f_ba, ("c", "a"): spec.f_ca, ("c", "b"): spec.f_cb}
+    legs = (
+        (spec.field1, spec.level_b, spec.level_a, slice(1, 4), slice(0, 1)),
+        (spec.field2, spec.level_c, spec.level_b, slice(4, 7), slice(1, 4)),
+        (spec.field3, spec.level_c, spec.level_a, slice(4, 7), slice(0, 1)),
+    )
     h = np.zeros((7, 7), dtype=complex)
-    for field in (spec.field1, spec.field2, spec.field3):
-        matches = [
-            key
-            for key, (_, _, f_pair, _, _) in pairs.items()
-            if abs(field.freq - f_pair) < RESONANCE_TOL_MHZ
-        ]
+    for field, upper, lower, rows, cols in legs:
+        matches = [k for k, f in transitions.items() if abs(field.freq - f) < RESONANCE_TOL_MHZ]
         if len(matches) > 1:
             raise ResonanceAmbiguityError(
-                f"drive at {field.freq} MHz is resonant with transitions "
-                f"{[k for k in matches]}"
+                f"drive at {field.freq} MHz is resonant with transitions {matches}"
             )
-        if not matches:
-            continue  # cannot happen for a validated LoopSpec
-        upper, lower, _, rows, cols = pairs[matches[0]]
         block = coupling_block(upper, lower, field, spec.dipole)
         h[rows, cols] += block
         h[cols, rows] += block.conj().T
     return h
 
 
-def require_hermitian(h: np.ndarray, atol: float = HERMITICITY_ATOL) -> None:
+def require_hermitian(h: np.ndarray) -> None:
     scale = max(1.0, float(np.abs(h).max()))
-    if not np.abs(h - h.conj().T).max() <= atol * scale:  # NaN fails too
+    if not np.abs(h - h.conj().T).max() <= HERMITICITY_ATOL * scale:  # NaN fails too
         raise ValueError("operator is not Hermitian")
 
 
 def evolve(h: np.ndarray, psi0: np.ndarray, times: "ArrayLike") -> np.ndarray:
     """psi(t) = exp(-2 pi i H t) psi0 at every t of a 1-D grid, shape (n_t, dim).
 
-    H is Hermitian (MHz), psi0 normalized, times in us.  One
+    H is Hermitian (MHz), psi0 normalized, times finite, in us.  One
     eigendecomposition serves the whole grid, and t = 0 takes the same
     eigenvector route as every other time.
     """
@@ -173,6 +166,8 @@ def evolve(h: np.ndarray, psi0: np.ndarray, times: "ArrayLike") -> np.ndarray:
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
         raise ValueError("times must be a 1-D grid")
+    if not np.isfinite(times).all():
+        raise ValueError("times must be finite")
     evals, evecs = np.linalg.eigh(h)
     coeff0 = evecs.conj().T @ psi0
     out = np.empty((times.size, psi0.size), dtype=complex)

@@ -403,6 +403,11 @@ def test_evolve_rejects_non_finite_input():
         evolve(np.array([[math.nan, 0.0], [0.0, 0.0]]), np.array([1.0, 0.0]), [1.0])
     with pytest.raises(ValueError, match="1-D"):
         evolve(h, np.array([1.0, 0.0]), [[1.0]])
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            evolve(h, np.array([1.0, 0.0]), [0.0, t])
+        with pytest.raises(ValueError, match="finite"):
+            propagate(h, np.array([1.0, 0.0]), t)
 
 
 def test_loop_populations_match_contrast(linear_spec):
