@@ -161,17 +161,20 @@ def linear_components(
     The direction is normalized internally.  The spherical components are
     the projections of amplitude * e^{-i phase} * direction onto the basis
     vectors, so reconstructing the real field gives amplitude * direction *
-    cos(2 pi nu t + phase) exactly.
+    cos(2 pi nu t + phase) exactly.  Raises ValueError for a non-finite
+    direction, a negative or non-finite amplitude, or a non-finite phase.
     """
     n = np.asarray(tuple(direction), dtype=float)
     if n.shape != (3,):
         raise ValueError("direction must be a 3-vector")
+    if not np.isfinite(n).all():
+        raise ValueError("direction must be finite")
     length = float(np.linalg.norm(n))
     if length < 1e-300:
         raise ZeroVectorError("polarization direction has zero length")
     n = n / length
-    if amplitude < 0:
-        raise ValueError("amplitude must be >= 0")
+    if not (math.isfinite(phase) and 0 <= amplitude < math.inf):
+        raise ValueError("amplitude must be finite and >= 0, phase finite")
 
     projections = _spherical_projections(amplitude, phase, *n.tolist())
     values = {sigma: complex(*pair) for sigma, pair in zip(SIGMAS, projections)}
@@ -184,11 +187,14 @@ def stacked_linear_components(directions) -> tuple[np.ndarray, np.ndarray]:
     (+1, 0, -1).
 
     An absent component has amplitude 0 and phase 0.  Every value has the
-    bits linear_components gives it.
+    bits linear_components gives it.  Raises ValueError for a non-finite
+    direction.
     """
     n = np.asarray(directions, dtype=float)
     if n.ndim != 2 or n.shape[1] != 3:
         raise ValueError("directions must be an (N, 3) array")
+    if not np.isfinite(n).all():
+        raise ValueError("directions must be finite")
     # row by row the dot product np.linalg.norm takes of one vector
     length = np.sqrt(n[:, None, :] @ n[:, :, None])[:, 0, 0]
     if (length < 1e-300).any():

@@ -72,6 +72,18 @@ def test_y_polarization_components():
 def test_zero_direction_rejected():
     with pytest.raises(ZeroVectorError):
         linear_polarization((0.0, 0.0, 0.0), 1.0, 0.0, 100.0)
+    # a non-finite direction, a negative or non-finite amplitude, a non-finite phase
+    for direction, amplitude, phase in (
+        ((math.nan, 0.0, 0.0), 1.0, 0.0),
+        ((math.inf, 0.0, 0.0), 1.0, 0.0),
+        ((1.0, 0.0, 0.0), math.nan, 0.0),
+        ((1.0, 0.0, 0.0), math.inf, 0.0),
+        ((1.0, 0.0, 0.0), -1.0, 0.0),
+        ((1.0, 0.0, 0.0), 1.0, math.nan),
+        ((1.0, 0.0, 0.0), 1.0, -math.inf),
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            linear_components(direction, amplitude, phase)
 
 
 def test_linear_components_are_the_drive_components():
@@ -103,6 +115,9 @@ def test_stacked_components_reject_bad_directions():
         stacked_linear_components(np.ones((2, 2)))
     with pytest.raises(ZeroVectorError):
         stacked_linear_components([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            stacked_linear_components([[1.0, 0.0, 0.0], [bad, 0.0, 0.0]])
 
 
 # ---------------------------------------------------------------------------
