@@ -129,15 +129,30 @@ def load_molecule(name_or_path: str) -> MoleculeConfig:
     )
 
 
+def _level_blocks(constants: RotationalConstants, js) -> list[list[AsymTopLevel]]:
+    """rotor_levels of each J in js, with one stderr line naming the J blocks
+    that hold degenerate levels in place of a DegenerateLevelsWarning each."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", DegenerateLevelsWarning)
+        blocks = [rotor_levels(constants, J) for J in js]
+    degenerate = [str(w.message.J) for w in caught if w.category is DegenerateLevelsWarning]
+    if degenerate:
+        print(
+            f"warning: degenerate levels in the J = {', '.join(degenerate)} blocks; "
+            "their tau order is not physically defined",
+            file=sys.stderr,
+        )
+    return blocks
+
+
 def _triad(config: MoleculeConfig, which: str) -> tuple[AsymTopLevel, AsymTopLevel, AsymTopLevel]:
     try:
         tau_b, tau_c = _TRIADS[which]
     except KeyError:
         raise ValueError(f"triad must be one of a, b, c; got '{which}'") from None
-    constants = config.constants()
-    ground = rotor_levels(constants, 0)[0]
-    j1 = {level.tau: level for level in rotor_levels(constants, 1)}
-    return ground, j1[tau_b], j1[tau_c]
+    (ground,), j1 = _level_blocks(config.constants(), (0, 1))
+    by_tau = {level.tau: level for level in j1}
+    return ground, by_tau[tau_b], by_tau[tau_c]
 
 
 def _split3(text: str, kind: str, cast) -> tuple:
@@ -324,17 +339,7 @@ def cmd_levels(args) -> int:
         raise ValueError(f"--jmax must be >= 0, got {n}")
     if (n + 1) * (2 * n + 1) * (2 * n + 3) // 3 > MAX_TABLE_ROWS:  # sum of (2J+1)^2
         raise ValueError(f"--jmax {n} asks for more than {MAX_TABLE_ROWS} table rows")
-    constants = load_molecule(args.molecule).constants()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", DegenerateLevelsWarning)
-        blocks = [rotor_levels(constants, J) for J in range(n + 1)]
-    degenerate = [str(w.message.J) for w in caught if w.category is DegenerateLevelsWarning]
-    if degenerate:
-        print(
-            f"warning: degenerate levels in the J = {', '.join(degenerate)} blocks; "
-            "their tau order is not physically defined",
-            file=sys.stderr,
-        )
+    blocks = _level_blocks(load_molecule(args.molecule).constants(), range(n + 1))
     # one row per (level, K): J, tau and freq repeat over K, K repeats over levels
     table = np.concatenate([np.column_stack((
         np.full(len(lv) ** 2, J), np.repeat([(v.tau, v.freq) for v in lv], len(lv), axis=0),

@@ -346,6 +346,17 @@ def test_degenerate_blocks_give_one_warning_line(capsys):
     assert len(captured.out.splitlines()) == 1 + sum((2 * J + 1) ** 2 for J in range(21))
 
 
+def test_degenerate_triad_gives_one_warning_line(tmp_path, capsys):
+    # A = B: the two lowest J = 1 levels are degenerate
+    path = tmp_path / "oblate.mol"
+    path.write_text(GOOD_CONFIG.replace("8572.05", "5000").replace("3640.10", "5000")
+                    .replace("2790.96", "3000"))
+    assert run(["transitions", str(path)]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: degenerate levels in the J = 1 blocks; their tau order is not physically defined"
+    ]
+
+
 def test_zero_duration_gives_one_row(capsys):
     assert run(["simulate", "propanediol", "--config", "1,-1,0", "--t", "0"]) == 0
     assert len(capsys.readouterr().out.strip().splitlines()) == 2  # header + t = 0
