@@ -38,6 +38,7 @@ _AXES = {"X": (1.0, 0.0, 0.0), "Y": (0.0, 1.0, 0.0), "Z": (0.0, 0.0, 1.0)}
 # K rows of `levels`): it bounds the float columns held in memory and the run
 # time, as the text is written a block at a time.
 MAX_TABLE_ROWS = 1_000_000
+MEMO_ENTRIES = 16  # kept by each memo of the CLI: parsed bundled molecules, J <= 1 levels
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by it
 
 
@@ -116,11 +117,20 @@ def bundled_molecules() -> list[str]:
     return sorted(p.name[: -len(".mol")] for p in root.iterdir() if p.name.endswith(".mol"))
 
 
+@functools.lru_cache(maxsize=MEMO_ENTRIES)  # package data cannot change while the process runs
+def _bundled_config(name: str) -> MoleculeConfig | None:
+    if name not in bundled_molecules():
+        return None
+    resource = importlib.resources.files("chiraloop") / "data" / f"{name}.mol"
+    return parse_molecule_config(resource.read_text())
+
+
 def load_molecule(name_or_path: str) -> MoleculeConfig:
-    """Load a bundled molecule by name or any molecule config file by path."""
-    resource = importlib.resources.files("chiraloop") / "data" / f"{name_or_path}.mol"
-    if resource.is_file():
-        return parse_molecule_config(resource.read_text())
+    """Load a bundled molecule by name (parsed once per process) or any molecule
+    config file by path (read on every call, as the file can change)."""
+    config = _bundled_config(name_or_path)
+    if config is not None:
+        return config
     path = Path(name_or_path)
     if path.is_file():
         return parse_molecule_config(path.read_text())
@@ -129,20 +139,25 @@ def load_molecule(name_or_path: str) -> MoleculeConfig:
     )
 
 
-def _level_blocks(constants: RotationalConstants, js) -> list[list[AsymTopLevel]]:
-    """rotor_levels of each J in js, with one stderr line naming the J blocks
-    that hold degenerate levels in place of a DegenerateLevelsWarning each."""
+def _level_blocks(constants: RotationalConstants, js) -> tuple[list[list[AsymTopLevel]], str]:
+    """rotor_levels of each J in js, and one stderr line naming the J blocks that
+    hold degenerate levels ("" if none) in place of a DegenerateLevelsWarning each."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", DegenerateLevelsWarning)
         blocks = [rotor_levels(constants, J) for J in js]
     degenerate = [str(w.message.J) for w in caught if w.category is DegenerateLevelsWarning]
-    if degenerate:
-        print(
-            f"warning: degenerate levels in the J = {', '.join(degenerate)} blocks; "
-            "their tau order is not physically defined",
-            file=sys.stderr,
-        )
-    return blocks
+    return blocks, (f"warning: degenerate levels in the J = {', '.join(degenerate)} blocks; "
+                    "their tau order is not physically defined\n") if degenerate else ""
+
+
+@functools.lru_cache(maxsize=MEMO_ENTRIES)
+def _low_levels(config: MoleculeConfig) -> tuple[AsymTopLevel, tuple[AsymTopLevel, ...], str]:
+    """The J = 0 level, the J = 1 levels by tau + 1 and their degeneracy warning,
+    built once per molecule value for every triad of every command."""
+    ((ground,), j1), warning = _level_blocks(config.constants(), (0, 1))
+    for level in (ground, *j1):
+        level.coeffs.setflags(write=False)  # every later command is handed these arrays
+    return ground, tuple(j1), warning
 
 
 def _triad(config: MoleculeConfig, which: str) -> tuple[AsymTopLevel, AsymTopLevel, AsymTopLevel]:
@@ -150,9 +165,9 @@ def _triad(config: MoleculeConfig, which: str) -> tuple[AsymTopLevel, AsymTopLev
         tau_b, tau_c = _TRIADS[which]
     except KeyError:
         raise ValueError(f"triad must be one of a, b, c; got '{which}'") from None
-    (ground,), j1 = _level_blocks(config.constants(), (0, 1))
-    by_tau = {level.tau: level for level in j1}
-    return ground, by_tau[tau_b], by_tau[tau_c]
+    ground, j1, warning = _low_levels(config)
+    sys.stderr.write(warning)
+    return ground, j1[tau_b + 1], j1[tau_c + 1]
 
 
 def _split3(text: str, kind: str, cast) -> tuple:
@@ -171,7 +186,10 @@ def _parse_general_field(text: str) -> dict[int, tuple[float, float]]:
         pieces = part.split(":")
         if len(pieces) != 3:
             raise ValueError(f"--field component must be sigma:amp:phase, got {part!r}")
-        sigma, amp, phase = int(pieces[0]), float(pieces[1]), float(pieces[2])
+        try:
+            sigma, amp, phase = int(pieces[0]), float(pieces[1]), float(pieces[2])
+        except ValueError:
+            raise ValueError(f"--field: could not parse component {part!r}") from None
         if sigma in comps:
             raise ValueError(f"--field {text!r} gives sigma={sigma} more than once")
         comps[sigma] = (amp, phase)
@@ -339,7 +357,8 @@ def cmd_levels(args) -> int:
         raise ValueError(f"--jmax must be >= 0, got {n}")
     if (n + 1) * (2 * n + 1) * (2 * n + 3) // 3 > MAX_TABLE_ROWS:  # sum of (2J+1)^2
         raise ValueError(f"--jmax {n} asks for more than {MAX_TABLE_ROWS} table rows")
-    blocks = _level_blocks(load_molecule(args.molecule).constants(), range(n + 1))
+    blocks, warning = _level_blocks(load_molecule(args.molecule).constants(), range(n + 1))
+    sys.stderr.write(warning)
     # one row per (level, K): J, tau and freq repeat over K, K repeats over levels
     table = np.concatenate([np.column_stack((
         np.full(len(lv) ** 2, J), np.repeat([(v.tau, v.freq) for v in lv], len(lv), axis=0),
@@ -422,6 +441,8 @@ def _linear_verdicts(triad: loop.Triad, frames: np.ndarray) -> Iterator[loop.Loo
 def cmd_loops_sample(args) -> int:
     if args.samples < 0:
         raise ValueError(f"--samples must be >= 0, got {args.samples}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     config = load_molecule(args.molecule)
     triad = loop.Triad(*_triad(config, args.triad), config.dipole())
     rng = np.random.default_rng(args.seed)
@@ -583,10 +604,22 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse reads a value that starts with "-" and a digit or "." as an option (no option of
+# this CLI looks like that), so run() joins such a value to these options as opt=value
+_SIGNED_OPTIONS = frozenset(("--field", "--sigma", "--config", "--amp", "--phase"))
+_SIGNED_STARTS = frozenset(f"-{ch}" for ch in "0123456789.")
+
+
 def run(argv: list[str]) -> int:
     """Run the CLI on argv (no program name); returns the exit code."""
+    joined: list[str] = []
+    for arg in argv:
+        if joined and joined[-1] in _SIGNED_OPTIONS and arg[:2] in _SIGNED_STARTS:
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
     try:
-        args = _parser().parse_args(argv)
+        args = _parser().parse_args(joined)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

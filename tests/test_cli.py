@@ -351,10 +351,44 @@ def test_degenerate_triad_gives_one_warning_line(tmp_path, capsys):
     path = tmp_path / "oblate.mol"
     path.write_text(GOOD_CONFIG.replace("8572.05", "5000").replace("3640.10", "5000")
                     .replace("2790.96", "3000"))
+    for _ in range(2):  # the levels are built once; every command prints their warning
+        assert run(["transitions", str(path)]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: degenerate levels in the J = 1 blocks; "
+            "their tau order is not physically defined"
+        ]
+
+
+def test_rewritten_molecule_file_is_read_again(tmp_path, capsys):
+    path = tmp_path / "demo.mol"
+    texts = [GOOD_CONFIG, GOOD_CONFIG.replace("8572.05", "9000")]
+    outputs = []
+    for text in texts:
+        path.write_text(text)
+        assert run(["transitions", str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    cli._low_levels.cache_clear()
     assert run(["transitions", str(path)]) == 0
-    assert capsys.readouterr().err.splitlines() == [
-        "warning: degenerate levels in the J = 1 blocks; their tau order is not physically defined"
-    ]
+    assert capsys.readouterr().out == outputs[1] != outputs[0]
+
+
+def test_repeated_verdicts_build_the_levels_once(monkeypatch, capsys):
+    """100 loops verify runs on one molecule build its J = 0 and J = 1 blocks
+    once: two rotor_levels calls, not two per run."""
+    calls = 0
+    rotor_levels = cli.rotor_levels
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return rotor_levels(*args)
+
+    monkeypatch.setattr(cli, "rotor_levels", counting)
+    cli._low_levels.cache_clear()
+    for triad in "abc" * 33 + "a":
+        assert run(["loops", "verify", "propanediol", f"--triad={triad}", "--pol=ZXY"]) == 0
+    assert calls <= 2
+    assert capsys.readouterr().err == ""
 
 
 def test_zero_duration_gives_one_row(capsys):
@@ -365,6 +399,43 @@ def test_zero_duration_gives_one_row(capsys):
 def test_negative_samples_exit_2(capsys):
     assert run(["loops", "sample", "propanediol", "--samples", "-5"]) == 2
     assert "--samples" in capsys.readouterr().err
+
+
+def test_negative_seed_exits_2(capsys):
+    assert run(["loops", "sample", "propanediol", "--seed=-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --seed must be >= 0, got -1\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("component", ["x:1:0", "1:x:0", "1:1:x"])
+def test_unparsable_field_component_names_it(component, capsys):
+    fields = [f"--field={component}", "--field=0:1:0", "--field=1:1:0"]
+    assert run(["loops", "verify", "propanediol", *fields]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --field: could not parse component '{component}'\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, option, value, code",
+    [
+        (["loops", "verify", "propanediol"], "--sigma", "-1,1,0", 0),
+        (["simulate", "propanediol", "--t", "0.1", "--dt", "0.05"], "--config", "-1,0,-1", 0),
+        (["loops", "verify", "propanediol", "--pol", "ZXY"], "--phase", "-.5,0,1", 0),
+        (["loops", "verify", "propanediol", "--field", "0:1:0", "--field", "1:1:0"],
+         "--field", "-1:1:0", 0),
+        # reaches the amplitude check, not argparse
+        (["loops", "verify", "propanediol", "--pol", "ZXY"], "--amp", "-1,0.75,2.75", 2),
+    ],
+    ids=["sigma", "config", "phase", "field", "amp"],
+)
+def test_value_starting_with_minus_works_without_equals(argv, option, value, code, capsys):
+    assert run([*argv, f"{option}={value}"]) == code
+    joined = capsys.readouterr()
+    assert run([*argv, option, value]) == code
+    assert capsys.readouterr() == joined
+    assert "expected one argument" not in joined.err
 
 
 def test_non_finite_amplitude_exits_2(capsys):
