@@ -2,7 +2,7 @@
 chiral asymmetric-top molecules.
 
 Subpackages by task: `wigner` (exact 3j symbols), `rotor` (asymmetric-top
-eigenproblem), `dipole` (reduced matrix elements, Rabi frequencies),
+eigenproblem), `dipole` (reduced matrix elements, the Rabi convention),
 `fields` (spherical polarization basis), `loop` (closure conditions and
 loop synthesis), `dynamics` (multi-sublevel propagation), `cli` (command
 line front end).

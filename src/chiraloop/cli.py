@@ -225,6 +225,8 @@ def _drive_components(args) -> list[dict[int, tuple[float, float]]]:
         if any(s not in (-1, 0, 1) for s in sigmas):
             raise ValueError(f"--sigma components must be -1, 0 or 1, got {sigma!r}")
         return [{s: (amp, phase)} for s, amp, phase in zip(sigmas, amps, phases)]
+    if args.amp is not None or args.phase is not None:
+        raise ValueError("--field takes no --amp or --phase: each component gives its own")
     if len(general) != 3:
         raise ValueError("--field must be given exactly three times")
     return [_parse_general_field(text) for text in general]
@@ -232,7 +234,7 @@ def _drive_components(args) -> list[dict[int, tuple[float, float]]]:
 
 def _loop_spec(config: MoleculeConfig, args) -> loop.LoopSpec:
     comps = _drive_components(args)
-    return loop.LoopSpec.resonant(_triad(config, args.triad), config.dipole(), comps)
+    return loop.LoopSpec.resonant(loop.Triad(*_triad(config, args.triad), config.dipole()), comps)
 
 
 def _csv_field(text: str) -> str:
@@ -604,17 +606,21 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-# argparse reads a value that starts with "-" and a digit or "." as an option (no option of
-# this CLI looks like that), so run() joins such a value to these options as opt=value
-_SIGNED_OPTIONS = frozenset(("--field", "--sigma", "--config", "--amp", "--phase"))
-_SIGNED_STARTS = frozenset(f"-{ch}" for ch in "0123456789.")
+# argparse reads a value that starts with one "-" as an option (no option of this CLI but -h
+# looks like that), so run() joins such a value to these options, or to a prefix of one that
+# argparse would expand, as opt=value
+_SIGNED_OPTIONS = ("--field", "--sigma", "--config", "--amp", "--phase")
+
+
+def _takes_signed_value(arg: str) -> bool:
+    return len(arg) > 2 and any(option.startswith(arg) for option in _SIGNED_OPTIONS)
 
 
 def run(argv: list[str]) -> int:
     """Run the CLI on argv (no program name); returns the exit code."""
     joined: list[str] = []
     for arg in argv:
-        if joined and joined[-1] in _SIGNED_OPTIONS and arg[:2] in _SIGNED_STARTS:
+        if joined and arg[:1] == "-" and arg[1:2] != "-" and _takes_signed_value(joined[-1]):
             joined[-1] += "=" + arg
         else:
             joined.append(arg)

@@ -1,4 +1,4 @@
-"""Body-frame electric dipole, reduced matrix elements, and Rabi frequencies.
+"""Body-frame electric dipole, reduced matrix elements, and the Rabi convention.
 
 The reduced element between two asymmetric-top levels contracts the
 spherical dipole components with 3j coupling coefficients over both
@@ -6,13 +6,12 @@ prolate-basis expansions; it is independent of the lab-frame projection M
 and of drive polarization.  The coupling terms that survive the selection
 rules depend only on the two J values, so they are tabulated once per
 (J_upper, J_lower) pair and each element is a sum over its pair's table.
-Rabi frequencies are returned in MHz for field amplitudes in V/cm and
-dipoles in Debye.
+The Rabi convention (`_rabi_pair`), which every coupling block computes
+through, gives MHz for field amplitudes in V/cm and dipoles in Debye.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -28,8 +27,6 @@ __all__ = [
     "spherical_components",
     "enantiomer",
     "reduced_matrix_element",
-    "symtop_reduced_element",
-    "rabi_frequency",
 ]
 
 # mu * E / h for mu = 1 Debye (3.33564e-30 C m) and E = 1 V/cm, in MHz:
@@ -137,73 +134,15 @@ def reduced_matrix_element(
     return ReducedElement(norm * total, *tag)
 
 
-def symtop_reduced_element(
-    J_a: int, K_a: int, J_b: int, K_b: int, d: BodyDipole
-) -> complex:
-    """Reduced element between symmetric-top states |J,K); complex Debye.
-
-    The single coupling coefficient here enforces the K selection rule that
-    blocks cyclic triads for symmetric tops: with only one nonzero dipole
-    component, some leg of any candidate loop vanishes.
-    """
-    if abs(K_a) > J_a or abs(K_b) > J_b:
-        raise ValueError("need |K| <= J on both states")
-    if abs(J_a - J_b) > 1:
-        return 0j
-    mu_minus, mu_0, mu_plus = spherical_components(d)
-    total = 0j
-    for sig, mu_s in ((-1, mu_minus), (0, mu_0), (1, mu_plus)):
-        if mu_s == 0:
-            continue
-        w = w_coupling(J_a, K_a, J_b, K_b, sig)
-        if w == 0.0:
-            continue
-        sign = -1.0 if (sig - K_b) % 2 else 1.0
-        total += sign * mu_s * w
-    return math.sqrt((2 * J_a + 1) * (2 * J_b + 1)) * total
-
-
 def _rabi_pair(M_lower: int, sigma: int, amplitude, e, w: float, gamma: complex):
     """(-1)^(M_lower+sigma) E e W Gamma scaled to MHz, as a (real, imag) pair,
     for e = e^(i phase); amplitude and e may be floats or arrays.
 
-    The one statement of the Rabi convention, which rabi_frequency and every
-    coupling block compute through.  Complex products go through
-    fields._mul, so the bits do not depend on how the interpreter mixes real
-    and complex operands.
+    The one statement of the Rabi convention, Omega(M_upper <- M_lower) of a
+    sigma = M_upper - M_lower component, which every coupling block computes
+    through.  Complex products go through fields._mul, so the bits do not
+    depend on how the interpreter mixes real and complex operands.
     """
     sign = -1.0 if (M_lower + sigma) % 2 else 1.0
     rabi = _mul((sign * amplitude * DEBYE_VCM_TO_MHZ, 0.0), (e.real, e.imag))
     return _mul(_mul(rabi, (w, 0.0)), (gamma.real, gamma.imag))
-
-
-def rabi_frequency(
-    upper: AsymTopLevel,
-    M_upper: int,
-    lower: AsymTopLevel,
-    M_lower: int,
-    sigma: int,
-    amplitude_V_per_cm: float,
-    phase_rad: float,
-    d: BodyDipole,
-    gamma: complex | None = None,
-) -> complex:
-    """Complex Rabi frequency (MHz) of one sigma-polarized drive component.
-
-    Exactly 0 when M_upper - M_lower != sigma or the coupling coefficient
-    vanishes; otherwise (-1)^(M_lower+sigma) E e^(i phase) W Gamma scaled
-    to MHz, as _rabi_pair computes it.
-
-    `gamma` may carry a precomputed reduced element for the level pair
-    (callers looping over M sublevels avoid recomputing it).  Raises
-    ValueError for a negative or non-finite amplitude or a non-finite phase.
-    """
-    if not (math.isfinite(phase_rad) and 0 <= amplitude_V_per_cm < math.inf):
-        raise ValueError("field amplitude must be finite and >= 0, phase finite")
-    w = w_coupling(upper.J, M_upper, lower.J, M_lower, sigma)
-    if w == 0.0:
-        return 0j
-    if gamma is None:
-        gamma = reduced_matrix_element(upper, lower, d).value
-    e = cmath.exp(1j * phase_rad)
-    return complex(*_rabi_pair(M_lower, sigma, amplitude_V_per_cm, e, w, gamma))

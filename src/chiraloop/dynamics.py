@@ -11,7 +11,6 @@ accumulated phase is 2 pi H t with no hidden constants.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -28,7 +27,6 @@ if TYPE_CHECKING:  # avoid a runtime cycle; loop imports this module
 
 __all__ = [
     "ResonanceAmbiguityError",
-    "SublevelBasis",
     "coupling_block",
     "assemble_full_hamiltonian",
     "require_hermitian",
@@ -57,26 +55,6 @@ def _m_values(J: int) -> list[int]:
     return list(range(J, -J - 1, -1))  # +J .. -J, matching dressed-state order
 
 
-@dataclass(frozen=True)
-class SublevelBasis:
-    """Fixed ordering of the 7 kets: a, then (1,tau_b,M), then (1,tau_c,M),
-    with M = +1, 0, -1 inside each J=1 block."""
-
-    kets: tuple[tuple[int, int, int], ...]  # (J, tau, M)
-
-    @classmethod
-    def for_levels(
-        cls, level_a: AsymTopLevel, level_b: AsymTopLevel, level_c: AsymTopLevel
-    ) -> "SublevelBasis":
-        kets = [(0, level_a.tau, 0)]
-        kets += [(1, level_b.tau, m) for m in _m_values(1)]
-        kets += [(1, level_c.tau, m) for m in _m_values(1)]
-        return cls(kets=tuple(kets))
-
-    def index(self, J: int, tau: int, M: int) -> int:
-        return self.kets.index((J, tau, M))
-
-
 def coupling_block(
     upper: AsymTopLevel,
     lower: AsymTopLevel,
@@ -89,7 +67,11 @@ def coupling_block(
     (Mu, Ml) is Omega(Mu <- Ml)/2 summed over the field's polarization
     components.  Every Delta-M = sigma branch is included.
     """
-    gamma = reduced_matrix_element(upper, lower, dipole).value
+    return _field_block(upper, lower, field, reduced_matrix_element(upper, lower, dipole).value)
+
+
+def _field_block(upper: AsymTopLevel, lower: AsymTopLevel, field: DriveField, gamma: complex):
+    """coupling_block of one drive with the reduced element gamma given."""
     components = [(s, amp, cmath.exp(1j * phase)) for s, (amp, phase) in field.comps.items()]
     return _stacked_coupling_block(upper, lower, gamma, components)
 
@@ -119,28 +101,31 @@ def _stacked_coupling_block(
 
 
 def assemble_full_hamiltonian(spec: "LoopSpec") -> np.ndarray:
-    """Full 7x7 resonant RWA Hamiltonian over the SublevelBasis ordering, MHz.
+    """Full 7x7 resonant RWA Hamiltonian, MHz, over the kets a, then b and c
+    with M = +1, 0, -1 each (indices 0, 1..3, 4..6).
 
     Drives 1, 2 and 3 address b <- a, c <- b and c <- a, the transitions
-    LoopSpec holds them resonant with; all the polarization components of a
-    drive couple every M-allowed sublevel pair of its transition, including
-    branches outside the intended loop.  Raises ResonanceAmbiguityError when
-    a drive is also resonant, within 1e-3 MHz, with another transition.
+    LoopSpec holds them resonant with, each with its leg's reduced element
+    from spec.triad; all the polarization components of a drive couple every
+    M-allowed sublevel pair of its transition, including branches outside
+    the intended loop.  Raises ResonanceAmbiguityError when a drive is also
+    resonant, within 1e-3 MHz, with another transition.
     """
-    transitions = {("b", "a"): spec.f_ba, ("c", "a"): spec.f_ca, ("c", "b"): spec.f_cb}
+    t = spec.triad
+    transitions = {("b", "a"): t.f_ba, ("c", "a"): t.f_ca, ("c", "b"): t.f_cb}
     legs = (
-        (spec.field1, spec.level_b, spec.level_a, slice(1, 4), slice(0, 1)),
-        (spec.field2, spec.level_c, spec.level_b, slice(4, 7), slice(1, 4)),
-        (spec.field3, spec.level_c, spec.level_a, slice(4, 7), slice(0, 1)),
+        (spec.field1, t.level_b, t.level_a, t.gamma_ba, slice(1, 4), slice(0, 1)),
+        (spec.field2, t.level_c, t.level_b, t.gamma_cb, slice(4, 7), slice(1, 4)),
+        (spec.field3, t.level_c, t.level_a, t.gamma_ca, slice(4, 7), slice(0, 1)),
     )
     h = np.zeros((7, 7), dtype=complex)
-    for field, upper, lower, rows, cols in legs:
+    for field, upper, lower, gamma, rows, cols in legs:
         matches = [k for k, f in transitions.items() if abs(field.freq - f) < RESONANCE_TOL_MHZ]
         if len(matches) > 1:
             raise ResonanceAmbiguityError(
                 f"drive at {field.freq} MHz is resonant with transitions {matches}"
             )
-        block = coupling_block(upper, lower, field, spec.dipole)
+        block = _field_block(upper, lower, field, gamma)
         h[rows, cols] += block
         h[cols, rows] += block.conj().T
     return h
@@ -196,7 +181,7 @@ def loop_frame(spec: "LoopSpec") -> np.ndarray:
     ds = dressed_states(spec)
     frame = np.zeros((3, 7), dtype=complex)
     frame[0, 0] = 1.0
-    frame[1, 1:4] = ds.b  # SublevelBasis order, as in assemble_full_hamiltonian
+    frame[1, 1:4] = ds.b  # the ket order of assemble_full_hamiltonian
     frame[2, 4:7] = ds.c
     return frame
 

@@ -12,18 +12,15 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
 __all__ = [
     "ZeroVectorError",
     "DriveField",
-    "PolarizationAngles",
     "linear_components",
     "stacked_linear_components",
-    "linear_polarization",
-    "polarization_angles",
 ]
 
 SIGMAS = (1, 0, -1)
@@ -105,11 +102,6 @@ class DriveField:
     def phase(self, sigma: int) -> float:
         return self.comps.get(sigma, (0.0, 0.0))[1]
 
-    def complex_amplitude(self, sigma: int) -> complex:
-        """E_sigma e^{i phi_sigma} (the factor entering upward couplings)."""
-        amp, phase = self.comps.get(sigma, (0.0, 0.0))
-        return amp * cmath.exp(1j * phase) if amp else 0j
-
     @property
     def total(self) -> float:
         """Total amplitude sqrt(sum_sigma E_sigma^2), V/cm.
@@ -121,19 +113,6 @@ class DriveField:
         if total == 0.0:
             raise ValueError(_TOTAL_UNDERFLOW)
         return total
-
-
-class PolarizationAngles(NamedTuple):
-    """(theta, phi) parametrization of the amplitude triple, plus phases.
-
-    sin(theta)cos(phi) = E_+1/E, sin(theta)sin(phi) = E_0/E,
-    cos(theta) = E_-1/E; both angles lie in [0, pi/2] because amplitudes
-    are non-negative.  phases = (phi_+1, phi_0, phi_-1).
-    """
-
-    theta: float
-    phi: float
-    phases: tuple[float, float, float]
 
 
 def _spherical_projections(amplitude: float, phase: float, n0, n1, n2):
@@ -208,20 +187,3 @@ def stacked_linear_components(directions) -> tuple[np.ndarray, np.ndarray]:
         phases[:, k] = np.fromiter((-cmath.phase(a) for a in values), float, len(values))
     phases[amps == 0.0] = 0.0
     return amps, phases
-
-
-def linear_polarization(
-    direction: Iterable[float], amplitude: float, phase: float, freq: float
-) -> DriveField:
-    """Field at `freq` linearly polarized along `direction` (see linear_components)."""
-    return DriveField(freq, linear_components(direction, amplitude, phase))
-
-
-def polarization_angles(f: DriveField) -> PolarizationAngles:
-    total = f.total
-    ratio = min(1.0, max(-1.0, f.amplitude(-1) / total))
-    theta = math.acos(ratio)
-    phi = math.atan2(f.amplitude(0), f.amplitude(1))
-    return PolarizationAngles(
-        theta=theta, phi=phi, phases=(f.phase(1), f.phase(0), f.phase(-1))
-    )

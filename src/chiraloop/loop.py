@@ -43,7 +43,6 @@ __all__ = [
     "LoopCandidate",
     "TABLE_ROWS",
     "dressed_states",
-    "closure_conditions",
     "closure_conditions_closed_form",
     "build_single_loop",
     "loop_diagnostics",
@@ -92,38 +91,25 @@ class ZeroRabiError(ValueError):
         )
 
 
-def _check_levels(a: AsymTopLevel, b: AsymTopLevel, c: AsymTopLevel) -> None:
-    if a.J != 0:
-        raise ValueError("level_a must have J = 0")
-    if b.J != 1 or c.J != 1:
-        raise ValueError("level_b and level_c must have J = 1")
-    if not (c.freq > b.freq > a.freq):
-        raise ValueError("levels must be ordered f_c > f_b > f_a")
-
-
 @dataclass(frozen=True)
 class LoopSpec:
-    """Three levels, three resonant drives, one molecule-frame dipole.
+    """A triad (its levels and dipole) under three resonant drives.
 
-    level_a must be the J=0 ground level; level_b and level_c are J=1 with
-    f_c > f_b.  Each field must be resonant with its transition (1 <-> b-a,
-    2 <-> c-b, 3 <-> c-a) within RESONANCE_TOL_MHZ.
+    Each field must be resonant with its transition (1 <-> b-a, 2 <-> c-b,
+    3 <-> c-a) within RESONANCE_TOL_MHZ.
     """
 
-    level_a: AsymTopLevel
-    level_b: AsymTopLevel
-    level_c: AsymTopLevel
+    triad: Triad
     field1: DriveField
     field2: DriveField
     field3: DriveField
-    dipole: BodyDipole
 
     def __post_init__(self):
-        _check_levels(self.level_a, self.level_b, self.level_c)
+        t = self.triad
         for name, f, target in (
-            ("field1", self.field1, self.f_ba),
-            ("field2", self.field2, self.f_cb),
-            ("field3", self.field3, self.f_ca),
+            ("field1", self.field1, t.f_ba),
+            ("field2", self.field2, t.f_cb),
+            ("field3", self.field3, t.f_ca),
         ):
             if abs(f.freq - target) >= RESONANCE_TOL_MHZ:
                 raise ValueError(
@@ -132,34 +118,18 @@ class LoopSpec:
                 )
 
     @classmethod
-    def resonant(
-        cls, levels: tuple[AsymTopLevel, AsymTopLevel, AsymTopLevel], dipole: BodyDipole, comps
-    ) -> "LoopSpec":
-        """The triad (a, b, c) under three drives tuned to b-a, c-b and c-a.
+    def resonant(cls, triad: Triad, comps) -> "LoopSpec":
+        """The triad under three drives tuned to b-a, c-b and c-a.
 
         comps holds one {sigma: (amplitude, phase)} dict per drive, in that
         order (DriveField's own component format).
         """
-        a, b, c = levels
-        freqs = (b.freq - a.freq, c.freq - b.freq, c.freq - a.freq)
-        f1, f2, f3 = (DriveField(freq, comp) for freq, comp in zip(freqs, comps))
-        return cls(a, b, c, f1, f2, f3, dipole)
-
-    @property
-    def f_ba(self) -> float:
-        return self.level_b.freq - self.level_a.freq
-
-    @property
-    def f_cb(self) -> float:
-        return self.level_c.freq - self.level_b.freq
-
-    @property
-    def f_ca(self) -> float:
-        return self.level_c.freq - self.level_a.freq
+        freqs = (triad.f_ba, triad.f_cb, triad.f_ca)
+        return cls(triad, *(DriveField(freq, comp) for freq, comp in zip(freqs, comps)))
 
     def mirrored(self) -> "LoopSpec":
-        """Same fields and levels, opposite enantiomer."""
-        return replace(self, dipole=enantiomer(self.dipole))
+        """Same fields and levels on the mirror triad: the opposite enantiomer."""
+        return replace(self, triad=replace(self.triad, dipole=enantiomer(self.triad.dipole)))
 
 
 @dataclass(frozen=True)
@@ -265,22 +235,11 @@ def dressed_states(spec: LoopSpec) -> DressedStates:
     return DressedStates(*b, *c)
 
 
-def closure_conditions(spec: LoopSpec) -> tuple[complex, complex, complex, complex]:
-    """The four cross couplings (<c'|H|b>, <c''|H|b>, <c|H|b'>, <c|H|b''>), MHz.
-
-    All four must vanish for the dressed loop to decouple from the other
-    sublevels.  These are the residuals of loop_diagnostics, which checks
-    them against the closed-form route.
-    """
-    return loop_diagnostics(spec).residuals
-
-
 def _closed_form_inputs(spec: LoopSpec):
     """Field trig, phases (phi_+1, phi_0, phi_-1) and the field-2 prefactor."""
     amps, phis, totals = _drive_arrays(spec)
     trig = tuple(_field_trig(*amps[d], totals[d]) for d in range(3))
-    gamma = reduced_matrix_element(spec.level_c, spec.level_b, spec.dipole).value
-    return trig, phis, _closed_form_prefactor(gamma, totals[1])
+    return trig, phis, _closed_form_prefactor(spec.triad.gamma_cb, totals[1])
 
 
 def _closed_form_prefactor(gamma_cb: complex, total2):
@@ -359,7 +318,7 @@ class LoopDiagnostics:
     """Everything a closure verdict rests on, for reporting and tables."""
 
     omegas: tuple[complex, complex, complex]
-    residuals: tuple[complex, complex, complex, complex]
+    residuals: tuple[complex, complex, complex, complex]  # <c'|H|b>, <c''|H|b>, <c|H|b'>, <c|H|b''>
     max_residual: float
     closed: bool
     failure: str | None  # None, "non_finite", "not_closed", or "zero_rabi"
@@ -370,11 +329,11 @@ def loop_diagnostics(spec: LoopSpec) -> LoopDiagnostics:
 
     The residuals and Omega2 are sandwiches of one field-2 coupling block
     between the dressed states, cross-checked against the closed-form route
-    (Triad._verdicts).  The verdict fails closed: a NaN or infinite residual
-    or Rabi frequency (say, from an overflowing amplitude) is never closed.
+    (spec.triad._verdicts).  The verdict fails closed: a NaN or infinite
+    residual or Rabi frequency (say, from an overflowing amplitude) is never
+    closed.
     """
-    triad = Triad(spec.level_a, spec.level_b, spec.level_c, spec.dipole)
-    return triad._verdicts(*_drive_arrays(spec))[0]
+    return spec.triad._verdicts(*_drive_arrays(spec))[0]
 
 
 def _omegas(gamma_ba: complex, gamma_ca: complex, total1, total3, c_block_b):
@@ -412,10 +371,13 @@ def _verdict(residuals, omegas) -> LoopDiagnostics:
 @dataclass(frozen=True)
 class Triad:
     """The fixed half of a closure verdict: levels a, b, c, the dipole, and
-    the reduced elements Gamma_ba, Gamma_cb and Gamma_ca, computed once.
+    the reduced elements Gamma_ba, Gamma_cb and Gamma_ca and transition
+    frequencies f_ba, f_cb and f_ca, checked and computed once.
 
-    `diagnostics` evaluates a stack of drives on the triad at once, through
-    the same `_verdicts` that `loop_diagnostics` runs on one triple.
+    level_a must be the J=0 ground level; level_b and level_c are J=1 with
+    f_c > f_b.  Every LoopSpec holds one.  `diagnostics` evaluates a stack of
+    drives on the triad at once, through the same `_verdicts` that
+    `loop_diagnostics` runs on one triple.
     """
 
     level_a: AsymTopLevel
@@ -425,12 +387,22 @@ class Triad:
     gamma_ba: complex = field(init=False)
     gamma_cb: complex = field(init=False)
     gamma_ca: complex = field(init=False)
+    f_ba: float = field(init=False)
+    f_cb: float = field(init=False)
+    f_ca: float = field(init=False)
 
     def __post_init__(self):
         a, b, c = self.level_a, self.level_b, self.level_c
-        _check_levels(a, b, c)
-        for name, upper, lower in (("gamma_ba", b, a), ("gamma_cb", c, b), ("gamma_ca", c, a)):
-            object.__setattr__(self, name, reduced_matrix_element(upper, lower, self.dipole).value)
+        if a.J != 0:
+            raise ValueError("level_a must have J = 0")
+        if b.J != 1 or c.J != 1:
+            raise ValueError("level_b and level_c must have J = 1")
+        if not (c.freq > b.freq > a.freq):
+            raise ValueError("levels must be ordered f_c > f_b > f_a")
+        for leg, upper, lower in (("ba", b, a), ("cb", c, b), ("ca", c, a)):
+            gamma = reduced_matrix_element(upper, lower, self.dipole).value
+            object.__setattr__(self, "gamma_" + leg, gamma)
+            object.__setattr__(self, "f_" + leg, upper.freq - lower.freq)
 
     def diagnostics(self, amplitudes, phases) -> Iterator[LoopDiagnostics]:
         """loop_diagnostics of every row of a stack of drives, bit for bit.
@@ -619,5 +591,5 @@ def verify_linear_orthogonality(
     exactly when the three directions are mutually orthogonal.
     """
     comps = [linear_components(d, 1.0, 0.0) for d in (dir1, dir2, dir3)]
-    diag = loop_diagnostics(LoopSpec.resonant(levels, dipole, comps))
+    diag = loop_diagnostics(LoopSpec.resonant(Triad(*levels, dipole), comps))
     return diag.closed, diag.max_residual

@@ -80,9 +80,6 @@ class AsymTopLevel:
     freq: float
     coeffs: np.ndarray
 
-    def coeff(self, K: int) -> float:
-        return float(self.coeffs[K + self.J])
-
 
 def rotor_hamiltonian_block(constants: RotationalConstants, J: int) -> np.ndarray:
     """Real symmetric (2J+1)x(2J+1) Hamiltonian block in the |J,K) basis, MHz.

@@ -1,6 +1,6 @@
 """Shared fixtures: the bundled molecule, its triad levels, spec builders,
-and the written-out per-K reduced element and scalar closure verdict used
-as oracles."""
+and the written-out per-K reduced element, Rabi frequency and scalar
+closure verdict used as oracles."""
 
 import cmath
 import math
@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from chiraloop import dynamics, loop
-from chiraloop.dipole import BodyDipole, reduced_matrix_element, spherical_components
+from chiraloop.dipole import DEBYE_VCM_TO_MHZ, BodyDipole, reduced_matrix_element
+from chiraloop.dipole import spherical_components
 from chiraloop.fields import _mul, linear_components
-from chiraloop.loop import LoopSpec
+from chiraloop.loop import LoopSpec, Triad
 from chiraloop.rotor import RotationalConstants, rotor_levels
 from chiraloop.wigner import w_coupling
 
@@ -51,7 +52,7 @@ def triad_a(ground, j1_levels):
 
 def pure_loop_spec(levels, dip, sigmas, amplitudes=(1.0, 1.0, 1.0), phases=(0.0, 0.0, 0.0)):
     comps = [{s: (amp, phase)} for s, amp, phase in zip(sigmas, amplitudes, phases)]
-    return LoopSpec.resonant(levels, dip, comps)
+    return LoopSpec.resonant(Triad(*levels, dip), comps)
 
 
 def linear_loop_spec(levels, dip, directions, amplitudes=(1.0, 1.0, 1.0), phases=(0.0, 0.0, 0.0)):
@@ -59,7 +60,7 @@ def linear_loop_spec(levels, dip, directions, amplitudes=(1.0, 1.0, 1.0), phases
         linear_components(direction, amp, phase)
         for direction, amp, phase in zip(directions, amplitudes, phases)
     ]
-    return LoopSpec.resonant(levels, dip, comps)
+    return LoopSpec.resonant(Triad(*levels, dip), comps)
 
 
 def random_loop_spec(rng, levels, dip):
@@ -67,7 +68,7 @@ def random_loop_spec(rng, levels, dip):
         {sigma: (rng.uniform(0.05, 2.0), rng.uniform(-np.pi, np.pi)) for sigma in (-1, 0, 1)}
         for _ in range(3)
     ]
-    return LoopSpec.resonant(levels, dip, comps)
+    return LoopSpec.resonant(Triad(*levels, dip), comps)
 
 
 def reference_reduced_element(upper, lower, d):
@@ -77,6 +78,7 @@ def reference_reduced_element(upper, lower, d):
     if abs(upper.J - lower.J) > 1:
         return 0j
     mu_minus, mu_0, mu_plus = spherical_components(d)
+    cu, cl = upper.coeffs.tolist(), lower.coeffs.tolist()
     total = 0j
     for sig, mu_s in ((-1, mu_minus), (0, mu_0), (1, mu_plus)):
         if mu_s == 0:
@@ -90,10 +92,23 @@ def reference_reduced_element(upper, lower, d):
             if w == 0.0:
                 continue
             sign = -1.0 if (sig - kl) % 2 else 1.0
-            acc += sign * upper.coeff(ku) * lower.coeff(kl) * w
+            acc += sign * cu[ku + upper.J] * cl[kl + lower.J] * w
         total += mu_s * acc
     norm = math.sqrt((2 * upper.J + 1) * (2 * lower.J + 1))
     return norm * total
+
+
+def reference_rabi(upper, m_upper, lower, m_lower, sigma, amplitude, phase, d):
+    """Omega(M_upper <- M_lower) of one sigma component, MHz, in plain complex
+    arithmetic: (-1)^(M_lower + sigma) E e^(i phase) W Gamma, or exactly 0
+    when the coupling coefficient W vanishes.  Oracle for the entries of
+    dynamics.coupling_block, which must be half of it bit for bit."""
+    w = w_coupling(upper.J, m_upper, lower.J, m_lower, sigma)
+    if w == 0.0:
+        return 0j
+    sign = -1.0 if (m_lower + sigma) % 2 else 1.0
+    gamma = reduced_matrix_element(upper, lower, d).value
+    return sign * amplitude * DEBYE_VCM_TO_MHZ * cmath.exp(1j * phase) * w * gamma
 
 
 def reference_dressed(f):
@@ -120,7 +135,8 @@ def reference_diagnostics(spec):
     loop_diagnostics and Triad.diagnostics, which must match it bit for bit."""
     b, b_prime, b_dprime = reference_dressed(spec.field1)
     c, c_prime, c_dprime = reference_dressed(spec.field3)
-    block = dynamics.coupling_block(spec.level_c, spec.level_b, spec.field2, spec.dipole)
+    t = spec.triad
+    block = dynamics.coupling_block(t.level_c, t.level_b, spec.field2, t.dipole)
 
     def sandwich(bra, ket):
         return complex(bra.conj() @ block @ ket)
@@ -132,8 +148,7 @@ def reference_diagnostics(spec):
     scale = max(np.abs(block).max(), 1e-300)
     assert not max(abs(x - y) for x, y in zip(residuals, closed_form)) > 1e-12 * scale
     gamma_ba, gamma_ca = (
-        reduced_matrix_element(upper, spec.level_a, spec.dipole).value
-        for upper in (spec.level_b, spec.level_c)
+        reduced_matrix_element(upper, t.level_a, t.dipole).value for upper in (t.level_b, t.level_c)
     )
     omegas = loop._omegas(gamma_ba, gamma_ca, spec.field1.total, spec.field3.total, sandwich(c, b))
     return loop._verdict(residuals, tuple(complex(*omega) for omega in omegas))

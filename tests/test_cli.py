@@ -191,6 +191,17 @@ def test_verify_general_field_syntax(capsys):
     assert "true" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("option", ["--amp=5,5,5", "--phase=1,2,3"])
+def test_amp_or_phase_with_field_exits_2(option, capsys):
+    """A --field gives each component its amplitude and phase; --amp or --phase
+    next to it would be silently ignored, so it is an error."""
+    fields = ["--field=1:1:0", "--field=-1:0.75:0", "--field=0:2.75:0"]
+    assert run(["loops", "verify", "propanediol", *fields, option]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --field takes no --amp or --phase: each component gives its own\n"
+    assert captured.out == ""
+
+
 def test_simulate_closed_loop(tmp_path, capsys):
     csv_path = tmp_path / "dynamics.csv"
     code = run(
@@ -427,8 +438,13 @@ def test_unparsable_field_component_names_it(component, capsys):
          "--field", "-1:1:0", 0),
         # reaches the amplitude check, not argparse
         (["loops", "verify", "propanediol", "--pol", "ZXY"], "--amp", "-1,0.75,2.75", 2),
+        # an option prefix that argparse expands
+        (["loops", "verify", "propanediol"], "--sig", "-1,1,0", 0),
+        # "-" and a letter: reach the finiteness checks of linear_components and DriveField
+        (["loops", "verify", "propanediol", "--pol", "ZXY"], "--amp", "-inf,1,1", 2),
+        (["loops", "verify", "propanediol", "--sigma", "1,-1,0"], "--amp", "-nan,1,1", 2),
     ],
-    ids=["sigma", "config", "phase", "field", "amp"],
+    ids=["sigma", "config", "phase", "field", "amp", "prefix", "inf", "nan"],
 )
 def test_value_starting_with_minus_works_without_equals(argv, option, value, code, capsys):
     assert run([*argv, f"{option}={value}"]) == code

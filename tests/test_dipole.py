@@ -1,4 +1,5 @@
-"""Spherical components, reduced matrix elements, and Rabi frequencies."""
+"""Spherical components, reduced matrix elements, and the Rabi convention
+of the coupling blocks."""
 
 import cmath
 import gzip
@@ -6,6 +7,7 @@ import math
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,14 +17,15 @@ from chiraloop.dipole import (
     DEBYE_VCM_TO_MHZ,
     BodyDipole,
     enantiomer,
-    rabi_frequency,
     reduced_matrix_element,
     spherical_components,
-    symtop_reduced_element,
 )
+from chiraloop.dynamics import assemble_full_hamiltonian, coupling_block
+from chiraloop.fields import DriveField
+from chiraloop.loop import Triad
 from chiraloop.rotor import DegenerateLevelsWarning, RotationalConstants, rotor_levels
 
-from conftest import PROPANEDIOL, PROPANEDIOL_DIPOLE, reference_reduced_element
+from conftest import PROPANEDIOL, PROPANEDIOL_DIPOLE, random_loop_spec, reference_reduced_element
 
 ROOT2 = math.sqrt(2.0)
 ROOT3 = math.sqrt(3.0)
@@ -289,66 +292,71 @@ def test_line_list_tabulates_each_coupling_term_once(monkeypatch):
 # ---------------------------------------------------------------------------
 # symmetric-top elements: the no-go the asymmetric mixing evades
 
+def symtop_j01(mu_z):
+    """The J = 0 level and the J = 1 levels by K = 0, then the Wang pair of
+    K = +-1, of a prolate symmetric top (B = C), and a dipole along its axis."""
+    top = RotationalConstants(A=9000.0, B=3000.0, C=3000.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateLevelsWarning)  # the K = +-1 pair
+        ground, (k0, *k1) = rotor_levels(top, 0)[0], rotor_levels(top, 1)
+    return ground, k0, k1, BodyDipole(0.0, 0.0, mu_z)
+
+
 def test_symtop_z_dipole_allowed_transition():
-    d = BodyDipole(0.0, 0.0, 2.0)
-    value = symtop_reduced_element(1, 0, 0, 0, d)
+    ground, k0, _, d = symtop_j01(2.0)
     from chiraloop.wigner import w_coupling
 
+    value = reduced_matrix_element(k0, ground, d).value
     assert value == pytest.approx(ROOT3 * 2.0 * w_coupling(1, 0, 0, 0, 0), abs=1e-14)
     assert abs(value) == pytest.approx(2.0, abs=1e-14)
 
 
 def test_symtop_z_dipole_k_changing_transition_is_zero():
-    d = BodyDipole(0.0, 0.0, 2.0)
-    assert symtop_reduced_element(1, 1, 0, 0, d) == 0j
+    ground, _, k1, d = symtop_j01(2.0)
+    assert [reduced_matrix_element(level, ground, d).value for level in k1] == [0j, 0j]
 
 
 def test_symtop_single_component_blocks_every_cyclic_triad():
-    """With only mu_z, every cyclic triad inside {(0,0)} U {(1,K)} has a
-    vanishing leg, so no loop forms; exhaustive over K."""
-    d = BodyDipole(0.0, 0.0, 1.0)
-    for k_b in (-1, 0, 1):
-        for k_c in (-1, 0, 1):
-            if k_b == k_c:
-                continue
-            product = (
-                symtop_reduced_element(1, k_b, 0, 0, d)
-                * symtop_reduced_element(1, k_c, 1, k_b, d)
-                * symtop_reduced_element(1, k_c, 0, 0, d)
-            )
-            assert product == 0j
-
-
-def test_symtop_domain_error():
-    with pytest.raises(ValueError):
-        symtop_reduced_element(1, 2, 0, 0, BodyDipole(1, 1, 1))
+    """With only mu_z, every cyclic triad of the J = 0 level and two J = 1
+    levels of a symmetric top has a vanishing leg, so no loop forms."""
+    ground, k0, k1, d = symtop_j01(1.0)
+    for b, c in ((k0, k1[0]), (k0, k1[1]), (k1[0], k1[1])):
+        legs = ((b, ground), (c, b), (c, ground))
+        product = math.prod(reduced_matrix_element(u, l, d).value for u, l in legs)
+        assert product == 0j
 
 
 # ---------------------------------------------------------------------------
-# Rabi frequencies
+# the Rabi convention, read from coupling-block entries: 2 <b,M|H|a> is
+# Omega(M <- 0) of a sigma = M drive up from the J=0 ground state
+
+def rabi_up(triad_a, dipole, sigma, amplitude=1.0, phase=0.0):
+    """Omega(b, M <- a) for M = +1, 0, -1 of a pure sigma drive, from coupling_block."""
+    a, b, _ = triad_a
+    field = DriveField.pure(sigma, amplitude, b.freq - a.freq, phase)
+    return 2.0 * coupling_block(b, a, field, dipole)[:, 0]
+
 
 def test_rabi_magnitude_example(triad_a, dipole):
-    a, b, c = triad_a
-    omega = rabi_frequency(b, 1, a, 0, 1, 1.0, 0.0, dipole)
+    omega = rabi_up(triad_a, dipole, 1)[0]
     assert abs(omega) == pytest.approx(1.201 / ROOT3 * DEBYE_VCM_TO_MHZ, abs=1e-12)
     assert abs(omega) == pytest.approx(0.349, abs=1e-3)
 
 
 def test_rabi_selection_rule_exact_zero(triad_a, dipole):
-    a, b, c = triad_a
-    assert rabi_frequency(b, 1, a, 0, 0, 1.0, 0.0, dipole) == 0j
-    assert rabi_frequency(b, 0, a, 0, -1, 1.0, 0.0, dipole) == 0j
+    assert rabi_up(triad_a, dipole, 0)[0] == 0j  # M = +1 from a sigma = 0 drive
+    assert rabi_up(triad_a, dipole, -1)[1] == 0j  # M = 0 from a sigma = -1 drive
 
 
 def test_rabi_m0_to_m0_between_j1_levels_is_exact_zero(triad_a, dipole):
     a, b, c = triad_a
-    assert rabi_frequency(c, 0, b, 0, 0, 1.0, 0.0, dipole) == 0j
+    block = coupling_block(c, b, DriveField.pure(0, 1.0, c.freq - b.freq), dipole)
+    assert block[1, 1] == 0j
 
 
 def test_rabi_phase_factor(triad_a, dipole):
-    a, b, c = triad_a
-    base = rabi_frequency(b, 1, a, 0, 1, 1.0, 0.0, dipole)
-    rotated = rabi_frequency(b, 1, a, 0, 1, 1.0, 0.7, dipole)
+    base = rabi_up(triad_a, dipole, 1)[0]
+    rotated = rabi_up(triad_a, dipole, 1, phase=0.7)[0]
     assert rotated == pytest.approx(base * cmath.exp(0.7j), rel=1e-12)
 
 
@@ -358,14 +366,17 @@ def test_rabi_all_sigma_components_give_minus_gamma_over_root3(triad_a, dipole):
     a, b, c = triad_a
     gamma = reduced_matrix_element(b, a, dipole).value
     for sigma in (-1, 0, 1):
-        omega = rabi_frequency(b, sigma, a, 0, sigma, 1.0, 0.0, dipole)
+        omega = rabi_up(triad_a, dipole, sigma)[1 - sigma]
         assert omega == pytest.approx(-gamma * DEBYE_VCM_TO_MHZ / ROOT3, rel=1e-12)
 
 
 def test_rabi_negative_amplitude_rejected(triad_a, dipole):
-    a, b, c = triad_a
-    with pytest.raises(ValueError):
-        rabi_frequency(b, 1, a, 0, 1, -1.0, 0.0, dipole)
+    """A DriveField folds a negative amplitude into its phase; the stacked
+    verdict, whose amplitudes enter the Rabi convention as given, rejects it."""
+    amps = np.ones((1, 3, 3))
+    amps[0, 0, 0] = -1.0
+    with pytest.raises(ValueError, match=">= 0"):
+        Triad(*triad_a, dipole).diagnostics(amps, np.zeros((1, 3, 3)))
 
 
 @pytest.mark.parametrize(
@@ -373,17 +384,23 @@ def test_rabi_negative_amplitude_rejected(triad_a, dipole):
     [(math.nan, 0.0), (math.inf, 0.0), (1.0, math.nan), (1.0, math.inf), (1.0, -math.inf)],
 )
 def test_rabi_non_finite_amplitude_or_phase_rejected(triad_a, dipole, amplitude, phase):
-    a, b, c = triad_a
-    with pytest.raises(ValueError):
-        rabi_frequency(b, 1, a, 0, 1, amplitude, phase, dipole)
+    """No coupling block sees a non-finite component: its DriveField refuses it."""
+    with pytest.raises(ValueError, match="finite"):
+        rabi_up(triad_a, dipole, 1, amplitude, phase)
 
 
 def test_rabi_precomputed_gamma_matches(triad_a, dipole):
+    """The full Hamiltonian's legs, built with the reduced elements of
+    spec.triad, equal coupling_block's, which computes them, exactly."""
+    spec = random_loop_spec(np.random.default_rng(6), triad_a, dipole)
     a, b, c = triad_a
-    gamma = reduced_matrix_element(c, b, dipole).value
-    direct = rabi_frequency(c, 0, b, 1, -1, 0.8, 0.3, dipole)
-    seeded = rabi_frequency(c, 0, b, 1, -1, 0.8, 0.3, dipole, gamma=gamma)
-    assert direct == seeded
+    h = assemble_full_hamiltonian(spec)
+    for rows, cols, (upper, lower, field) in (
+        (slice(1, 4), slice(0, 1), (b, a, spec.field1)),
+        (slice(4, 7), slice(1, 4), (c, b, spec.field2)),
+        (slice(4, 7), slice(0, 1), (c, a, spec.field3)),
+    ):
+        assert np.array_equal(h[rows, cols], coupling_block(upper, lower, field, dipole))
 
 
 @pytest.mark.parametrize(

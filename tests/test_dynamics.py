@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chiraloop import loop
-from chiraloop.dipole import DEBYE_VCM_TO_MHZ, rabi_frequency, reduced_matrix_element
+from chiraloop.dipole import DEBYE_VCM_TO_MHZ, reduced_matrix_element
 from chiraloop.dynamics import (
     EVOLVE_BLOCK_ROWS,
     ResonanceAmbiguityError,
-    SublevelBasis,
     assemble_full_hamiltonian,
     compare_full_vs_reduced,
     coupling_block,
@@ -24,12 +23,19 @@ from chiraloop.dynamics import (
     propagate,
 )
 from chiraloop.fields import DriveField
-from chiraloop.loop import LoopSpec, build_single_loop, loop_product
+from chiraloop.loop import LoopSpec, Triad, build_single_loop, loop_product
 from chiraloop.rotor import RotationalConstants, rotor_levels
 
-from conftest import X, Y, Z, linear_loop_spec, pure_loop_spec, rk4_propagate
+from conftest import X, Y, Z, linear_loop_spec, pure_loop_spec, random_loop_spec, reference_rabi
+from conftest import rk4_propagate
 
 T_GRID = np.linspace(0.0, 2.0, 101)
+
+
+def ket(level: str, M: int) -> int:
+    """Index of the sublevel (level, M) of b or c in the 7 kets: a, then b and
+    c with M = +1, 0, -1 each."""
+    return {"b": 2, "c": 5}[level] - M
 
 
 @pytest.fixture(scope="module")
@@ -73,12 +79,7 @@ def test_circular_config_coupling_pattern(circular_spec):
 def test_circular_config_two_decoupled_sublevels(circular_spec):
     h = assemble_full_hamiltonian(circular_spec)
     decoupled = [i for i in range(7) if not np.any(h[i, :]) and not np.any(h[:, i])]
-    basis = SublevelBasis.for_levels(
-        circular_spec.level_a, circular_spec.level_b, circular_spec.level_c
-    )
-    assert len(decoupled) == 2
-    assert basis.index(1, circular_spec.level_c.tau, 1) in decoupled
-    assert basis.index(1, circular_spec.level_b.tau, -1) in decoupled
+    assert decoupled == [ket("b", -1), ket("c", 1)]
 
 
 def test_assembled_hamiltonian_is_hermitian(linear_spec):
@@ -109,13 +110,10 @@ def test_resonance_ambiguity_detected():
     from conftest import PROPANEDIOL_DIPOLE
 
     spec = LoopSpec(
-        level_a=ground,
-        level_b=j1[-1],
-        level_c=j1[1],
+        triad=Triad(ground, j1[-1], j1[1], PROPANEDIOL_DIPOLE),
         field1=DriveField.pure(1, 1.0, j1[-1].freq),
         field2=DriveField.pure(-1, 1.0, j1[1].freq - j1[-1].freq),
         field3=DriveField.pure(0, 1.0, j1[1].freq),
-        dipole=PROPANEDIOL_DIPOLE,
     )
     with pytest.raises(ResonanceAmbiguityError):
         assemble_full_hamiltonian(spec)
@@ -132,7 +130,7 @@ def test_coupling_block_shape_and_selection(triad_a, dipole):
 
 
 def test_coupling_block_entries_are_half_rabi_frequencies(triad_a, dipole):
-    """Block entries and rabi_frequency share one Rabi convention, bit for bit."""
+    """Block entries are half the written-out Rabi frequencies, bit for bit."""
     a, b, c = triad_a
     field = DriveField(c.freq - b.freq, {-1: (0.7, 2.9), 0: (1.3, -0.4), 1: (0.2, 1.1)})
     block = coupling_block(c, b, field, dipole)
@@ -143,7 +141,7 @@ def test_coupling_block_entries_are_half_rabi_frequencies(triad_a, dipole):
             if abs(sigma) > 1:
                 assert block[i, j] == 0j
                 continue
-            omega = rabi_frequency(
+            omega = reference_rabi(
                 c, m_c, b, m_b, sigma, field.amplitude(sigma), field.phase(sigma), dipole
             )
             assert block[i, j] == 0.5 * omega
@@ -229,13 +227,10 @@ def test_leakage_rotated_field2(triad_a, dipole):
 
 
 def test_decoupled_state_never_enters_loop(circular_spec):
-    basis = SublevelBasis.for_levels(
-        circular_spec.level_a, circular_spec.level_b, circular_spec.level_c
-    )
     h = assemble_full_hamiltonian(circular_spec)
     frame = loop_frame(circular_spec)
     psi0 = np.zeros(7, dtype=complex)
-    psi0[basis.index(1, circular_spec.level_c.tau, 1)] = 1.0
+    psi0[ket("c", 1)] = 1.0
     for t in (0.0, 0.7, 1.9):
         psi = propagate(h, psi0, t)
         assert float(np.sum(np.abs(frame.conj() @ psi) ** 2)) == 0.0
@@ -314,6 +309,22 @@ def test_contrast_negligible_without_field2(triad_a, dipole):
     for t in (0.4, 1.3, 2.0):
         right, left = enantiomer_contrast(spec, t)
         assert max(abs(r - l) for r, l in zip(right, left)) < 1e-8
+
+
+@settings(max_examples=40, deadline=None)
+@given(taus=st.sampled_from([(-1, 1), (-1, 0), (0, 1)]), seed=st.integers(0, 2**32 - 1))
+def test_mirror_image_evolves_as_drives_shifted_by_pi(taus, seed, ground, j1_levels, dipole):
+    """Parity: the mirror image under drives F evolves as the original under
+    -F, every component phase shifted by pi, for general drives on each triad."""
+    levels = (ground, j1_levels[taus[0]], j1_levels[taus[1]])
+    spec = random_loop_spec(np.random.default_rng(seed), levels, dipole)
+    shifted = LoopSpec.resonant(spec.triad, [
+        {sigma: (amp, phase + math.pi) for sigma, (amp, phase) in f.comps.items()}
+        for f in (spec.field1, spec.field2, spec.field3)
+    ])
+    times = np.linspace(0.0, 5.0, 101)
+    left = loop_populations(spec.mirrored(), times, (1.0, 0.0, 0.0))
+    assert np.abs(left - loop_populations(shifted, times, (1.0, 0.0, 0.0))).max() <= 1e-12
 
 
 def test_populations_depend_only_on_magnitudes_and_loop_phase(triad_a, dipole):

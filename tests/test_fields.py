@@ -1,4 +1,5 @@
-"""Polarization decomposition and the real-field reconstruction oracle."""
+"""Polarization decomposition, the (theta, phi) field angles of a drive,
+and the real-field reconstruction oracle."""
 
 import cmath
 import math
@@ -8,14 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chiraloop.fields import (
-    DriveField,
-    ZeroVectorError,
-    linear_components,
-    linear_polarization,
-    polarization_angles,
-    stacked_linear_components,
-)
+from chiraloop.fields import DriveField, ZeroVectorError, linear_components
+from chiraloop.fields import stacked_linear_components
+from chiraloop.loop import _field_trig
 
 ROOT2 = math.sqrt(2.0)
 
@@ -45,33 +41,40 @@ unit_direction = st.tuples(
 # ---------------------------------------------------------------------------
 # axis decompositions
 
+def complex_amplitudes(f: DriveField) -> list[complex]:
+    """E_sigma e^{i phi_sigma} over sigma = +1, 0, -1."""
+    return [f.amplitude(s) * cmath.exp(1j * f.phase(s)) for s in (1, 0, -1)]
+
+
 def test_z_polarization_is_pure_sigma0():
-    f = linear_polarization((0, 0, 1), 1.0, 0.0, 100.0)
+    f = DriveField(100.0, linear_components((0, 0, 1), 1.0, 0.0))
     assert f.comps == {0: (1.0, 0.0)}
 
 
 def test_x_polarization_components():
-    f = linear_polarization((1, 0, 0), ROOT2, 0.0, 100.0)
+    f = DriveField(100.0, linear_components((1, 0, 0), ROOT2, 0.0))
     assert f.amplitude(1) == pytest.approx(1.0, rel=1e-15)
     assert f.amplitude(-1) == pytest.approx(1.0, rel=1e-15)
     assert f.amplitude(0) == 0.0
     assert f.phase(1) == pytest.approx(0.0, abs=1e-15)
     assert f.phase(-1) == pytest.approx(math.pi, abs=1e-15)
     # opposite complex amplitudes characterize a linear X field
-    assert f.complex_amplitude(1) == pytest.approx(-f.complex_amplitude(-1), rel=1e-14)
+    plus, _, minus = complex_amplitudes(f)
+    assert plus == pytest.approx(-minus, rel=1e-14)
 
 
 def test_y_polarization_components():
-    f = linear_polarization((0, 1, 0), ROOT2, 0.0, 100.0)
+    f = DriveField(100.0, linear_components((0, 1, 0), ROOT2, 0.0))
     assert f.amplitude(1) == pytest.approx(1.0, rel=1e-15)
     assert f.amplitude(-1) == pytest.approx(1.0, rel=1e-15)
     # equal complex amplitudes characterize a linear Y field
-    assert f.complex_amplitude(-1) == pytest.approx(f.complex_amplitude(1), rel=1e-14)
+    plus, _, minus = complex_amplitudes(f)
+    assert minus == pytest.approx(plus, rel=1e-14)
 
 
 def test_zero_direction_rejected():
     with pytest.raises(ZeroVectorError):
-        linear_polarization((0.0, 0.0, 0.0), 1.0, 0.0, 100.0)
+        linear_components((0.0, 0.0, 0.0), 1.0, 0.0)
     # a non-finite direction, a negative or non-finite amplitude, a non-finite phase
     for direction, amplitude, phase in (
         ((math.nan, 0.0, 0.0), 1.0, 0.0),
@@ -90,10 +93,11 @@ def test_linear_components_are_the_drive_components():
     assert linear_components((0.0, 0.0, 2.0), 1.5, 0.4) == {0: (1.5, 0.4)}
     direction, amplitude, phase = (0.3, -1.0, 0.7), 2.0, -1.1
     comps = linear_components(direction, amplitude, phase)
-    f = linear_polarization(direction, amplitude, phase, 10.0)
+    f = DriveField(10.0, comps)
     assert sorted(comps) == sorted(f.comps) == [-1, 0, 1]
-    for sigma, (amp, ph) in comps.items():
-        assert amp * cmath.exp(1j * ph) == pytest.approx(f.complex_amplitude(sigma), abs=1e-15)
+    for sigma, want in zip((1, 0, -1), complex_amplitudes(f)):
+        amp, ph = comps[sigma]
+        assert amp * cmath.exp(1j * ph) == pytest.approx(want, abs=1e-15)
 
 
 def test_stacked_components_equal_linear_components_bit_for_bit():
@@ -128,7 +132,7 @@ def test_stacked_components_reject_bad_directions():
 def test_reconstruction_stays_on_axis(direction, phase):
     amplitude = 1.7
     freq = 50.0
-    f = linear_polarization(direction, amplitude, phase, freq)
+    f = DriveField(freq, linear_components(direction, amplitude, phase))
     n = np.asarray(direction) / np.linalg.norm(direction)
     for t in np.linspace(0.0, 0.04, 9):
         e_t = reconstruct_real_field(f, float(t))
@@ -143,7 +147,7 @@ def test_reconstruction_stays_on_axis(direction, phase):
 @given(direction=unit_direction, phase=st.floats(-3.0, 3.0))
 def test_component_energy_sums_to_amplitude(direction, phase):
     amplitude = 2.3
-    f = linear_polarization(direction, amplitude, phase, 10.0)
+    f = DriveField(10.0, linear_components(direction, amplitude, phase))
     total_sq = sum(f.amplitude(s) ** 2 for s in (-1, 0, 1))
     assert total_sq == pytest.approx(amplitude**2, rel=1e-12)
     assert f.total == pytest.approx(amplitude, rel=1e-12)
@@ -153,7 +157,7 @@ def test_orthogonal_directions_reconstruct_orthogonal_axes():
     rng = np.random.default_rng(3)
     for _ in range(25):
         q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-        fields = [linear_polarization(q[:, i], 1.0, 0.0, 10.0) for i in range(3)]
+        fields = [DriveField(10.0, linear_components(q[:, i], 1.0, 0.0)) for i in range(3)]
         # evaluate each at its own phase peak: t=0 has cos(phase)=1 for phase 0
         axes = [reconstruct_real_field(f, 0.0) for f in fields]
         for i in range(3):
@@ -162,29 +166,24 @@ def test_orthogonal_directions_reconstruct_orthogonal_axes():
 
 
 # ---------------------------------------------------------------------------
-# angle parametrization
+# angle parametrization: sin(theta) cos(phi) = E_+1/E, sin(theta) sin(phi) =
+# E_0/E and cos(theta) = E_-1/E, the drive angles the closure verdict uses
+
+def field_trig(f: DriveField):
+    """(sin theta, cos theta, sin phi, cos phi) of a drive."""
+    return _field_trig(f.amplitude(1), f.amplitude(0), f.amplitude(-1), f.total)
+
 
 def test_angles_pure_components():
-    plus = DriveField.pure(1, 2.0, 10.0)
-    zero = DriveField.pure(0, 2.0, 10.0)
-    minus = DriveField.pure(-1, 2.0, 10.0)
-    assert polarization_angles(plus).theta == pytest.approx(math.pi / 2)
-    assert polarization_angles(plus).phi == pytest.approx(0.0)
-    assert polarization_angles(zero).theta == pytest.approx(math.pi / 2)
-    assert polarization_angles(zero).phi == pytest.approx(math.pi / 2)
-    assert polarization_angles(minus).theta == pytest.approx(0.0)
+    # exact structural zeros: theta = pi/2, phi = 0; theta = phi = pi/2; theta = 0
+    assert field_trig(DriveField.pure(1, 2.0, 10.0)) == (1.0, 0.0, 0.0, 1.0)
+    assert field_trig(DriveField.pure(0, 2.0, 10.0)) == (1.0, 0.0, 1.0, 0.0)
+    assert field_trig(DriveField.pure(-1, 2.0, 10.0)) == (0.0, 1.0, 0.0, 1.0)
 
 
 def test_angles_roundtrip_z():
-    f = linear_polarization((0, 0, 1), 1.0, 0.0, 10.0)
-    angles = polarization_angles(f)
-    assert math.sin(angles.theta) * math.sin(angles.phi) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_angles_phases_passed_through():
-    f = DriveField(freq=10.0, comps={1: (1.0, 0.25), 0: (0.5, -0.5), -1: (0.2, 1.5)})
-    angles = polarization_angles(f)
-    assert angles.phases == (0.25, -0.5, 1.5)
+    sin_t, _, sin_p, _ = field_trig(DriveField(10.0, linear_components((0, 0, 1), 1.0, 0.0)))
+    assert sin_t * sin_p == pytest.approx(1.0, abs=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -193,12 +192,8 @@ def test_angles_phases_passed_through():
 )
 def test_angle_components_nonnegative_and_normalized(amps):
     f = DriveField(freq=1.0, comps={1: (amps[0], 0.1), 0: (amps[1], 0.2), -1: (amps[2], 0.3)})
-    angles = polarization_angles(f)
-    parts = (
-        math.sin(angles.theta) * math.cos(angles.phi),
-        math.sin(angles.theta) * math.sin(angles.phi),
-        math.cos(angles.theta),
-    )
+    sin_t, cos_t, sin_p, cos_p = field_trig(f)
+    parts = (sin_t * cos_p, sin_t * sin_p, cos_t)
     assert all(p >= 0 for p in parts)
     assert sum(p * p for p in parts) == pytest.approx(1.0, rel=1e-12)
     assert parts[0] == pytest.approx(f.amplitude(1) / f.total, rel=1e-9)
@@ -213,7 +208,7 @@ def test_negative_amplitude_folds_into_phase():
     f = DriveField(freq=1.0, comps={0: (-1.0, 0.0)})
     assert f.amplitude(0) == 1.0
     assert f.phase(0) == pytest.approx(math.pi)
-    assert f.complex_amplitude(0) == pytest.approx(-1.0 + 0j, abs=1e-15)
+    assert complex_amplitudes(f)[1] == pytest.approx(-1.0 + 0j, abs=1e-15)
 
 
 def test_all_zero_amplitudes_rejected():
@@ -227,8 +222,6 @@ def test_underflowing_total_raises_value_error():
     assert f.amplitude(0) == 1e-300
     with pytest.raises(ValueError, match="underflow"):
         f.total
-    with pytest.raises(ValueError, match="underflow"):
-        polarization_angles(f)
 
 
 def test_total_sums_in_sigma_order():

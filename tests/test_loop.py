@@ -22,7 +22,6 @@ from chiraloop.loop import (
     Triad,
     ZeroRabiError,
     build_single_loop,
-    closure_conditions,
     closure_conditions_closed_form,
     dressed_states,
     enumerate_pure_polarizations,
@@ -42,38 +41,34 @@ from conftest import reference_diagnostics, reference_dressed
 def test_resonant_tunes_each_drive_to_its_transition(triad_a, dipole):
     a, b, c = triad_a
     comps = [{1: (1.0, 0.5)}, {-1: (2.0, -4.0), 0: (0.5, 0.0)}, {0: (-1.0, 0.0)}]
-    spec = LoopSpec.resonant(triad_a, dipole, comps)
-    assert (spec.level_a, spec.level_b, spec.level_c, spec.dipole) == (a, b, c, dipole)
+    triad = Triad(*triad_a, dipole)
+    spec = LoopSpec.resonant(triad, comps)
+    assert spec.triad is triad
+    assert (triad.level_a, triad.level_b, triad.level_c, triad.dipole) == (a, b, c, dipole)
     fields = (spec.field1, spec.field2, spec.field3)
     assert [f.freq for f in fields] == [b.freq - a.freq, c.freq - b.freq, c.freq - a.freq]
     assert [f.comps for f in fields] == [DriveField(1.0, comp).comps for comp in comps]
 
 
 def test_loopspec_rejects_wrong_j(triad_a, dipole):
+    """A LoopSpec's levels are its Triad's, which checks them once."""
     a, b, c = triad_a
-    with pytest.raises(ValueError):
-        LoopSpec(
-            level_a=b,  # J=1 in the ground slot
-            level_b=b,
-            level_c=c,
-            field1=DriveField.pure(0, 1.0, b.freq - a.freq),
-            field2=DriveField.pure(0, 1.0, c.freq - b.freq),
-            field3=DriveField.pure(0, 1.0, c.freq - a.freq),
-            dipole=dipole,
-        )
+    with pytest.raises(ValueError, match="J = 0"):
+        Triad(b, b, c, dipole)  # J=1 in the ground slot
+    with pytest.raises(ValueError, match="J = 1"):
+        Triad(a, a, c, dipole)
+    with pytest.raises(ValueError, match="ordered"):
+        Triad(a, c, b, dipole)
 
 
 def test_loopspec_rejects_off_resonant_field(triad_a, dipole):
     a, b, c = triad_a
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="field1 .* not resonant"):
         LoopSpec(
-            level_a=a,
-            level_b=b,
-            level_c=c,
+            triad=Triad(a, b, c, dipole),
             field1=DriveField.pure(0, 1.0, b.freq - a.freq + 0.5),
             field2=DriveField.pure(0, 1.0, c.freq - b.freq),
             field3=DriveField.pure(0, 1.0, c.freq - a.freq),
-            dipole=dipole,
         )
 
 
@@ -116,19 +111,19 @@ def test_dressed_triples_orthonormal_random_fields(triad_a, dipole):
 
 def test_closure_table_row_is_exactly_zero(triad_a, dipole):
     spec = pure_loop_spec(triad_a, dipole, (1, -1, 0))
-    residuals = closure_conditions(spec)
+    residuals = loop_diagnostics(spec).residuals
     assert residuals == (0j, 0j, 0j, 0j)
 
 
 def test_closure_zxy_vanishes(triad_a, dipole):
     spec = linear_loop_spec(triad_a, dipole, (Z, X, Y))
-    residuals = closure_conditions(spec)
+    residuals = loop_diagnostics(spec).residuals
     assert max(abs(r) for r in residuals) < 1e-12
 
 
 def test_closure_zxx_fails(triad_a, dipole):
     spec = linear_loop_spec(triad_a, dipole, (Z, X, X))
-    residuals = closure_conditions(spec)
+    residuals = loop_diagnostics(spec).residuals
     assert max(abs(r) for r in residuals) > 1e-3
 
 
@@ -163,10 +158,9 @@ def test_verdict_checks_closed_form_once(triad_a, dipole, monkeypatch):
 
     monkeypatch.setattr(loop, "_closed_form", counted)
     spec = linear_loop_spec(triad_a, dipole, (Z, X, Y), amplitudes=(1.0, 0.75, 2.75))
-    diag = loop_diagnostics(spec)
+    loop_diagnostics(spec)
     gamma_cb = Triad(*triad_a, dipole).gamma_cb
     assert prefactors == [loop._closed_form_prefactor(gamma_cb, spec.field2.total)]
-    assert closure_conditions(spec) == diag.residuals
 
     def off_by_a_kilohertz(trig, phases, pref):
         return tuple(v + 1e-3 for v in real(trig, phases, pref))
@@ -177,6 +171,8 @@ def test_verdict_checks_closed_form_once(triad_a, dipole, monkeypatch):
 
 
 def test_single_verdict_computes_three_reduced_elements(triad_a, dipole, monkeypatch):
+    """Building the spec's triad computes the three; its verdict and its
+    Hamiltonian take them from spec.triad and compute none."""
     real = loop.reduced_matrix_element
     calls = []
 
@@ -184,10 +180,14 @@ def test_single_verdict_computes_three_reduced_elements(triad_a, dipole, monkeyp
         calls.append((upper, lower))
         return real(upper, lower, d)
 
-    monkeypatch.setattr(loop, "reduced_matrix_element", counted)
-    loop_diagnostics(linear_loop_spec(triad_a, dipole, (Z, X, Y)))
+    for module in (loop, dynamics):
+        monkeypatch.setattr(module, "reduced_matrix_element", counted)
+    spec = linear_loop_spec(triad_a, dipole, (Z, X, Y))
     a, b, c = triad_a
     assert calls == [(b, a), (c, b), (c, a)]
+    loop_diagnostics(spec)
+    dynamics.assemble_full_hamiltonian(spec)
+    assert len(calls) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +408,7 @@ def random_drives(kind, rng, levels, dip, count):
                 {s: (a, p) for s, a, p in zip((1, 0, -1), row_amps, row_phis) if a > 0}
                 for row_amps, row_phis in zip(amps, phis)
             ]
-            specs.append(LoopSpec.resonant(levels, dip, comps))
+            specs.append(LoopSpec.resonant(Triad(*levels, dip), comps))
             raw_amps.append(amps)
             raw_phases.append(phis)
     if kind == "raw":
