@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chiraloop import dynamics, loop
-from chiraloop.dipole import BodyDipole, enantiomer
+from chiraloop.dipole import BodyDipole
 from chiraloop.fields import DriveField
 from chiraloop.loop import (
     LOOP_BATCH_ROWS,
