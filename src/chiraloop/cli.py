@@ -198,8 +198,8 @@ def _parse_general_field(text: str) -> dict[int, tuple[float, float]]:
 
 def _drive_components(args) -> list[dict[int, tuple[float, float]]]:
     """The three drives' {sigma: (amplitude, phase)} from --pol, --sigma or --field."""
-    amps = _split3(args.amp, "amp", float) if args.amp else (1.0, 1.0, 1.0)
-    phases = _split3(args.phase, "phase", float) if args.phase else (0.0, 0.0, 0.0)
+    amps = _split3(args.amp, "amp", float) if args.amp is not None else (1.0, 1.0, 1.0)
+    phases = _split3(args.phase, "phase", float) if args.phase is not None else (0.0, 0.0, 0.0)
 
     pol = getattr(args, "pol", None)
     sigma = getattr(args, "sigma", None)

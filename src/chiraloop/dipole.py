@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .fields import _mul
 from .rotor import AsymTopLevel
@@ -51,14 +52,15 @@ class BodyDipole:
     def __post_init__(self):
         if not all(math.isfinite(mu) for mu in (self.mu_x, self.mu_y, self.mu_z)):
             raise ValueError("dipole components must be finite")
+        # Once per dipole: every reduced element of it reads them.
+        object.__setattr__(self, "_spherical", spherical_components(self))
 
     @property
     def chirality_product(self) -> float:
         return self.mu_x * self.mu_y * self.mu_z
 
 
-@dataclass(frozen=True)
-class ReducedElement:
+class ReducedElement(NamedTuple):
     """Polarization- and M-independent dipole factor of a rotational line.
 
     value is complex Debye (it can be imaginary under real eigenvector
@@ -90,23 +92,27 @@ def enantiomer(d: BodyDipole) -> BodyDipole:
 
 
 @lru_cache(maxsize=None)
-def _coupling_terms(J_u: int, J_l: int) -> tuple[tuple[tuple[int, int, float, float], ...], ...]:
-    """The terms of the reduced element between blocks J_u and J_l, one tuple
-    per sigma = -1, 0, 1: (K_u index, K_l index, sign, W) in ascending K_u,
-    for every K_l = K_u - sigma whose coupling coefficient W is nonzero.
+def _coupling_terms(
+    J_u: int, J_l: int
+) -> tuple[float, tuple[tuple[tuple[int, int, float], ...], ...]]:
+    """The norm sqrt((2 J_u + 1)(2 J_l + 1)) of the reduced element between
+    blocks J_u and J_l, and its terms per sigma = -1, 0, 1: (K_u index,
+    K_l index, sign * W) in ascending K_u, for every K_l = K_u - sigma whose
+    coupling coefficient W is nonzero.
 
     Indices address a level's coeffs (K + J); sign is (-1)^(sigma - K_l).
     A line list asks for at most 3 tables per J (|J_u - J_l| <= 1), so the
     cache stays small.
     """
-    return tuple(
+    terms = tuple(
         tuple(
-            (ku + J_u, kl + J_l, -1.0 if (sig - kl) % 2 else 1.0, w)
+            (ku + J_u, kl + J_l, -w if (sig - kl) % 2 else w)
             for ku in range(-J_u, J_u + 1)
             if abs(kl := ku - sig) <= J_l and (w := w_coupling(J_u, ku, J_l, kl, sig)) != 0.0
         )
         for sig in (-1, 0, 1)
     )
+    return math.sqrt((2 * J_u + 1) * (2 * J_l + 1)), terms
 
 
 def reduced_matrix_element(
@@ -114,23 +120,23 @@ def reduced_matrix_element(
 ) -> ReducedElement:
     """Reduced dipole element between two asymmetric-top levels, complex Debye.
 
-    Sums sign * c_upper(K_u) * c_lower(K_l) * W over the pair's tabulated
+    Sums c_upper(K_u) * c_lower(K_l) * (sign * W) over the pair's tabulated
     coupling terms per sigma, then contracts with the spherical dipole.
     Exactly zero when |J_upper - J_lower| > 1 (triangle rule).
     """
     tag = ((upper.J, upper.tau), (lower.J, lower.tau))
     if abs(upper.J - lower.J) > 1:
         return ReducedElement(0j, *tag)
+    norm, tables = _coupling_terms(upper.J, lower.J)
     cu, cl = upper.coeffs.tolist(), lower.coeffs.tolist()
     total = 0j
-    for mu_s, terms in zip(spherical_components(d), _coupling_terms(upper.J, lower.J)):
+    for mu_s, terms in zip(d._spherical, tables):
         if mu_s == 0:
             continue
         acc = 0.0
-        for iu, il, sign, w in terms:
-            acc += sign * cu[iu] * cl[il] * w
+        for iu, il, w in terms:
+            acc += cu[iu] * cl[il] * w
         total += mu_s * acc
-    norm = math.sqrt((2 * upper.J + 1) * (2 * lower.J + 1))
     return ReducedElement(norm * total, *tag)
 
 

@@ -27,7 +27,7 @@ from . import dynamics
 from .dipole import DEBYE_VCM_TO_MHZ, BodyDipole, enantiomer, reduced_matrix_element
 from .fields import SIGMAS, _TOTAL_UNDERFLOW, DriveField, _div_real, _mul, _wrap_phase
 from .fields import _sum_of_squares, linear_components
-from .rotor import AsymTopLevel
+from .rotor import AsymTopLevel, transition_frequency
 
 __all__ = [
     "DEFAULT_CLOSURE_TOL_MHZ",
@@ -397,12 +397,12 @@ class Triad:
             raise ValueError("level_a must have J = 0")
         if b.J != 1 or c.J != 1:
             raise ValueError("level_b and level_c must have J = 1")
-        if not (c.freq > b.freq > a.freq):
-            raise ValueError("levels must be ordered f_c > f_b > f_a")
-        for leg, upper, lower in (("ba", b, a), ("cb", c, b), ("ca", c, a)):
+        legs = (("ba", b, a), ("cb", c, b), ("ca", c, a))
+        for leg, upper, lower in legs:  # every order check before any element
+            object.__setattr__(self, "f_" + leg, transition_frequency(upper, lower))
+        for leg, upper, lower in legs:
             gamma = reduced_matrix_element(upper, lower, self.dipole).value
             object.__setattr__(self, "gamma_" + leg, gamma)
-            object.__setattr__(self, "f_" + leg, upper.freq - lower.freq)
 
     def diagnostics(self, amplitudes, phases) -> Iterator[LoopDiagnostics]:
         """loop_diagnostics of every row of a stack of drives, bit for bit.

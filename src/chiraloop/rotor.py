@@ -89,30 +89,18 @@ def rotor_hamiltonian_block(constants: RotationalConstants, J: int) -> np.ndarra
     """
     if J < 0:
         raise ValueError(f"J must be >= 0, got {J}")
-    n = 2 * J + 1
+    K = np.arange(-J, J + 1)
+    Kn = K[:-2]  # the K of each K <-> K+2 coupling
     jj = J * (J + 1)
-    h = np.zeros((n, n))
-    half_sum = 0.5 * (constants.B + constants.C)
-    quarter_diff = 0.25 * (constants.B - constants.C)
-    for i in range(n):
-        K = i - J
-        h[i, i] = constants.A * K * K + half_sum * (jj - K * K)
-    for i in range(n - 2):
-        K = i - J
-        off = quarter_diff * np.sqrt(jj - K * (K + 1)) * np.sqrt(jj - (K + 1) * (K + 2))
-        h[i, i + 2] = off
-        h[i + 2, i] = off
+    # Huge constants overflow to inf here; rotor_levels reports that as an error.
+    with np.errstate(over="ignore", invalid="ignore"):
+        diag = constants.A * K * K + 0.5 * (constants.B + constants.C) * (jj - K * K)
+        off = 0.25 * (constants.B - constants.C) * np.sqrt(jj - Kn * (Kn + 1))
+        off = off * np.sqrt(jj - (Kn + 1) * (Kn + 2))
+    h = np.diag(diag)
+    i = np.arange(K.size - 2)
+    h[i, i + 2] = h[i + 2, i] = off
     return h
-
-
-def _fix_phase(vec: np.ndarray) -> np.ndarray:
-    """Make the first nonzero coefficient (scanning K = -J..J) positive."""
-    values = vec.tolist()
-    threshold = 1e-10 * max(map(abs, values))
-    for x in values:
-        if abs(x) > threshold:
-            return vec if x > 0 else -vec
-    return vec
 
 
 # Wang sub-blocks E+, E-, O+, O- as (sign, smallest K); each holds the
@@ -135,46 +123,57 @@ def rotor_levels(constants: RotationalConstants, J: int) -> list[AsymTopLevel]:
     block = rotor_hamiltonian_block(constants, J)
     n = 2 * J + 1
     root_half = 1.0 / np.sqrt(2.0)
-    pairs = []
-    for sign, k0 in _WANG_BLOCKS:
-        if k0 > J:
-            continue
-        d = block.diagonal()[J + k0 :: 2].copy()
-        if k0 == 1:
-            d[0] += sign * block[J + 1, J - 1]  # <1+-|H|1+-) = <1|H|1) +- <1|H|-1)
-        if d.size == 1:  # a single state is its own eigenvector
-            vec = np.zeros(n)
-            vec[J - k0] = root_half if k0 else 1.0
-            vec[J + k0] = sign * vec[J - k0]  # the same entry when K = 0
-            pairs.append((d[0], vec))
-            continue
-        e = block.diagonal(2)[J + k0 :: 2].copy()
-        if k0 == 0:
-            e[0] *= np.sqrt(2.0)  # <0|H|2+) = sqrt(2) <0|H|2)
-        vals, vecs = np.linalg.eigh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
-        coeffs = np.zeros((d.size, n))  # one row per eigenvector
-        coeffs[:, J + k0 :: 2] = vecs.T * root_half
-        coeffs[:, J - k0 :: -2] = sign * coeffs[:, J + k0 :: 2]
-        if k0 == 0:
-            coeffs[:, J] = vecs[0]
-        pairs.extend(zip(vals, coeffs))
-    pairs.sort(key=lambda p: p[0])
-
-    freqs = [p[0] for p in pairs]
+    vals, rows = [], []  # per Wang sub-block: eigenvalues, eigenvectors as rows
+    # Huge constants overflow to inf or NaN here; the finiteness check reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sign, k0 in _WANG_BLOCKS:
+            if k0 > J:
+                continue
+            d = block.diagonal()[J + k0 :: 2].copy()
+            if k0 == 1:
+                d[0] += sign * block[J + 1, J - 1]  # <1+-|H|1+-) = <1|H|1) +- <1|H|-1)
+            coeffs = np.zeros((d.size, n))
+            if d.size == 1:  # a single state is its own eigenvector
+                w = d
+                coeffs[0, J - k0] = root_half if k0 else 1.0
+                coeffs[0, J + k0] = sign * coeffs[0, J - k0]  # the same entry when K = 0
+            else:
+                e = block.diagonal(2)[J + k0 :: 2].copy()
+                if k0 == 0:
+                    e[0] *= np.sqrt(2.0)  # <0|H|2+) = sqrt(2) <0|H|2)
+                tri = np.diag(d)
+                tri.flat[1 :: d.size + 1] = e
+                tri.flat[d.size :: d.size + 1] = e
+                w, vecs = np.linalg.eigh(tri)
+                coeffs[:, J + k0 :: 2] = vecs.T * root_half
+                coeffs[:, J - k0 :: -2] = sign * coeffs[:, J + k0 :: 2]
+                if k0 == 0:
+                    coeffs[:, J] = vecs[0]
+            vals.append(w)
+            rows.append(coeffs)
+    freqs = np.concatenate(vals)
+    order = np.argsort(freqs, kind="stable")
+    freqs, coeffs = freqs[order], np.concatenate(rows)[order]
     if not np.isfinite(freqs).all():
         raise ValueError(f"J={J} levels are not finite: the rotational constants overflow")
-    if any(b - a < DEGENERACY_TOL_MHZ for a, b in zip(freqs, freqs[1:])):
+    if (np.diff(freqs) < DEGENERACY_TOL_MHZ).any():
         warnings.warn(DegenerateLevelsWarning(J), stacklevel=2)
 
+    # Phase: the first coefficient (K = -J..J) above 1e-10 of its row's largest is positive.
+    size = np.abs(coeffs)
+    first = (size > 1e-10 * size.max(axis=1, keepdims=True)).argmax(axis=1)
+    flip = coeffs[np.arange(n), first] < 0
+    coeffs[flip] = -coeffs[flip]
     return [
-        AsymTopLevel(J=J, tau=tau, freq=freq, coeffs=_fix_phase(vec))
-        for tau, (freq, vec) in zip(range(-J, J + 1), pairs)
+        AsymTopLevel(J=J, tau=tau, freq=freq, coeffs=vec)
+        for tau, freq, vec in zip(range(-J, J + 1), freqs, coeffs)
     ]
 
 
 def transition_frequency(upper: AsymTopLevel, lower: AsymTopLevel) -> float:
-    """Strictly positive transition frequency upper.freq - lower.freq, MHz."""
-    if upper.freq <= lower.freq:
+    """Strictly positive transition frequency upper.freq - lower.freq, MHz;
+    OrderingError unless upper.freq > lower.freq (so also on a NaN)."""
+    if not upper.freq > lower.freq:
         raise OrderingError(
             f"upper level at {upper.freq} MHz is not above lower at {lower.freq} MHz"
         )

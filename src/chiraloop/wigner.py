@@ -1,9 +1,10 @@
 """Exact Wigner 3j symbols for integer angular momenta.
 
-Values are computed from the Racah single-sum formula with exact integer
-factorials (rational arithmetic under one square root), so selection-rule
-zeros come out as exact 0.0 and there is no cancellation error.  Integer j
-up to a few tens is fine; big-int factorials never overflow.
+Values are computed from the Racah single-sum formula in integers only
+(exact factorials, one common denominator; |3j|^2 is rounded once, under
+one square root), so selection-rule zeros come out as exact 0.0 and there
+is no cancellation error.  Integer j up to a few tens is fine; big-int
+factorials never overflow.
 
 Condon-Shortley phase convention throughout.
 """
@@ -12,7 +13,6 @@ from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 from functools import lru_cache
 
 __all__ = ["wigner3j", "w_coupling"]
@@ -48,41 +48,32 @@ def _wigner3j(j1: int, j2: int, j3: int, m1: int, m2: int, m3: int) -> float:
     if t_max < t_min:
         return 0.0
 
-    total = Fraction(0)
-    for t in range(t_min, t_max + 1):
-        den = (
-            math.factorial(t)
-            * math.factorial(j1 + j2 - j3 - t)
-            * math.factorial(j1 - m1 - t)
-            * math.factorial(j2 + m2 - t)
-            * math.factorial(j3 - j2 + m1 + t)
-            * math.factorial(j3 - j1 - m2 + t)
-        )
-        total += Fraction(-1 if t % 2 else 1, den)
-    if total == 0:
+    dens = [
+        math.factorial(t)
+        * math.factorial(j1 + j2 - j3 - t)
+        * math.factorial(j1 - m1 - t)
+        * math.factorial(j2 + m2 - t)
+        * math.factorial(j3 - j2 + m1 + t)
+        * math.factorial(j3 - j1 - m2 + t)
+        for t in range(t_min, t_max + 1)
+    ]
+    # The alternating sum over its common denominator: total = num / lcm.
+    lcm = math.lcm(*dens)
+    num = sum(-(lcm // den) if t % 2 else lcm // den for t, den in enumerate(dens, t_min))
+    if num == 0:
         return 0.0
 
-    ratio = Fraction(
-        math.factorial(j1 + j2 - j3)
-        * math.factorial(j1 - j2 + j3)
-        * math.factorial(-j1 + j2 + j3),
-        math.factorial(j1 + j2 + j3 + 1),
-    )
-    ratio *= (
-        math.factorial(j1 + m1)
-        * math.factorial(j1 - m1)
-        * math.factorial(j2 + m2)
-        * math.factorial(j2 - m2)
-        * math.factorial(j3 + m3)
-        * math.factorial(j3 - m3)
-    )
-
-    # |3j|^2 as an exact rational in (0, 1]; one float sqrt at the end.
-    square = ratio * total * total
-    sign = 1 if total > 0 else -1
+    # |3j|^2 in (0, 1] as one int / int division, which CPython rounds
+    # correctly; one float sqrt at the end.
+    ratio = math.prod(map(math.factorial, (
+        j1 + j2 - j3, j1 - j2 + j3, -j1 + j2 + j3,
+        j1 + m1, j1 - m1, j2 + m2, j2 - m2, j3 + m3, j3 - m3,
+    )))
+    square = ratio * num * num / (math.factorial(j1 + j2 + j3 + 1) * lcm * lcm)
+    sign = 1 if num > 0 else -1
     if (j1 - j2 - m3) % 2:
         sign = -sign
-    return sign * math.sqrt(float(square))
+    return sign * math.sqrt(square)
 
 
 def w_coupling(J: int, M: int, Jp: int, Mp: int, sigma: int) -> float:

@@ -202,6 +202,23 @@ def test_amp_or_phase_with_field_exits_2(option, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["loops", "verify", "propanediol", "--pol", "ZXY"], "amp"),
+        (["loops", "verify", "propanediol", "--sigma", "1,-1,0"], "phase"),
+        (["simulate", "propanediol", "--config", "ZXY", "--t", "0"], "amp"),
+    ],
+    ids=["verify-pol-amp", "verify-sigma-phase", "simulate-amp"],
+)
+def test_empty_amp_or_phase_exits_2(argv, option, capsys):
+    """An empty --amp or --phase is a bad value, not an absent one."""
+    assert run([*argv, f"--{option}="]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --{option} needs three comma-separated values, got ''\n"
+    assert captured.out == ""
+
+
 def test_simulate_closed_loop(tmp_path, capsys):
     csv_path = tmp_path / "dynamics.csv"
     code = run(
@@ -368,6 +385,23 @@ def test_degenerate_triad_gives_one_warning_line(tmp_path, capsys):
             "warning: degenerate levels in the J = 1 blocks; "
             "their tau order is not physically defined"
         ]
+
+
+def test_degenerate_triad_gives_one_error_text(tmp_path, capsys):
+    """On A = B the two lowest J = 1 levels coincide, so triad b has no
+    b -> c line: the line table and the verdict refuse it with one message."""
+    path = tmp_path / "oblate.mol"
+    path.write_text(GOOD_CONFIG.replace("8572.05", "5000").replace("3640.10", "5000")
+                    .replace("2790.96", "3000"))
+    assert run(["transitions", str(path), "--triad", "b"]) == 2
+    table = capsys.readouterr()
+    assert run(["loops", "verify", str(path), "--triad", "b", "--sigma", "1,-1,0"]) == 2
+    verdict = capsys.readouterr()
+    assert table.err.splitlines()[-1] == (
+        "error: upper level at 8000.0 MHz is not above lower at 8000.0 MHz"
+    )
+    assert verdict.err == table.err
+    assert table.out == verdict.out == ""
 
 
 def test_rewritten_molecule_file_is_read_again(tmp_path, capsys):
@@ -696,6 +730,20 @@ def test_fixed_point_cells_match_percent_formatting(fmt):
     cells = [[fmt % x for x in row] for row in rows.tolist()]
     assert max(len(c) for row in cells for c in row) > 300  # the 1e300 cell
     assert (out.getvalue(), written) == _reference_table(headers, cells)
+
+
+def test_cli_import_loads_no_rational_types():
+    """The 3j symbols are integer sums: importing the CLI loads neither
+    fractions nor decimal (a few ms of every command's start-up)."""
+    script = (
+        "import sys\n"
+        "import chiraloop.cli\n"
+        "print(sorted({'fractions', 'decimal'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=_module_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_tables_do_not_import_numpy_ma(tmp_path):

@@ -2,6 +2,7 @@
 pure-polarization table, and the linear-polarization orthogonality rule."""
 
 import cmath
+import dataclasses
 import math
 import warnings
 
@@ -30,6 +31,7 @@ from chiraloop.loop import (
     omega2_closed_form,
     verify_linear_orthogonality,
 )
+from chiraloop.rotor import OrderingError
 
 from conftest import X, Y, Z, linear_loop_spec, pure_loop_spec, random_loop_spec
 from conftest import reference_diagnostics, reference_dressed
@@ -57,8 +59,10 @@ def test_loopspec_rejects_wrong_j(triad_a, dipole):
         Triad(b, b, c, dipole)  # J=1 in the ground slot
     with pytest.raises(ValueError, match="J = 1"):
         Triad(a, a, c, dipole)
-    with pytest.raises(ValueError, match="ordered"):
+    with pytest.raises(OrderingError, match="is not above"):
         Triad(a, c, b, dipole)
+    with pytest.raises(OrderingError, match="nan MHz"):
+        Triad(a, dataclasses.replace(b, freq=math.nan), c, dipole)
 
 
 def test_loopspec_rejects_off_resonant_field(triad_a, dipole):

@@ -1,4 +1,5 @@
-"""Rotor block construction, eigenpairs against numpy's solver, closed forms."""
+"""Rotor block construction, eigenpairs against numpy's solver, closed forms,
+and the loop-built route as a bit-for-bit oracle."""
 
 import math
 import warnings
@@ -9,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chiraloop.rotor import (
+    DEGENERACY_TOL_MHZ,
+    AsymTopLevel,
     DegenerateLevelsWarning,
     OrderingError,
     RangeError,
@@ -29,6 +32,89 @@ def _constants_from(sorted_triple):
     c, b, a = sorted_triple
     # spread the values so every J block is comfortably non-degenerate
     return RotationalConstants(A=2.0 * a + 2.0, B=b + 1.0, C=c)
+
+
+def _hexes(values):
+    return [float(x).hex() for x in np.ravel(values)]
+
+
+# ---------------------------------------------------------------------------
+# the loop-built route: one element, one eigenvector and one level at a time
+
+def loop_block(constants, J):
+    """The (2J+1)x(2J+1) block filled one element at a time in Python scalars."""
+    n = 2 * J + 1
+    jj = J * (J + 1)
+    h = np.zeros((n, n))
+    half_sum = 0.5 * (constants.B + constants.C)
+    quarter_diff = 0.25 * (constants.B - constants.C)
+    for i in range(n):
+        K = i - J
+        h[i, i] = constants.A * K * K + half_sum * (jj - K * K)
+    for i in range(n - 2):
+        K = i - J
+        off = quarter_diff * np.sqrt(jj - K * (K + 1)) * np.sqrt(jj - (K + 1) * (K + 2))
+        h[i, i + 2] = off
+        h[i + 2, i] = off
+    return h
+
+
+def _fix_phase(vec):
+    """Make the first coefficient above 1e-10 of the largest positive."""
+    values = vec.tolist()
+    threshold = 1e-10 * max(map(abs, values))
+    for x in values:
+        if abs(x) > threshold:
+            return vec if x > 0 else -vec
+    return vec
+
+
+def loop_levels(constants, J):
+    """(freq, coeffs) of the J block's levels and whether it warns, one
+    eigenvector at a time: the Wang sub-blocks of loop_block, a written-out
+    single state, a Python stable sort on frequency and a per-vector phase.
+    Oracle for rotor_levels, which must match it bit for bit."""
+    block = loop_block(constants, J)
+    n = 2 * J + 1
+    root_half = 1.0 / np.sqrt(2.0)
+    pairs = []
+    for sign, k0 in ((1, 0), (-1, 2), (1, 1), (-1, 1)):
+        if k0 > J:
+            continue
+        d = block.diagonal()[J + k0 :: 2].copy()
+        if k0 == 1:
+            d[0] += sign * block[J + 1, J - 1]
+        if d.size == 1:
+            vec = np.zeros(n)
+            vec[J - k0] = root_half if k0 else 1.0
+            vec[J + k0] = sign * vec[J - k0]
+            pairs.append((d[0], vec))
+            continue
+        e = block.diagonal(2)[J + k0 :: 2].copy()
+        if k0 == 0:
+            e[0] *= np.sqrt(2.0)
+        vals, vecs = np.linalg.eigh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+        coeffs = np.zeros((d.size, n))
+        coeffs[:, J + k0 :: 2] = vecs.T * root_half
+        coeffs[:, J - k0 :: -2] = sign * coeffs[:, J + k0 :: 2]
+        if k0 == 0:
+            coeffs[:, J] = vecs[0]
+        pairs.extend(zip(vals, coeffs))
+    pairs.sort(key=lambda p: p[0])
+    freqs = [p[0] for p in pairs]
+    warns = any(b - a < DEGENERACY_TOL_MHZ for a, b in zip(freqs, freqs[1:]))
+    return [(freq, _fix_phase(vec)) for freq, vec in pairs], warns
+
+
+def assert_levels_match_loop_route(constants, J):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        levels = rotor_levels(constants, J)
+    expected, warns = loop_levels(constants, J)
+    assert [type(w.message) for w in caught] == [DegenerateLevelsWarning] * warns
+    assert [level.tau for level in levels] == list(range(-J, J + 1))
+    assert _hexes([level.freq for level in levels]) == _hexes([freq for freq, _ in expected])
+    assert _hexes([level.coeffs for level in levels]) == _hexes([vec for _, vec in expected])
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +173,28 @@ def test_block_matches_explicit_elements(constants):
     np.fill_diagonal(mask, False)
     mask &= ~np.eye(2 * J + 1, k=2, dtype=bool) & ~np.eye(2 * J + 1, k=-2, dtype=bool)
     assert np.all(block[mask] == 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(triple=constants_strategy, J=st.integers(0, 30))
+def test_block_matches_loop_route_bit_for_bit(triple, J):
+    c, b, a = triple
+    constants = RotationalConstants(A=a, B=b, C=c)
+    assert _hexes(rotor_hamiltonian_block(constants, J)) == _hexes(loop_block(constants, J))
+
+
+def test_overflowing_constants_raise_no_runtime_warning():
+    """Constants near the float limit overflow the block to inf; that is the
+    ValueError of rotor_levels, never a numpy RuntimeWarning."""
+    huge = RotationalConstants(A=1e308, B=1e307, C=1e306)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for J in range(6):
+            rotor_hamiltonian_block(huge, J)
+        assert [len(rotor_levels(huge, J)) for J in (0, 1)] == [1, 3]
+        for J in range(2, 6):
+            with pytest.raises(ValueError, match=f"J={J} levels are not finite"):
+                rotor_levels(huge, J)
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +301,27 @@ def test_prolate_limit_collapse():
         assert overlap_with_combo(level, K) > 1 - 1e-5
 
 
+@settings(max_examples=60, deadline=None)
+@given(triple=constants_strategy, J=st.integers(0, 30))
+def test_levels_match_loop_route_bit_for_bit(triple, J):
+    c, b, a = triple
+    assert_levels_match_loop_route(RotationalConstants(A=a, B=b, C=c), J)
+
+
+@pytest.mark.parametrize(
+    "constants",
+    [
+        RotationalConstants(A=5000.0, B=5000.0, C=3000.0),  # A = B, oblate
+        RotationalConstants(A=9000.0, B=3000.0, C=3000.0),  # B = C, prolate
+        RotationalConstants(A=4000.0, B=4000.0, C=4000.0),  # A = B = C, spherical
+    ],
+    ids=["A=B", "B=C", "A=B=C"],
+)
+def test_degenerate_tops_match_loop_route_bit_for_bit(constants):
+    for J in range(31):
+        assert_levels_match_loop_route(constants, J)
+
+
 def test_exact_degeneracy_warns_and_is_deterministic():
     sphere = RotationalConstants(A=1.0, B=1.0, C=1.0)
     with pytest.warns(DegenerateLevelsWarning):
@@ -222,6 +351,15 @@ def test_transition_ordering_error(constants):
         transition_frequency(ground, levels[0])
     with pytest.raises(OrderingError):
         transition_frequency(ground, ground)
+
+
+def test_transition_from_nan_level_is_ordering_error(constants):
+    ground = rotor_levels(constants, 0)[0]
+    broken = AsymTopLevel(J=1, tau=-1, freq=math.nan, coeffs=np.array([0.0, 1.0, 0.0]))
+    with pytest.raises(OrderingError):
+        transition_frequency(broken, ground)
+    with pytest.raises(OrderingError):
+        transition_frequency(ground, broken)
 
 
 # ---------------------------------------------------------------------------

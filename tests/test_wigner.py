@@ -1,7 +1,9 @@
 """3j symbol tests: frozen values, an independent ladder-operator oracle,
-and the symmetry/orthogonality properties."""
+the rational-arithmetic Racah sum as a bit-for-bit oracle, and the
+symmetry/orthogonality properties."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -110,6 +112,63 @@ def test_matches_ladder_oracle_large_j():
                 assert wigner3j(20, 1, j3, m1, m2, m3) == pytest.approx(
                     expected, abs=1e-12
                 )
+
+
+# ---------------------------------------------------------------------------
+# the Racah sum in rational arithmetic, rounded once
+
+def racah_fraction_3j(j1, j2, j3, m1, m2, m3):
+    """The Racah single sum as an exact Fraction; |3j|^2 is rounded to a float
+    once, before one square root.  Oracle for wigner3j, which must match it
+    bit for bit."""
+    if m1 + m2 + m3 != 0 or not abs(j1 - j2) <= j3 <= j1 + j2:
+        return 0.0
+    f = math.factorial
+    total = Fraction(0)
+    for t in range(max(0, j2 - j3 - m1, j1 - j3 + m2), min(j1 + j2 - j3, j1 - m1, j2 + m2) + 1):
+        den = (
+            f(t) * f(j1 + j2 - j3 - t) * f(j1 - m1 - t) * f(j2 + m2 - t)
+            * f(j3 - j2 + m1 + t) * f(j3 - j1 - m2 + t)
+        )
+        total += Fraction(-1 if t % 2 else 1, den)
+    if total == 0:
+        return 0.0
+    ratio = Fraction(f(j1 + j2 - j3) * f(j1 - j2 + j3) * f(-j1 + j2 + j3), f(j1 + j2 + j3 + 1))
+    ratio *= f(j1 + m1) * f(j1 - m1) * f(j2 + m2) * f(j2 - m2) * f(j3 + m3) * f(j3 - m3)
+    sign = 1 if total > 0 else -1
+    if (j1 - j2 - m3) % 2:
+        sign = -sign
+    return sign * math.sqrt(float(ratio * total * total))
+
+
+def _symbols(j1_max, j2_max):
+    return [
+        (j1, j2, j3, m1, m2, -m1 - m2)
+        for j1 in range(j1_max + 1)
+        for j2 in range(j2_max + 1)
+        for j3 in range(abs(j1 - j2), j1 + j2 + 1)
+        for m1 in range(-j1, j1 + 1)
+        for m2 in range(-j2, j2 + 1)
+        if abs(m1 + m2) <= j3
+    ]
+
+
+def test_matches_fraction_route_bit_for_bit_dipole_range():
+    """Every symbol with j1 <= 20 and j2 <= 2, the range dipole couplings use."""
+    symbols = _symbols(20, 2)
+    assert len(symbols) == 14_451
+    for args in symbols:
+        assert wigner3j(*args).hex() == racah_fraction_3j(*args).hex(), args
+
+
+@settings(max_examples=300, deadline=None)
+@given(j1=st.integers(0, 40), j2=st.integers(0, 40), data=st.data())
+def test_matches_fraction_route_bit_for_bit_property(j1, j2, data):
+    j3 = data.draw(st.integers(abs(j1 - j2), min(j1 + j2, 40)))
+    m1 = data.draw(st.integers(-j1, j1))
+    m2 = data.draw(st.integers(max(-j2, -j3 - m1), min(j2, j3 - m1)))
+    args = (j1, j2, j3, m1, m2, -m1 - m2)
+    assert wigner3j(*args).hex() == racah_fraction_3j(*args).hex()
 
 
 # ---------------------------------------------------------------------------
