@@ -316,19 +316,17 @@ def _emit(headers: list[str], rows: np.ndarray | list[list[str]], csv_path: str 
           formats: list[str] | None = None) -> None:
     """Write a table to stdout, right-aligned, and to csv_path as CSV if given.
 
-    rows is a 2-D float array with one column per header, or a short list of rows
-    of strings; formats has one % conversion per column ("%s" by default).
+    rows is a 2-D float array with one column per header and one % conversion
+    per column in formats, or a short list of rows of strings, written as given.
     Float rows are rendered as bytes (`_Column`), EVOLVE_BLOCK_ROWS at a time; a
     float's text holds no space, so its CSV is the same bytes, unpadded, with commas."""
-    formats = formats or ["%s"] * len(headers)
-    rows = np.asarray(rows).reshape(len(rows), len(headers))
     texts, columns = [headers], []  # the lines Python writes: the header, and any strings
-    if rows.dtype.kind == "f":
+    if isinstance(rows, np.ndarray):
         columns = [_Column(f, rows[:, i]) for i, f in enumerate(formats)]
         widths = [max(len(h), c.width) for h, c in zip(headers, columns)]
         ends = np.cumsum(widths) + 2 * np.arange(len(widths))  # where each column's cells end
     else:  # a few rows of strings: cell by cell in Python costs less than numpy's set-up
-        texts += [[f % x for f, x in zip(formats, r)] for r in rows.tolist()]
+        texts += rows
         widths = [max(map(len, column)) for column in zip(*texts)]
     try:
         handle = open(csv_path, "w", newline="") if csv_path else None

@@ -6,8 +6,10 @@ prolate-basis expansions; it is independent of the lab-frame projection M
 and of drive polarization.  The coupling terms that survive the selection
 rules depend only on the two J values, so they are tabulated once per
 (J_upper, J_lower) pair and each element is a sum over its pair's table.
-The Rabi convention (`_rabi_pair`), which every coupling block computes
-through, gives MHz for field amplitudes in V/cm and dipoles in Debye.
+The same table, read over M instead of K, gives the Delta-M = sigma
+entries of every lab-frame coupling block (`dynamics`), and
+DEBYE_VCM_TO_MHZ turns field amplitudes in V/cm and dipoles in Debye
+into Rabi frequencies in MHz.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .fields import _mul
 from .rotor import AsymTopLevel
 from .wigner import w_coupling
 
@@ -101,8 +102,14 @@ def _coupling_terms(
     coupling coefficient W is nonzero.
 
     Indices address a level's coeffs (K + J); sign is (-1)^(sigma - K_l).
-    A line list asks for at most 3 tables per J (|J_u - J_l| <= 1), so the
-    cache stays small.
+    W = w_coupling(J_u, K_u, J_l, K_l, sigma) is the same function of (M_u,
+    M_l) as of (K_u, K_l), and (-1)^(sigma - M_l) is the block's phase
+    (-1)^(M_l + sigma), so each coupling block reads its Delta-M = sigma
+    entries from this table too (as M + J, rows and columns flipped): the
+    table keeps every nonzero W, whatever the levels' coefficients.  Skipping
+    terms that vanish for a level's K parity belongs in
+    reduced_matrix_element's loop, not here.  Only |J_u - J_l| <= 1 asks for
+    a table, so the cache holds at most 3 tables per J.
     """
     terms = tuple(
         tuple(
@@ -139,16 +146,3 @@ def reduced_matrix_element(
         total += mu_s * acc
     return ReducedElement(norm * total, *tag)
 
-
-def _rabi_pair(M_lower: int, sigma: int, amplitude, e, w: float, gamma: complex):
-    """(-1)^(M_lower+sigma) E e W Gamma scaled to MHz, as a (real, imag) pair,
-    for e = e^(i phase); amplitude and e may be floats or arrays.
-
-    The one statement of the Rabi convention, Omega(M_upper <- M_lower) of a
-    sigma = M_upper - M_lower component, which every coupling block computes
-    through.  Complex products go through fields._mul, so the bits do not
-    depend on how the interpreter mixes real and complex operands.
-    """
-    sign = -1.0 if (M_lower + sigma) % 2 else 1.0
-    rabi = _mul((sign * amplitude * DEBYE_VCM_TO_MHZ, 0.0), (e.real, e.imag))
-    return _mul(_mul(rabi, (w, 0.0)), (gamma.real, gamma.imag))

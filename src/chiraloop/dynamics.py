@@ -15,10 +15,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dipole import BodyDipole, _rabi_pair, reduced_matrix_element
+from .dipole import DEBYE_VCM_TO_MHZ, BodyDipole, _coupling_terms, reduced_matrix_element
 from .fields import DriveField, _complex, _mul
 from .rotor import AsymTopLevel
-from .wigner import w_coupling
 
 if TYPE_CHECKING:  # avoid a runtime cycle; loop imports this module
     from numpy.typing import ArrayLike
@@ -51,10 +50,6 @@ class ResonanceAmbiguityError(ValueError):
     """A drive frequency matches more than one level-pair transition."""
 
 
-def _m_values(J: int) -> list[int]:
-    return list(range(J, -J - 1, -1))  # +J .. -J, matching dressed-state order
-
-
 def coupling_block(
     upper: AsymTopLevel,
     lower: AsymTopLevel,
@@ -83,20 +78,25 @@ def _stacked_coupling_block(
 
     components holds (sigma, amplitude, e^(i phase)) per polarization
     component, as floats or as arrays of the stack's shape; gamma is the
-    reduced element.  A stack gets the bits of its single drives.
+    reduced element.  Entry (M_upper, M_lower) of a sigma component is half
+    of (-1)^(M_lower+sigma) E e^(i phase) W Gamma in MHz, the Rabi
+    convention, with the signed W of the J pair's dipole._coupling_terms.
+    Complex products go through fields._mul, so a stack gets the bits of
+    its single drives on every interpreter.
     """
-    m_up = _m_values(upper.J)
-    m_lo = _m_values(lower.J)
     # entry axes first while filling, so one drive's entries are floats
-    re, im = np.zeros((2, len(m_up), len(m_lo), *np.shape(components[0][1])))
-    for sigma, amp, e in components:
-        for i, mu in enumerate(m_up):
-            ml = mu - sigma
-            if abs(ml) > lower.J or (w := w_coupling(upper.J, mu, lower.J, ml, sigma)) == 0.0:
-                continue
-            half_re, half_im = _mul((0.5, 0.0), _rabi_pair(ml, sigma, amp, e, w, gamma))
-            re[i, m_lo.index(ml)] += half_re
-            im[i, m_lo.index(ml)] += half_im
+    re, im = np.zeros((2, 2 * upper.J + 1, 2 * lower.J + 1, *np.shape(components[0][1])))
+    if abs(upper.J - lower.J) <= 1:  # else the triangle rule leaves all zeros
+        tables = _coupling_terms(upper.J, lower.J)[1]
+        # a table index K + J read as M + J; rows and columns run M = +J..-J
+        last_u, last_l = 2 * upper.J, 2 * lower.J
+        g = (gamma.real, gamma.imag)
+        for sigma, amp, e in components:
+            rabi = _mul((amp * DEBYE_VCM_TO_MHZ, 0.0), (e.real, e.imag))
+            for iu, il, w in tables[sigma + 1]:
+                half_re, half_im = _mul((0.5, 0.0), _mul(_mul(rabi, (w, 0.0)), g))
+                re[last_u - iu, last_l - il] += half_re
+                im[last_u - iu, last_l - il] += half_im
     return np.ascontiguousarray(_complex(re, im).transpose(*range(2, re.ndim), 0, 1))
 
 

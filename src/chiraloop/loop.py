@@ -65,8 +65,9 @@ LOOP_BATCH_ROWS = 512
 _SQRT3 = math.sqrt(3.0)
 _SQRT6 = math.sqrt(6.0)
 
-# (i, j) of <c'|H2|b>, <c''|H2|b>, <c|H2|b'> and <c|H2|b''> among the <c_i|H2|b_j>
-_RESIDUAL_SANDWICHES = (np.array([1, 2, 0, 0]), np.array([0, 0, 1, 2]))
+# (i, j) of <c'|H2|b>, <c''|H2|b>, <c|H2|b'>, <c|H2|b''> and <c|H2|b> among the
+# <c_i|H2|b_j>: the four residuals, then half of Omega2
+_CHECKED_SANDWICHES = (np.array([1, 2, 0, 0, 0]), np.array([0, 0, 1, 2, 0]))
 
 
 class NotClosedError(ValueError):
@@ -248,7 +249,7 @@ def _closed_form_prefactor(gamma_cb: complex, total2):
 
 
 def _closed_form(trig, phases, pref):
-    """The four cross couplings and Omega2 in closed form, MHz.
+    """The four cross couplings and <c|H2|b>, half of Omega2, in closed form, MHz.
 
     Written out in the (theta, phi) field angles and component phases,
     independent of the matrix assembly path and used as its oracle.  Every
@@ -300,7 +301,7 @@ def _closed_form(trig, phases, pref):
         + st1 * cf1 * st2 * sf2 * st3 * cf3 * ph_aza
         + st1 * cf1 * ct2 * st3 * sf3 * ph_amz
     )
-    return c_prime_b, c_dprime_b, c_b_prime, c_b_dprime, 2.0 * half_omega2
+    return c_prime_b, c_dprime_b, c_b_prime, c_b_dprime, half_omega2
 
 
 def closure_conditions_closed_form(spec: LoopSpec) -> tuple[complex, complex, complex, complex]:
@@ -310,7 +311,7 @@ def closure_conditions_closed_form(spec: LoopSpec) -> tuple[complex, complex, co
 
 def omega2_closed_form(spec: LoopSpec) -> complex:
     """Closed-form middle Rabi frequency 2 <c|H2|b>, MHz."""
-    return complex(_closed_form(*_closed_form_inputs(spec))[4])
+    return complex(2.0 * _closed_form(*_closed_form_inputs(spec))[4])
 
 
 @dataclass(frozen=True)
@@ -444,8 +445,9 @@ class Triad:
         (wrapped, 0 if absent) at sigma = SIGMAS[k], and totals[d] its
         total: floats for one triple, arrays of the stack's shape for a
         stack.  The matrix route gives the residuals and Omega2; the
-        residuals must agree with the closed-form route, on the same field
-        trig, to 1e-12 of the block's largest entry before they are judged.
+        residuals and <c|H2|b> must agree with the closed-form route, on the
+        same field trig, to 1e-12 of the block's largest entry before they
+        are judged.
         """
         e = np.exp(np.multiply(1j, phis))
         if e.ndim == 2:  # one triple: Python scalars from here on
@@ -461,15 +463,14 @@ class Triad:
         block = dynamics._stacked_coupling_block(
             self.level_c, self.level_b, self.gamma_cb, components
         )
-        # <c_i|H2|b_j> over the two triples, shape (3, 3, ...): the residuals
-        # and <c|H2|b>, half of Omega2
+        # <c_i|H2|b_j> over the two triples, shape (3, 3, ...)
         bras = c.conj()[:, None, ..., None, :] @ block
-        sandwiches = (bras @ b[None, ..., None])[..., 0, 0]
-        residuals = sandwiches[_RESIDUAL_SANDWICHES]
-        omegas = _omegas(self.gamma_ba, self.gamma_ca, totals[0], totals[2], sandwiches[0, 0])
+        checked = (bras @ b[None, ..., None])[..., 0, 0][_CHECKED_SANDWICHES]
+        residuals = checked[:4]
+        omegas = _omegas(self.gamma_ba, self.gamma_ca, totals[0], totals[2], checked[4])
 
         closed_form = _closed_form(trig, phis, _closed_form_prefactor(self.gamma_cb, totals[1]))
-        deviation = np.abs(residuals - closed_form[:4])
+        deviation = np.abs(checked - closed_form)
         bound = 1e-12 * np.abs(block).max(axis=(-2, -1), initial=1e-300)
         differ = deviation > bound
         if differ.any():
@@ -545,36 +546,27 @@ def enumerate_pure_polarizations(
 
     With unit amplitudes, exactly the six TABLE_ROWS close (for a dipole
     with all components nonzero); the dressed states are then single
-    sublevels with M_b = sigma1 and M_c = sigma3.  Closed rows come first,
-    in TABLE_ROWS order, then the rejected rows lexicographically.
+    sublevels with M_b = sigma1 and M_c = sigma3.  The six TABLE_ROWS come
+    first, in that order, whether or not they close (with mu_x = 0 or
+    mu_z = 0 none does); the other 21 follow lexicographically.
     """
-    triples = list(itertools.product((-1, 0, 1), repeat=3))
+    # (sigma1, sigma2, sigma3, M_b, M_c) of every triple, in table order
+    keys = sorted(
+        ((s1, s2, s3, s1, s3) for s1, s2, s3 in itertools.product((-1, 0, 1), repeat=3)),
+        key=lambda k: (TABLE_ROWS.index(k) if k in TABLE_ROWS else len(TABLE_ROWS), k),
+    )
     # unit amplitude on the one component of each drive
-    amps = np.array([[[float(s == t) for t in SIGMAS] for s in triple] for triple in triples])
+    amps = np.array([[[float(s == t) for t in SIGMAS] for s in key[:3]] for key in keys])
     diags = Triad(*levels, dipole).diagnostics(amps, np.zeros_like(amps))
-    rows = [
+    return [
         LoopCandidate(
-            sigma1=s1,
-            sigma2=s2,
-            sigma3=s3,
-            m_b=s1,
-            m_c=s3,
+            *key,
             closed=diag.closed,
             omega_abs=tuple(abs(o) for o in diag.omegas),
             max_residual=diag.max_residual,
         )
-        for (s1, s2, s3), diag in zip(triples, diags)
+        for key, diag in zip(keys, diags)
     ]
-
-    def order(row: LoopCandidate):
-        key = (row.sigma1, row.sigma2, row.sigma3, row.m_b, row.m_c)
-        for i, table_key in enumerate(TABLE_ROWS):
-            if key == table_key:
-                return (0, i)
-        return (1, key)
-
-    rows.sort(key=order)
-    return rows
 
 
 def verify_linear_orthogonality(

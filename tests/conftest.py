@@ -130,9 +130,10 @@ def reference_dressed(f):
 
 def reference_diagnostics(spec):
     """The closure verdict of one spec on the scalar route: complex dressed
-    vectors, dynamics.coupling_block, one sandwich per cross coupling, the
-    closed-form cross-check and the verdict rule.  Oracle for both
-    loop_diagnostics and Triad.diagnostics, which must match it bit for bit."""
+    vectors, dynamics.coupling_block, one sandwich per cross coupling and
+    one for <c|H2|b>, the closed-form cross-check of all five and the
+    verdict rule.  Oracle for both loop_diagnostics and Triad.diagnostics,
+    which must match it bit for bit."""
     b, b_prime, b_dprime = reference_dressed(spec.field1)
     c, c_prime, c_dprime = reference_dressed(spec.field3)
     t = spec.triad
@@ -144,9 +145,10 @@ def reference_diagnostics(spec):
     residuals = (
         sandwich(c_prime, b), sandwich(c_dprime, b), sandwich(c, b_prime), sandwich(c, b_dprime)
     )
-    closed_form = loop.closure_conditions_closed_form(spec)
+    closed_form = (*loop.closure_conditions_closed_form(spec), loop.omega2_closed_form(spec) / 2)
     scale = max(np.abs(block).max(), 1e-300)
-    assert not max(abs(x - y) for x, y in zip(residuals, closed_form)) > 1e-12 * scale
+    checked = (*residuals, sandwich(c, b))
+    assert not max(abs(x - y) for x, y in zip(checked, closed_form)) > 1e-12 * scale
     gamma_ba, gamma_ca = (
         reduced_matrix_element(upper, t.level_a, t.dipole).value for upper in (t.level_b, t.level_c)
     )

@@ -1,5 +1,6 @@
 """Full 7-level Hamiltonian assembly, propagation, leakage, and contrast."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chiraloop import loop
-from chiraloop.dipole import DEBYE_VCM_TO_MHZ, reduced_matrix_element
+from chiraloop.dipole import DEBYE_VCM_TO_MHZ, _coupling_terms, reduced_matrix_element
 from chiraloop.dynamics import (
     EVOLVE_BLOCK_ROWS,
     ResonanceAmbiguityError,
@@ -129,22 +130,43 @@ def test_coupling_block_shape_and_selection(triad_a, dipole):
     assert nonzero == {(1, 0), (2, 1)}
 
 
-def test_coupling_block_entries_are_half_rabi_frequencies(triad_a, dipole):
-    """Block entries are half the written-out Rabi frequencies, bit for bit."""
-    a, b, c = triad_a
-    field = DriveField(c.freq - b.freq, {-1: (0.7, 2.9), 0: (1.3, -0.4), 1: (0.2, 1.1)})
-    block = coupling_block(c, b, field, dipole)
-    m_values = (1, 0, -1)
-    for i, m_c in enumerate(m_values):
-        for j, m_b in enumerate(m_values):
-            sigma = m_c - m_b
-            if abs(sigma) > 1:
-                assert block[i, j] == 0j
-                continue
-            omega = reference_rabi(
-                c, m_c, b, m_b, sigma, field.amplitude(sigma), field.phase(sigma), dipole
-            )
-            assert block[i, j] == 0.5 * omega
+@pytest.fixture(scope="module")
+def levels_to_j4(constants):
+    return [rotor_levels(constants, J) for J in range(5)]
+
+
+def _bits(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+@pytest.mark.parametrize("j_upper, j_lower", list(itertools.product(range(5), repeat=2)))
+def test_coupling_block_entries_are_half_rabi_frequencies(j_upper, j_lower, levels_to_j4, dipole):
+    """Every block up to J = 4, square or not, in both orders, holds half of
+    reference_rabi per entry bit for bit (a zero as the +0.0 it is added to);
+    a |Delta J| > 1 block is exact zeros and builds no coupling-term table."""
+    field = DriveField(1000.0, {-1: (0.7, 2.9), 0: (1.3, -0.4), 1: (0.2, 1.1)})
+    uppers, lowers = levels_to_j4[j_upper], levels_to_j4[j_lower]
+    tables = _coupling_terms.cache_info().currsize
+    for upper, lower in itertools.product((uppers[0], uppers[-1]), (lowers[0], lowers[-1])):
+        block = coupling_block(upper, lower, field, dipole)
+        assert block.shape == (2 * j_upper + 1, 2 * j_lower + 1)
+        for (i, m_upper), (j, m_lower) in itertools.product(
+            enumerate(range(j_upper, -j_upper - 1, -1)), enumerate(range(j_lower, -j_lower - 1, -1))
+        ):
+            sigma = m_upper - m_lower
+            want = 0j
+            if abs(sigma) <= 1:
+                half = 0.5 * reference_rabi(
+                    upper, m_upper, lower, m_lower, sigma,
+                    field.amplitude(sigma), field.phase(sigma), dipole,
+                )
+                want = complex(0.0 + half.real, 0.0 + half.imag)
+            assert _bits(complex(block[i, j])) == _bits(want)
+        if abs(j_upper - j_lower) > 1:
+            assert not block.any()
+            assert not np.signbit(block.view(float)).any()
+    if abs(j_upper - j_lower) > 1:
+        assert _coupling_terms.cache_info().currsize == tables
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chiraloop import dynamics, loop
+from chiraloop import dynamics, loop, wigner
 from chiraloop.dipole import BodyDipole
 from chiraloop.fields import DriveField
 from chiraloop.loop import (
@@ -174,6 +174,20 @@ def test_verdict_checks_closed_form_once(triad_a, dipole, monkeypatch):
         loop_diagnostics(spec)
 
 
+def test_verdict_checks_closed_form_omega2(triad_a, dipole, monkeypatch):
+    """<c|H2|b>, half of Omega2, is checked against the closed form too."""
+    real = loop._closed_form
+
+    def omega2_off_by_a_kilohertz(trig, phases, pref):
+        *residuals, half_omega2 = real(trig, phases, pref)
+        return (*residuals, half_omega2 + 1e-3)
+
+    monkeypatch.setattr(loop, "_closed_form", omega2_off_by_a_kilohertz)
+    spec = linear_loop_spec(triad_a, dipole, (Z, X, Y), amplitudes=(1.0, 0.75, 2.75))
+    with pytest.raises(RuntimeError, match="closure routes differ"):
+        loop_diagnostics(spec)
+
+
 def test_single_verdict_computes_three_reduced_elements(triad_a, dipole, monkeypatch):
     """Building the spec's triad computes the three; its verdict and its
     Hamiltonian take them from spec.triad and compute none."""
@@ -292,6 +306,17 @@ def test_enumeration_closed_rows_lead_in_table_order(triad_a, dipole):
     assert all(not r.closed for r in rows[6:])
     rest = [(r.sigma1, r.sigma2, r.sigma3) for r in rows[6:]]
     assert rest == sorted(rest)
+
+
+@pytest.mark.parametrize("mu", [(0.0, 0.365, 1.201), (1.916, 0.365, 0.0)])
+def test_enumeration_table_rows_lead_even_when_open(triad_a, mu):
+    """With mu_x = 0 or mu_z = 0 no row closes, and the six TABLE_ROWS still
+    come first, in table order, then the other 21 lexicographically."""
+    rows = enumerate_pure_polarizations(triad_a, BodyDipole(*mu))
+    keys = [(r.sigma1, r.sigma2, r.sigma3, r.m_b, r.m_c) for r in rows]
+    assert keys[:6] == list(TABLE_ROWS)
+    assert keys[6:] == sorted(keys[6:])
+    assert not any(r.closed for r in rows)
 
 
 def test_enumeration_zero_mu_y_closes_nothing(triad_a):
@@ -453,6 +478,19 @@ def test_dressed_states_equal_reference_bit_for_bit(which, kind, seed, ground, j
         want = (*reference_dressed(spec.field1), *reference_dressed(spec.field3))
         for x, y in zip(got, want):  # bits, signed zeros included
             assert x.tobytes() == y.tobytes()
+
+
+def test_verdicts_read_the_coupling_term_table(triad_a, dipole):
+    """After one warm-up verdict, single and stacked verdicts look up no 3j
+    symbol: their field-2 blocks read dipole._coupling_terms."""
+    rng = np.random.default_rng(41)
+    specs = [random_loop_spec(rng, triad_a, dipole) for _ in range(LOOP_BATCH_ROWS)]
+    loop_diagnostics(specs[0])
+    before = wigner._wigner3j.cache_info()
+    for spec in specs[:100]:
+        loop_diagnostics(spec)
+    list(Triad(*triad_a, dipole).diagnostics(*stack_drives(specs)))
+    assert wigner._wigner3j.cache_info() == before
 
 
 def test_batch_checks_every_chunk_against_closed_form(triad_a, dipole, monkeypatch):
