@@ -142,8 +142,9 @@ def _bits(z: complex) -> tuple[str, str]:
 @pytest.mark.parametrize("j_upper, j_lower", list(itertools.product(range(5), repeat=2)))
 def test_coupling_block_entries_are_half_rabi_frequencies(j_upper, j_lower, levels_to_j4, dipole):
     """Every block up to J = 4, square or not, in both orders, holds half of
-    reference_rabi per entry bit for bit (a zero as the +0.0 it is added to);
-    a |Delta J| > 1 block is exact zeros and builds no coupling-term table."""
+    reference_rabi per entry bit for bit (a zero as the +0.0 it is added to),
+    so a |Delta J| > 1 block is +0.0 throughout; it builds no coupling-term
+    table."""
     field = DriveField(1000.0, {-1: (0.7, 2.9), 0: (1.3, -0.4), 1: (0.2, 1.1)})
     uppers, lowers = levels_to_j4[j_upper], levels_to_j4[j_lower]
     tables = _coupling_terms.cache_info().currsize
@@ -162,9 +163,6 @@ def test_coupling_block_entries_are_half_rabi_frequencies(j_upper, j_lower, leve
                 )
                 want = complex(0.0 + half.real, 0.0 + half.imag)
             assert _bits(complex(block[i, j])) == _bits(want)
-        if abs(j_upper - j_lower) > 1:
-            assert not block.any()
-            assert not np.signbit(block.view(float)).any()
     if abs(j_upper - j_lower) > 1:
         assert _coupling_terms.cache_info().currsize == tables
 
