@@ -328,14 +328,18 @@ def _emit(headers: list[str], rows: np.ndarray | list[list[str]], csv_path: str 
     else:  # a few rows of strings: cell by cell in Python costs less than numpy's set-up
         texts += rows
         widths = [max(map(len, column)) for column in zip(*texts)]
-    try:
-        handle = open(csv_path, "w", newline="") if csv_path else None
-    except OSError as exc:  # the open only: a closed stdout stays a BrokenPipeError
-        raise ValueError(f"cannot write --csv {csv_path!r}: {exc.strerror or exc}") from None
+
+    def to_csv(op, *args, **kwargs):  # the CSV file's OSError only: stdout's stays its own
+        try:
+            return op(*args, **kwargs)
+        except OSError as exc:
+            raise ValueError(f"cannot write --csv {csv_path!r}: {exc.strerror or exc}") from None
+
+    handle = None if csv_path is None else to_csv(open, csv_path, "w", newline="")
     try:
         sys.stdout.write("".join("  ".join(map(str.rjust, r, widths)) + "\n" for r in texts))
         if handle:
-            handle.write("".join(",".join(map(_csv_field, r)) + "\r\n" for r in texts))
+            to_csv(handle.write, "".join(",".join(map(_csv_field, r)) + "\r\n" for r in texts))
         for start in range(0, len(rows) if columns else 0, dynamics.EVOLVE_BLOCK_ROWS):
             block = slice(start, start + dynamics.EVOLVE_BLOCK_ROWS)
             line = np.full((len(rows[block]), ends[-1] + 1), 32, np.uint8)
@@ -345,10 +349,11 @@ def _emit(headers: list[str], rows: np.ndarray | list[list[str]], csv_path: str 
             sys.stdout.write(line.tobytes().decode("ascii"))
             if handle:
                 line[:, ends[:-1]] = 44
-                handle.write(line[line != 32].tobytes().decode("ascii").replace("\n", "\r\n"))
+                csv_text = line[line != 32].tobytes().decode("ascii").replace("\n", "\r\n")
+                to_csv(handle.write, csv_text)
     finally:
         if handle:
-            handle.close()
+            to_csv(handle.close)
 
 
 def cmd_levels(args) -> int:

@@ -7,9 +7,9 @@ and of drive polarization.  The coupling terms that survive the selection
 rules depend only on the two J values, so they are tabulated once per
 (J_upper, J_lower) pair and each element is a sum over its pair's table.
 The same table, read over M instead of K, gives the Delta-M = sigma
-entries of every lab-frame coupling block (`dynamics`), and
-DEBYE_VCM_TO_MHZ turns field amplitudes in V/cm and dipoles in Debye
-into Rabi frequencies in MHz.
+entries of every lab-frame coupling block (`_stacked_coupling_block`,
+which `loop` and `dynamics` call), and DEBYE_VCM_TO_MHZ turns field
+amplitudes in V/cm and dipoles in Debye into Rabi frequencies in MHz.
 """
 
 from __future__ import annotations
@@ -19,6 +19,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
+import numpy as np
+
+from .fields import _complex, _mul
 from .rotor import AsymTopLevel
 from .wigner import w_coupling
 
@@ -104,11 +107,11 @@ def _coupling_terms(
     Indices address a level's coeffs (K + J); sign is (-1)^(sigma - K_l).
     W = w_coupling(J_u, K_u, J_l, K_l, sigma) is the same function of (M_u,
     M_l) as of (K_u, K_l), and (-1)^(sigma - M_l) is the block's phase
-    (-1)^(M_l + sigma), so each coupling block reads its Delta-M = sigma
-    entries from this table too (as M + J, rows and columns flipped): the
-    table keeps every nonzero W, whatever the levels' coefficients.  Skipping
-    terms that vanish for a level's K parity belongs in
-    reduced_matrix_element's loop, not here.  Only |J_u - J_l| <= 1 asks for
+    (-1)^(M_l + sigma), so _stacked_coupling_block reads each coupling
+    block's Delta-M = sigma entries from this table too: the table keeps
+    every nonzero W, whatever the levels' coefficients.  Skipping terms
+    that vanish for a level's K parity belongs in reduced_matrix_element's
+    loop, not here.  Only |J_u - J_l| <= 1 asks for
     a table, so the cache holds at most 3 tables per J.
     """
     terms = tuple(
@@ -146,3 +149,32 @@ def reduced_matrix_element(
         total += mu_s * acc
     return ReducedElement(norm * total, *tag)
 
+
+
+def _stacked_coupling_block(
+    upper: AsymTopLevel, lower: AsymTopLevel, gamma: complex, components
+) -> np.ndarray:
+    """Half-Rabi coupling block of one drive or a stack, MHz, shape
+    (..., 2J_upper+1, 2J_lower+1), rows and columns over M = +J..-J.
+
+    components holds (sigma, amplitude, e^(i phase)) per polarization
+    component, floats or arrays of the stack's shape, and gamma is the
+    reduced element.  Entry (M_upper, M_lower) of a sigma component is half
+    of (-1)^(M_lower+sigma) E e^(i phase) W Gamma, with the signed W of the
+    J pair's _coupling_terms; complex products go through fields._mul, so a
+    stack gets the bits of its single drives on every interpreter.
+    """
+    # entry axes first while filling, so one drive's entries are floats
+    re, im = np.zeros((2, 2 * upper.J + 1, 2 * lower.J + 1, *np.shape(components[0][1])))
+    if abs(upper.J - lower.J) <= 1:  # else the triangle rule leaves all zeros
+        tables = _coupling_terms(upper.J, lower.J)[1]
+        # a table index K + J read as M + J; rows and columns run M = +J..-J
+        last_u, last_l = 2 * upper.J, 2 * lower.J
+        g = (gamma.real, gamma.imag)
+        for sigma, amp, e in components:
+            rabi = _mul((amp * DEBYE_VCM_TO_MHZ, 0.0), (e.real, e.imag))
+            for iu, il, w in tables[sigma + 1]:
+                half_re, half_im = _mul((0.5, 0.0), _mul(_mul(rabi, (w, 0.0)), g))
+                re[last_u - iu, last_l - il] += half_re
+                im[last_u - iu, last_l - il] += half_im
+    return np.ascontiguousarray(_complex(re, im).transpose(*range(2, re.ndim), 0, 1))

@@ -5,7 +5,8 @@ state and all six magnetic sublevels of the two J=1 levels, including the
 spectator couplings that a would-be single loop must avoid, and propagates
 states by exact eigendecomposition (the Hamiltonian is time independent
 under resonant driving).  Energies in MHz, times in microseconds, so the
-accumulated phase is 2 pi H t with no hidden constants.
+accumulated phase is 2 pi H t with no hidden constants.  Coupling blocks
+come from `dipole`, specs and dressed states from `loop`; neither imports back.
 """
 
 from __future__ import annotations
@@ -15,14 +16,14 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dipole import DEBYE_VCM_TO_MHZ, BodyDipole, _coupling_terms, reduced_matrix_element
-from .fields import DriveField, _complex, _mul
+from .dipole import BodyDipole, _stacked_coupling_block, reduced_matrix_element
+from .fields import DriveField
+from .loop import RESONANCE_TOL_MHZ, LoopSpec, SingleLoopHamiltonian, dressed_states
+from .loop import loop_diagnostics
 from .rotor import AsymTopLevel
 
-if TYPE_CHECKING:  # avoid a runtime cycle; loop imports this module
+if TYPE_CHECKING:
     from numpy.typing import ArrayLike
-
-    from .loop import LoopSpec
 
 __all__ = [
     "ResonanceAmbiguityError",
@@ -37,8 +38,6 @@ __all__ = [
     "enantiomer_contrast",
     "compare_full_vs_reduced",
 ]
-
-RESONANCE_TOL_MHZ = 1e-3
 
 HERMITICITY_ATOL = 1e-14
 
@@ -71,36 +70,7 @@ def _field_block(upper: AsymTopLevel, lower: AsymTopLevel, field: DriveField, ga
     return _stacked_coupling_block(upper, lower, gamma, components)
 
 
-def _stacked_coupling_block(
-    upper: AsymTopLevel, lower: AsymTopLevel, gamma: complex, components
-) -> np.ndarray:
-    """coupling_block of one drive or a stack, shape (..., 2J_upper+1, 2J_lower+1).
-
-    components holds (sigma, amplitude, e^(i phase)) per polarization
-    component, as floats or as arrays of the stack's shape; gamma is the
-    reduced element.  Entry (M_upper, M_lower) of a sigma component is half
-    of (-1)^(M_lower+sigma) E e^(i phase) W Gamma in MHz, the Rabi
-    convention, with the signed W of the J pair's dipole._coupling_terms.
-    Complex products go through fields._mul, so a stack gets the bits of
-    its single drives on every interpreter.
-    """
-    # entry axes first while filling, so one drive's entries are floats
-    re, im = np.zeros((2, 2 * upper.J + 1, 2 * lower.J + 1, *np.shape(components[0][1])))
-    if abs(upper.J - lower.J) <= 1:  # else the triangle rule leaves all zeros
-        tables = _coupling_terms(upper.J, lower.J)[1]
-        # a table index K + J read as M + J; rows and columns run M = +J..-J
-        last_u, last_l = 2 * upper.J, 2 * lower.J
-        g = (gamma.real, gamma.imag)
-        for sigma, amp, e in components:
-            rabi = _mul((amp * DEBYE_VCM_TO_MHZ, 0.0), (e.real, e.imag))
-            for iu, il, w in tables[sigma + 1]:
-                half_re, half_im = _mul((0.5, 0.0), _mul(_mul(rabi, (w, 0.0)), g))
-                re[last_u - iu, last_l - il] += half_re
-                im[last_u - iu, last_l - il] += half_im
-    return np.ascontiguousarray(_complex(re, im).transpose(*range(2, re.ndim), 0, 1))
-
-
-def assemble_full_hamiltonian(spec: "LoopSpec") -> np.ndarray:
+def assemble_full_hamiltonian(spec: LoopSpec) -> np.ndarray:
     """Full 7x7 resonant RWA Hamiltonian, MHz, over the kets a, then b and c
     with M = +1, 0, -1 each (indices 0, 1..3, 4..6).
 
@@ -137,7 +107,7 @@ def require_hermitian(h: np.ndarray) -> None:
         raise ValueError("operator is not Hermitian")
 
 
-def evolve(h: np.ndarray, psi0: np.ndarray, times: "ArrayLike") -> np.ndarray:
+def evolve(h: np.ndarray, psi0: np.ndarray, times: ArrayLike) -> np.ndarray:
     """psi(t) = exp(-2 pi i H t) psi0 at every t of a 1-D grid, shape (n_t, dim).
 
     H is Hermitian (MHz), psi0 normalized, times finite, in us.  One
@@ -174,10 +144,8 @@ def propagate(h: np.ndarray, psi0: np.ndarray, t: float) -> np.ndarray:
     return np.array(psi0, dtype=complex) if t == 0.0 else psi
 
 
-def loop_frame(spec: "LoopSpec") -> np.ndarray:
+def loop_frame(spec: LoopSpec) -> np.ndarray:
     """Rows (a, b, c) of the dressed loop states embedded in 7 dims."""
-    from .loop import dressed_states
-
     ds = dressed_states(spec)
     frame = np.zeros((3, 7), dtype=complex)
     frame[0, 0] = 1.0
@@ -195,19 +163,23 @@ def _initial_state(psi0_in_loop) -> np.ndarray:
     return psi3 / norm
 
 
-def loop_populations(spec: "LoopSpec", times: "ArrayLike", psi0_in_loop) -> np.ndarray:
+def _loop_amplitudes(spec: LoopSpec, times: ArrayLike, psi0_in_loop) -> np.ndarray:
+    """The loop-frame state evolved under the full Hamiltonian, over (a, b, c): (n_t, 3)."""
+    frame = loop_frame(spec)
+    psi = evolve(assemble_full_hamiltonian(spec), _initial_state(psi0_in_loop) @ frame, times)
+    return (frame.conj() @ psi[..., None])[..., 0]  # stacked, as in evolve
+
+
+def loop_populations(spec: LoopSpec, times: ArrayLike, psi0_in_loop) -> np.ndarray:
     """Populations (P_a, P_b, P_c) of the dressed loop states, shape (n_t, 3).
 
     The loop-frame initial state evolves under the full 7-level
     Hamiltonian; whatever a row's sum lacks of 1 has leaked out of the loop.
     """
-    frame = loop_frame(spec)
-    h = assemble_full_hamiltonian(spec)
-    psi = evolve(h, _initial_state(psi0_in_loop) @ frame, times)
-    return np.abs((frame.conj() @ psi[..., None])[..., 0]) ** 2  # stacked, as in evolve
+    return np.abs(_loop_amplitudes(spec, times, psi0_in_loop)) ** 2
 
 
-def leakage(spec: "LoopSpec", psi0_in_loop, t_grid: "ArrayLike") -> float:
+def leakage(spec: LoopSpec, psi0_in_loop, t_grid: ArrayLike) -> float:
     """Worst population outside span{a, b, c} over the time grid.
 
     Essentially zero (< 1e-10) for closed configurations; order one for
@@ -218,7 +190,7 @@ def leakage(spec: "LoopSpec", psi0_in_loop, t_grid: "ArrayLike") -> float:
 
 
 def enantiomer_contrast(
-    spec: "LoopSpec", t: float
+    spec: LoopSpec, t: float
 ) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
     """Loop-state populations (P_a, P_b, P_c) at time t for both enantiomers.
 
@@ -229,16 +201,13 @@ def enantiomer_contrast(
     result = []
     for s in (spec, spec.mirrored()):
         frame = loop_frame(s)
-        h = assemble_full_hamiltonian(s)
-        psi = propagate(h, frame[0], t)
-        pops = np.abs(frame.conj() @ psi) ** 2
-        result.append(tuple(float(p) for p in pops))
+        psi = propagate(assemble_full_hamiltonian(s), frame[0], t)
+        result.append(tuple(float(p) for p in np.abs(frame.conj() @ psi) ** 2))
     return result[0], result[1]
 
 
-def compare_full_vs_reduced(
-    spec: "LoopSpec", t_grid: "ArrayLike", psi0_in_loop=(1.0, 0.0, 0.0)
-) -> float:
+def compare_full_vs_reduced(spec: LoopSpec, t_grid: ArrayLike,
+                            psi0_in_loop=(1.0, 0.0, 0.0)) -> float:
     """Max difference between 7-level and 3-level loop propagation.
 
     Evolves the same loop-frame initial state under the full Hamiltonian
@@ -247,12 +216,7 @@ def compare_full_vs_reduced(
     configurations the two agree to ~1e-10; for leaky ones the reduced
     model is a best-effort truncation and the difference is large.
     """
-    from .loop import SingleLoopHamiltonian, loop_diagnostics
-
-    frame = loop_frame(spec)
-    h_full = assemble_full_hamiltonian(spec)
+    projected = _loop_amplitudes(spec, t_grid, psi0_in_loop)
     h_loop = SingleLoopHamiltonian(*loop_diagnostics(spec).omegas).matrix()
-    psi3 = _initial_state(psi0_in_loop)
-    projected = evolve(h_full, psi3 @ frame, t_grid) @ frame.conj().T
-    reduced = evolve(h_loop, psi3, t_grid)
+    reduced = evolve(h_loop, _initial_state(psi0_in_loop), t_grid)
     return float(np.max(np.linalg.norm(projected - reduced, axis=1), initial=0.0))

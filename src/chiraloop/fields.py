@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -73,7 +73,7 @@ class DriveField:
     """Monochromatic drive: freq in MHz, per-sigma (amplitude V/cm, phase rad)."""
 
     freq: float
-    comps: dict[int, tuple[float, float]] = field(default_factory=dict)
+    comps: dict[int, tuple[float, float]]
 
     def __post_init__(self):
         if not math.isfinite(self.freq):

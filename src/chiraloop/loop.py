@@ -23,8 +23,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import dynamics
-from .dipole import DEBYE_VCM_TO_MHZ, BodyDipole, enantiomer, reduced_matrix_element
+from .dipole import DEBYE_VCM_TO_MHZ, BodyDipole, _stacked_coupling_block, enantiomer
+from .dipole import reduced_matrix_element
 from .fields import SIGMAS, _TOTAL_UNDERFLOW, DriveField, _div_real, _mul, _wrap_phase
 from .fields import _sum_of_squares, linear_components
 from .rotor import AsymTopLevel, transition_frequency
@@ -56,7 +56,7 @@ __all__ = [
 # floating-point noise in trigonometric cancellations.
 DEFAULT_CLOSURE_TOL_MHZ = 1e-9
 
-RESONANCE_TOL_MHZ = dynamics.RESONANCE_TOL_MHZ
+RESONANCE_TOL_MHZ = 1e-3
 
 # Drive rows `Triad.diagnostics` evaluates at once; bounds its temporaries
 # at any batch size.
@@ -460,9 +460,7 @@ class Triad:
             for sigma, amp, e_sigma in zip(SIGMAS, amps[1], e[1])
             if isinstance(amp, np.ndarray) or amp != 0.0
         ]
-        block = dynamics._stacked_coupling_block(
-            self.level_c, self.level_b, self.gamma_cb, components
-        )
+        block = _stacked_coupling_block(self.level_c, self.level_b, self.gamma_cb, components)
         # <c_i|H2|b_j> over the two triples, shape (3, 3, ...)
         bras = c.conj()[:, None, ..., None, :] @ block
         checked = (bras @ b[None, ..., None])[..., 0, 0][_CHECKED_SANDWICHES]

@@ -531,13 +531,26 @@ def test_non_finite_verdict_drives_exit_2(command, amp, capsys):
     assert len(captured.err.splitlines()) == 1
 
 
-def test_unwritable_csv_path_exits_2(tmp_path, capsys):
-    path = tmp_path / "missing" / "x.csv"
-    assert run(["transitions", "propanediol", "--csv", str(path)]) == 2
+@pytest.mark.parametrize(
+    "name", [pytest.param("missing/x.csv", id="missing_dir"), pytest.param("", id="empty")]
+)
+def test_unwritable_csv_path_exits_2(tmp_path, capsys, name):
+    path = str(tmp_path / name) if name else ""
+    assert run(["transitions", "propanediol", "--csv", path]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and str(path) in captured.err
+    assert f"cannot write --csv {path!r}: No such file or directory" in captured.err
     assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("jmax", ["0", "8"])  # 0's CSV fails at the close, 8's (26 kB) at a write
+def test_csv_write_failure_exits_2(capsys, jmax):
+    assert run(["levels", "propanediol", "--jmax", jmax, "--csv", "/dev/full"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.startswith("J  tau")
+    assert captured.err == "error: cannot write --csv '/dev/full': No space left on device\n"
 
 
 def test_parser_is_built_once_and_keeps_no_state(capsys):
@@ -607,6 +620,12 @@ class _ClosedPipe(io.StringIO):
 def test_closed_stdout_exits_141_in_process(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdout", _ClosedPipe())
     assert run(["levels", "propanediol", "--jmax", "3"]) == 141
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_stdout_with_csv_exits_141(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert run(["levels", "propanediol", "--jmax", "3", "--csv", str(tmp_path / "x.csv")]) == 141
     assert capsys.readouterr().err == ""
 
 
