@@ -349,8 +349,7 @@ def _emit(headers: list[str], rows: np.ndarray | list[list[str]], csv_path: str 
             sys.stdout.write(line.tobytes().decode("ascii"))
             if handle:
                 line[:, ends[:-1]] = 44
-                csv_text = line[line != 32].tobytes().decode("ascii").replace("\n", "\r\n")
-                to_csv(handle.write, csv_text)
+                to_csv(handle.write, line[line != 32].tobytes().decode("ascii").replace("\n", "\r\n"))
     finally:
         if handle:
             to_csv(handle.close)

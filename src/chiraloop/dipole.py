@@ -111,8 +111,8 @@ def _coupling_terms(
     block's Delta-M = sigma entries from this table too: the table keeps
     every nonzero W, whatever the levels' coefficients.  Skipping terms
     that vanish for a level's K parity belongs in reduced_matrix_element's
-    loop, not here.  Only |J_u - J_l| <= 1 asks for
-    a table, so the cache holds at most 3 tables per J.
+    loop, not here.  Only |J_u - J_l| <= 1 asks for a table, so the cache
+    holds at most 3 tables per J.
     """
     terms = tuple(
         tuple(
@@ -148,7 +148,6 @@ def reduced_matrix_element(
             acc += cu[iu] * cl[il] * w
         total += mu_s * acc
     return ReducedElement(norm * total, *tag)
-
 
 
 def _stacked_coupling_block(

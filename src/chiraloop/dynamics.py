@@ -201,8 +201,10 @@ def enantiomer_contrast(
     result = []
     for s in (spec, spec.mirrored()):
         frame = loop_frame(s)
-        psi = propagate(assemble_full_hamiltonian(s), frame[0], t)
-        result.append(tuple(float(p) for p in np.abs(frame.conj() @ psi) ** 2))
+        h = assemble_full_hamiltonian(s)
+        psi = propagate(h, frame[0], t)
+        pops = np.abs(frame.conj() @ psi) ** 2
+        result.append(tuple(float(p) for p in pops))
     return result[0], result[1]
 
 
