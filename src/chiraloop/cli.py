@@ -2,13 +2,12 @@
 and dynamics runs, with aligned text tables and optional CSV output.
 
 Exit codes: 0 success, 2 validation failure (bad arguments, config or
-molecule files), 1 internal error, 141 stdout closed early (as by
-`| head`).  Diagnostics go to stderr.
+molecule files, a --csv file or stdout that cannot be written), 1 internal
+error, 141 stdout closed early (as by `| head`).  Diagnostics go to stderr.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import importlib.resources
 import math
@@ -17,6 +16,7 @@ import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -312,6 +312,16 @@ class _Column:
         return text
 
 
+def _write(target: str, op, *args, **kwargs):
+    """op(*args, **kwargs), its OSError (but a closed pipe's) raised as a ValueError naming target."""
+    try:
+        return op(*args, **kwargs)
+    except BrokenPipeError:  # run() answers it with EXIT_BROKEN_PIPE
+        raise
+    except OSError as exc:
+        raise ValueError(f"cannot write {target}: {exc.strerror or exc}") from None
+
+
 def _emit(headers: list[str], rows: np.ndarray | list[list[str]], csv_path: str | None,
           formats: list[str] | None = None) -> None:
     """Write a table to stdout, right-aligned, and to csv_path as CSV if given.
@@ -329,15 +339,11 @@ def _emit(headers: list[str], rows: np.ndarray | list[list[str]], csv_path: str 
         texts += rows
         widths = [max(map(len, column)) for column in zip(*texts)]
 
-    def to_csv(op, *args, **kwargs):  # the CSV file's OSError only: stdout's stays its own
-        try:
-            return op(*args, **kwargs)
-        except OSError as exc:
-            raise ValueError(f"cannot write --csv {csv_path!r}: {exc.strerror or exc}") from None
-
+    to_stdout = functools.partial(_write, "stdout", sys.stdout.write)
+    to_csv = functools.partial(_write, f"--csv {csv_path!r}")
     handle = None if csv_path is None else to_csv(open, csv_path, "w", newline="")
     try:
-        sys.stdout.write("".join("  ".join(map(str.rjust, r, widths)) + "\n" for r in texts))
+        to_stdout("".join("  ".join(map(str.rjust, r, widths)) + "\n" for r in texts))
         if handle:
             to_csv(handle.write, "".join(",".join(map(_csv_field, r)) + "\r\n" for r in texts))
         for start in range(0, len(rows) if columns else 0, dynamics.EVOLVE_BLOCK_ROWS):
@@ -346,7 +352,7 @@ def _emit(headers: list[str], rows: np.ndarray | list[list[str]], csv_path: str 
             for column, end in zip(columns, ends):
                 line[:, end - column.width : end] = column.render(block)
             line[:, -1] = 10
-            sys.stdout.write(line.tobytes().decode("ascii"))
+            to_stdout(line.tobytes().decode("ascii"))
             if handle:
                 line[:, ends[:-1]] = 44
                 to_csv(handle.write, line[line != 32].tobytes().decode("ascii").replace("\n", "\r\n"))
@@ -531,108 +537,102 @@ def cmd_contrast(args) -> int:
         args.csv,
         ["%.4f"] + ["%.6f"] * 7,
     )
-    print(f"max |P_c_R - P_c_L| = {d_pc.max():.6f}")
+    _write("stdout", sys.stdout.write, f"max |P_c_R - P_c_L| = {d_pc.max():.6f}\n")
     return 0
 
 
-@functools.cache  # built at the first run, and then reused
-def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="chiraloop",
-        description="Rotational structure and single-loop drive configurations "
-        "for chiral asymmetric-top molecules.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# An option is (name, cast, default, help): a default of _REQUIRED marks one that must be
+# given, _REPEATED one that may be given again, each value kept in a list.
+_REQUIRED, _REPEATED = object(), object()
+_CSV = ("csv", str, None, "also write the table to this CSV file")
+_JMAX = ("jmax", int, 2, "highest J")
+_TRIAD = ("triad", str, "a", "the triad that forms the loop: a, b or c")
+_POL = ("pol", str, None, "three linear polarization axes, e.g. ZXY")
+_SIGMA = ("sigma", str, None, "three pure spherical components, e.g. 1,-1,0")
+_FIELD = ("field", str, _REPEATED, "general drive as sigma:amp:phase[,sigma:amp:phase...]; give 3")
+_CONFIG = ("config", str, _REQUIRED, "loop drives: polarization letters (ZXY) or sigmas (1,-1,0)")
+_AMP = ("amp", str, None, "three amplitudes in V/cm, e.g. 1,0.75,2.75")
+_PHASE = ("phase", str, None, "three phases in rad")
+_SAMPLES = ("samples", int, 1000, "random drive frames")
+_SEED = ("seed", int, 0, "fixes the sampling RNG")
+_T = ("t", float, 2.0, "total time, us")
+_DT = ("dt", float, 0.02, "output step, us")
 
-    def add_common(p):
-        p.add_argument("molecule", help="bundled molecule name or config file path")
-        p.add_argument("--csv", help="also write the table to this CSV file")
-
-    p = sub.add_parser("levels", help="rotational level energies and coefficients")
-    add_common(p)
-    p.add_argument("--jmax", type=int, default=2)
-    p.set_defaults(func=cmd_levels)
-
-    p = sub.add_parser("transitions", help="triad transition frequencies")
-    add_common(p)
-    p.add_argument("--triad", default="a", choices=("a", "b", "c"))
-    p.set_defaults(func=cmd_transitions)
-
-    loops = sub.add_parser("loops", help="loop enumeration and verification")
-    loops_sub = loops.add_subparsers(dest="loops_command", required=True)
-
-    p = loops_sub.add_parser("enumerate", help="all 27 pure-polarization candidates")
-    add_common(p)
-    p.add_argument("--triad", default="a", choices=("a", "b", "c"))
-    p.set_defaults(func=cmd_loops_enumerate)
-
-    p = loops_sub.add_parser("verify", help="closure residuals and Rabi table")
-    add_common(p)
-    p.add_argument("--triad", default="a", choices=("a", "b", "c"))
-    p.add_argument("--pol", help="three linear polarization axes, e.g. ZXY")
-    p.add_argument("--sigma", help="three pure spherical components, e.g. 1,-1,0")
-    p.add_argument(
-        "--field",
-        action="append",
-        help="general drive as sigma:amp:phase[,sigma:amp:phase...]; repeat 3 times",
-    )
-    p.add_argument("--amp", help="three amplitudes in V/cm, e.g. 1,0.75,2.75")
-    p.add_argument("--phase", help="three phases in rad")
-    p.set_defaults(func=cmd_loops_verify)
-
-    p = loops_sub.add_parser("sample", help="random-direction orthogonality check")
-    add_common(p)
-    p.add_argument("--triad", default="a", choices=("a", "b", "c"))
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0, help="fixes the sampling RNG")
-    p.set_defaults(func=cmd_loops_sample)
-
-    for name, help_text in (
-        ("simulate", "population time series and leakage"),
-        ("contrast", "R vs L population difference"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        add_common(p)
-        p.add_argument("--triad", default="a", choices=("a", "b", "c"))
-        p.add_argument(
-            "--config",
-            required=True,
-            help="loop drives: polarization letters (ZXY) or sigmas (1,-1,0)",
-        )
-        p.add_argument("--amp", help="three amplitudes in V/cm")
-        p.add_argument("--phase", help="three phases in rad")
-        p.add_argument("--t", type=float, default=2.0, help="total time, us")
-        p.add_argument("--dt", type=float, default=0.02, help="output step, us")
-        p.set_defaults(func=cmd_simulate if name == "simulate" else cmd_contrast)
-
-    return parser
+# command -> (help, options); each command also takes a MOLECULE, --csv and -h or --help
+_COMMANDS = {
+    "levels": ("rotational level energies and coefficients", (_JMAX,)),
+    "transitions": ("triad transition frequencies", (_TRIAD,)),
+    "loops enumerate": ("all 27 pure-polarization candidates", (_TRIAD,)),
+    "loops verify": ("closure residuals and Rabi table", (_TRIAD, _POL, _SIGMA, _FIELD, _AMP, _PHASE)),
+    "loops sample": ("random-direction orthogonality check", (_TRIAD, _SAMPLES, _SEED)),
+    "simulate": ("population time series and leakage", (_TRIAD, _CONFIG, _AMP, _PHASE, _T, _DT)),
+    "contrast": ("R vs L population difference", (_TRIAD, _CONFIG, _AMP, _PHASE, _T, _DT)),
+}
 
 
-# argparse reads a value that starts with one "-" as an option (no option of this CLI but -h
-# looks like that), so run() joins such a value to these options, or to a prefix of one that
-# argparse would expand, as opt=value
-_SIGNED_OPTIONS = ("--field", "--sigma", "--config", "--amp", "--phase")
+def _help(prefix: str) -> str:
+    """The -h text: every command whose name starts with prefix, with its options."""
+    notes = {None: "", _REQUIRED: " (required)", _REPEATED: " (repeatable)"}
+    lines = ["usage: chiraloop COMMAND MOLECULE [options]; MOLECULE: a bundled name or a file path"]
+    for command, (text, options) in _COMMANDS.items():
+        if command.startswith(prefix):
+            lines.append(f"\n{command}: {text}")
+            lines += [f"  --{name:9}{help_text}{notes.get(default, f' (default: {default})')}"
+                      for name, _, default, help_text in (_CSV, *options)]
+    return "\n".join(lines) + "\n"
 
 
-def _takes_signed_value(arg: str) -> bool:
-    return len(arg) > 2 and any(option.startswith(arg) for option in _SIGNED_OPTIONS)
+def _parse(argv: list[str]) -> tuple[str, SimpleNamespace | None]:
+    """The command that argv names and its options, read by _COMMANDS, or (prefix, None)
+    for -h.  Values are taken verbatim, as --opt=value or --opt value, and an option is
+    given by its exact name or by a prefix of no other option's name."""
+    words = 2 if argv[:1] == ["loops"] else 1
+    command = " ".join(argv[:words])
+    if command not in _COMMANDS:
+        group, _, last = command.rpartition(" ")
+        if last in ("-h", "--help"):
+            return group, None
+        raise ValueError(f"expected a command ({', '.join(_COMMANDS)}), got {command!r}")
+    options = {option[0]: option for option in (_CSV, *_COMMANDS[command][1])}
+    values = {name: [] if default is _REPEATED else default for name, _, default, _ in options.values()}
+    molecules = []
+    rest = iter(argv[words:])
+    for word in rest:
+        if word in ("-h", "--help"):
+            return command, None
+        if word[:2] != "--":
+            molecules.append(word)
+            continue
+        key, equals, value = word[2:].partition("=")
+        matches = [key] if key in options else [name for name in options if name.startswith(key)]
+        if len(matches) != 1:
+            raise ValueError(f"{'ambiguous' if matches else 'unknown'} option '--{key}'")
+        name, cast, default, _ = options[matches[0]]
+        if not equals and (value := next(rest, None)) is None:
+            raise ValueError(f"--{name} needs a value")
+        try:
+            value = cast(value)
+        except ValueError:
+            raise ValueError(f"--{name}: not {cast.__name__}: {value!r}") from None
+        values[name] = [*values[name], value] if default is _REPEATED else value
+    if len(molecules) != 1:
+        raise ValueError(f"{command} takes one MOLECULE, got {len(molecules)}: {molecules!r}")
+    missing = [f"--{name}" for name, value in values.items() if value is _REQUIRED]
+    if missing:
+        raise ValueError(f"{command} needs {', '.join(missing)}")
+    return command, SimpleNamespace(molecule=molecules[0], **values)
 
 
 def run(argv: list[str]) -> int:
     """Run the CLI on argv (no program name); returns the exit code."""
-    joined: list[str] = []
-    for arg in argv:
-        if joined and arg[:1] == "-" and arg[1:2] != "-" and _takes_signed_value(joined[-1]):
-            joined[-1] += "=" + arg
-        else:
-            joined.append(arg)
     try:
-        args = _parser().parse_args(joined)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        code = args.func(args)
-        sys.stdout.flush()  # a closed stdout shows up here, not at exit
+        command, args = _parse(argv)
+        if args is None:
+            _write("stdout", sys.stdout.write, _help(command))
+            code = 0
+        else:  # looked up at each run, so that a cmd_ function rebound after import is called
+            code = globals()["cmd_" + command.replace(" ", "_")](args)
+        _write("stdout", sys.stdout.flush)  # a closed or full stdout shows up here, not at exit
         return code
     except BrokenPipeError:  # the reader went away; not an error of ours
         return EXIT_BROKEN_PIPE

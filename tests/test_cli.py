@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import errno
 import io
 import math
 import os
@@ -470,9 +471,9 @@ def test_unparsable_field_component_names_it(component, capsys):
         (["loops", "verify", "propanediol", "--pol", "ZXY"], "--phase", "-.5,0,1", 0),
         (["loops", "verify", "propanediol", "--field", "0:1:0", "--field", "1:1:0"],
          "--field", "-1:1:0", 0),
-        # reaches the amplitude check, not argparse
+        # reaches the amplitude check, not the option parser
         (["loops", "verify", "propanediol", "--pol", "ZXY"], "--amp", "-1,0.75,2.75", 2),
-        # an option prefix that argparse expands
+        # an option prefix that the parser expands
         (["loops", "verify", "propanediol"], "--sig", "-1,1,0", 0),
         # "-" and a letter: reach the finiteness checks of linear_components and DriveField
         (["loops", "verify", "propanediol", "--pol", "ZXY"], "--amp", "-inf,1,1", 2),
@@ -486,6 +487,99 @@ def test_value_starting_with_minus_works_without_equals(argv, option, value, cod
     assert run([*argv, option, value]) == code
     assert capsys.readouterr() == joined
     assert "expected one argument" not in joined.err
+
+
+# ---------------------------------------------------------------------------
+# option grammar
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["loops", "verify", "propanediol", "--p", "ZXY"], "ambiguous option '--p'"),
+        (["simulate", "propanediol", "--c", "ZXY"], "ambiguous option '--c'"),
+        (["levels", "propanediol", "--jmax"], "--jmax needs a value"),
+        (["transitions", "propanediol", "--triad", "d"], "triad must be one of a, b, c; got 'd'"),
+    ],
+    ids=["pol-or-phase", "csv-or-config", "no-value", "triad"],
+)
+def test_bad_option_word_gives_one_error_line(argv, message, capsys):
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_exact_option_name_beats_a_longer_one(capsys):
+    """--t is --t, not a prefix of --triad."""
+    assert run(["simulate", "propanediol", "--config", "ZXY", "--t", "0.04", "--dt", "0.02"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split()[0] for row in rows] == ["0.0000", "0.0200", "0.0400"]
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_help_lists_every_option_of_the_command(command, capsys):
+    assert run([*command.split(), "-h"]) == 0
+    out = capsys.readouterr().out
+    for name, *_ in (cli._CSV, *cli._COMMANDS[command][1]):
+        assert f"\n  --{name} " in out
+    assert run([*command.split(), "propanediol", "--help"]) == 0
+    assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize("argv, prefix", [(["-h"], ""), (["--help"], ""), (["loops", "-h"], "loops")])
+def test_help_without_a_command_lists_the_commands(argv, prefix, capsys):
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    listed = [command for command in cli._COMMANDS if f"\n{command}: " in out]
+    assert listed == [command for command in cli._COMMANDS if command.startswith(prefix)]
+
+
+def test_run_calls_the_handler_the_module_holds(monkeypatch, capsys):
+    """A cmd_ function rebound after import (as a tracer does) is the one run() calls."""
+    calls = []
+    monkeypatch.setattr(cli, "cmd_loops_verify", lambda args: calls.append(args.sigma) or 0)
+    assert run(["loops", "verify", "propanediol", "--sigma", "-1,1,0"]) == 0
+    assert calls == ["-1,1,0"]
+
+
+# values of the fuzz set that every option and molecule-file key must survive, then good ones
+ARGV_VALUES = [
+    "nan", "-inf", "1e400", "", "1e-320", "0x10", "\u0663", "-1,1,0", "-1", "x", "-h",
+    "0", "1", "0.05", "c", "ZXY", "XYX", "1,-1,0", "-1:1:0", "0:1:0,1:0.5:1", "1,0.75,2.75",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_any_argv_exits_0_or_2(data):
+    """Fail closed over the grammar of every command: both option forms, exact names,
+    unique and ambiguous prefixes, an option with no value, bad or good values, and a
+    molecule file with one key spoiled.  No value draws a grid of more than 150 rows."""
+    command = data.draw(st.sampled_from(list(cli._COMMANDS)))
+    names = [name for name, *_ in (cli._CSV, *cli._COMMANDS[command][1])] + ["help"]
+    keys = sorted({name[:i] for name in names for i in range(len(name) + 1)}) + ["nope"]
+    molecule = st.one_of(st.just("propanediol"), st.sampled_from(["demo.mol", "", "-1,1,0"]))
+    argv = [*command.split(), data.draw(molecule)]
+    for _ in range(data.draw(st.integers(0, 5))):
+        key, value = data.draw(st.sampled_from(keys)), data.draw(st.sampled_from(ARGV_VALUES))
+        argv += [f"--{key}={value}"] if data.draw(st.booleans()) else [f"--{key}", value]
+    if data.draw(st.booleans()):
+        argv.append(f"--{data.draw(st.sampled_from(keys))}")
+    spoiled, bad = data.draw(st.sampled_from(cli._KEYS)), data.draw(st.sampled_from(ARGV_VALUES))
+    config = "".join(f"{spoiled} = {bad}\n" if line.startswith(f"{spoiled} ") else line + "\n"
+                     for line in GOOD_CONFIG.splitlines())
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:  # where demo.mol and any --csv file go
+        os.chdir(tmp)
+        try:
+            Path("demo.mol").write_text(config)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(argv)
+        finally:
+            os.chdir(cwd)
+    lines = err.getvalue().splitlines()
+    assert code in (0, 2), (argv, spoiled, bad, lines)
+    assert all(line.startswith(("warning: ", "error: ")) for line in lines), (argv, lines)
+    assert [line for line in lines if line.startswith("error: ")] == lines[-1:] * (code == 2)
 
 
 def test_non_finite_amplitude_exits_2(capsys):
@@ -562,7 +656,6 @@ def test_parser_is_built_once_and_keeps_no_state(capsys):
     capsys.readouterr()
     assert run(argv) == 0  # the --field list of the failed parse is not carried over
     assert capsys.readouterr().out == first
-    assert cli._parser() is cli._parser()
 
 
 def test_non_finite_molecule_value_exits_2(tmp_path, capsys):
@@ -610,7 +703,7 @@ def test_module_entry_point_stderr_clean():
 
 
 # ---------------------------------------------------------------------------
-# closed stdout
+# closed or full stdout
 
 class _ClosedPipe(io.StringIO):
     def write(self, text):
@@ -627,6 +720,61 @@ def test_closed_stdout_with_csv_exits_141(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdout", _ClosedPipe())
     assert run(["levels", "propanediol", "--jmax", "3", "--csv", str(tmp_path / "x.csv")]) == 141
     assert capsys.readouterr().err == ""
+
+
+class _FullDisk(io.StringIO):
+    def write(self, text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+class _FullOnFlush(io.StringIO):
+    def flush(self):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("stdout", [_FullDisk, _FullOnFlush])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["levels", "propanediol", "--jmax", "0"],
+        ["loops", "verify", "propanediol", "--help"],
+        ["contrast", "propanediol", "--config", "ZXY", "--t", "0.1"],
+    ],
+    ids=["levels", "help", "contrast"],
+)
+def test_full_stdout_exits_2_in_process(argv, stdout, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", stdout())
+    assert run(argv) == 2
+    assert capsys.readouterr().err == "error: cannot write stdout: No space left on device\n"
+
+
+def test_molecule_read_error_is_not_a_stdout_error(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "demo.mol"
+    path.write_text(GOOD_CONFIG)
+
+    def unreadable(self, *args, **kwargs):
+        raise OSError(errno.EIO, "Input/output error")
+
+    monkeypatch.setattr(Path, "read_text", unreadable)
+    assert run(["transitions", str(path)]) == 1
+    assert capsys.readouterr().err == "internal error: OSError: [Errno 5] Input/output error\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["levels", "propanediol", "--jmax", "0"],  # fails at the flush after the table
+        ["simulate", "propanediol", "--config", "ZXY", "--t", "2", "--dt", "0.002"],  # at a write
+    ],
+    ids=["flush", "write"],
+)
+def test_full_stdout_exits_2(argv):
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "chiraloop.cli", *argv], stdout=full,
+                              stderr=subprocess.PIPE, env=_module_env(), timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr == b"error: cannot write stdout: No space left on device\n"
 
 
 def test_closed_pipe_exits_141_without_traceback():
@@ -763,6 +911,15 @@ def test_cli_import_loads_no_rational_types():
                           env=_module_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_cli_import_loads_no_argparse():
+    """The CLI reads its option table itself; argparse and its gettext cost ~3 ms to import."""
+    script = "import sys\nimport chiraloop.cli\nprint('argparse' in sys.modules)\n"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=_module_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_tables_do_not_import_numpy_ma(tmp_path):
