@@ -14,9 +14,9 @@ import math
 import sys
 import warnings
 from collections.abc import Iterator
-from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,8 +46,7 @@ class ParseError(ValueError):
     """Malformed molecule config file."""
 
 
-@dataclass(frozen=True)
-class MoleculeConfig:
+class MoleculeConfig(NamedTuple):
     name: str
     A: float
     B: float
@@ -132,8 +131,12 @@ def load_molecule(name_or_path: str) -> MoleculeConfig:
     if config is not None:
         return config
     path = Path(name_or_path)
-    if path.is_file():
-        return parse_molecule_config(path.read_text())
+    try:
+        text = path.read_text() if path.is_file() else None
+    except OSError as exc:  # a file we may not read, an I/O error, a name too long
+        raise ParseError(f"cannot read molecule file {name_or_path!r}: {exc.strerror or exc}") from None
+    if text is not None:
+        return parse_molecule_config(text)
     raise ParseError(
         f"unknown molecule '{name_or_path}' (bundled: {', '.join(bundled_molecules())})"
     )

@@ -20,6 +20,7 @@ import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -133,8 +134,7 @@ class LoopSpec:
         return replace(self, triad=replace(self.triad, dipole=enantiomer(self.triad.dipole)))
 
 
-@dataclass(frozen=True)
-class DressedStates:
+class DressedStates(NamedTuple):
     """Field-selected sublevel superpositions, amplitudes over M = (+1, 0, -1).
 
     {b, b_prime, b_dprime} and {c, c_prime, c_dprime} are orthonormal bases
@@ -149,8 +149,7 @@ class DressedStates:
     c_dprime: np.ndarray
 
 
-@dataclass(frozen=True)
-class SingleLoopHamiltonian:
+class SingleLoopHamiltonian(NamedTuple):
     """The three complex Rabi frequencies (MHz) of a verified single loop."""
 
     omega1: complex
@@ -314,8 +313,7 @@ def omega2_closed_form(spec: LoopSpec) -> complex:
     return complex(2.0 * _closed_form(*_closed_form_inputs(spec))[4])
 
 
-@dataclass(frozen=True)
-class LoopDiagnostics:
+class LoopDiagnostics(NamedTuple):
     """Everything a closure verdict rests on, for reporting and tables."""
 
     omegas: tuple[complex, complex, complex]
@@ -510,8 +508,7 @@ def loop_product(h: SingleLoopHamiltonian) -> complex:
     return h.omega1 * h.omega2 * h.omega3.conjugate()
 
 
-@dataclass(frozen=True)
-class LoopCandidate:
+class LoopCandidate(NamedTuple):
     """One pure-polarization candidate row of the loop table."""
 
     sigma1: int

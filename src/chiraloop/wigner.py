@@ -4,7 +4,8 @@ Values are computed from the Racah single-sum formula in integers only
 (exact factorials, one common denominator; |3j|^2 is rounded once, under
 one square root), so selection-rule zeros come out as exact 0.0 and there
 is no cancellation error.  Integer j up to a few tens is fine; big-int
-factorials never overflow.
+factorials never overflow.  Nothing is memoized here: the one caller that
+repeats lookups, `dipole`'s coupling-term table, keeps its own per J pair.
 
 Condon-Shortley phase convention throughout.
 """
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import math
 import operator
-from functools import lru_cache
 
 __all__ = ["wigner3j", "w_coupling"]
 
@@ -33,11 +33,6 @@ def wigner3j(j1: int, j2: int, j3: int, m1: int, m2: int, m3: int) -> float:
         raise ValueError(
             f"projection out of range: |m| > j in ({j1},{j2},{j3};{m1},{m2},{m3})"
         )
-    return _wigner3j(j1, j2, j3, m1, m2, m3)
-
-
-@lru_cache(maxsize=None)
-def _wigner3j(j1: int, j2: int, j3: int, m1: int, m2: int, m3: int) -> float:
     if m1 + m2 + m3 != 0:
         return 0.0
     if j3 < abs(j1 - j2) or j3 > j1 + j2:

@@ -1,6 +1,6 @@
 """Shared fixtures: the bundled molecule, its triad levels, spec builders,
-and the written-out per-K reduced element, Rabi frequency and scalar
-closure verdict used as oracles."""
+the map between a drive and its Cartesian vector, and the written-out per-K
+reduced element, Rabi frequency and scalar closure verdict used as oracles."""
 
 import cmath
 import math
@@ -11,7 +11,7 @@ import pytest
 from chiraloop import dynamics, loop
 from chiraloop.dipole import DEBYE_VCM_TO_MHZ, BodyDipole, reduced_matrix_element
 from chiraloop.dipole import spherical_components
-from chiraloop.fields import _mul, linear_components
+from chiraloop.fields import SIGMAS, _mul, linear_components
 from chiraloop.loop import LoopSpec, Triad
 from chiraloop.rotor import RotationalConstants, rotor_levels
 from chiraloop.wigner import w_coupling
@@ -69,6 +69,25 @@ def random_loop_spec(rng, levels, dip):
         for _ in range(3)
     ]
     return LoopSpec.resonant(Triad(*levels, dip), comps)
+
+
+# eps_+1, eps_0 and eps_-1 of the fields convention, one per row, over (X, Y, Z)
+SPHERICAL_BASIS = np.array([[-1.0, -1j, 0.0], [0.0, 0.0, math.sqrt(2.0)], [1.0, -1j, 0.0]])
+SPHERICAL_BASIS /= math.sqrt(2.0)
+
+
+def drive_vector(comps):
+    """The complex Cartesian vector sum_s eps_s E_s e^{-i phi_s} of a drive's
+    {sigma: (amplitude, phase)}, as the fields module defines its components."""
+    parts = [comps.get(sigma, (0.0, 0.0)) for sigma in SIGMAS]
+    return np.array([amp * cmath.exp(-1j * phase) for amp, phase in parts]) @ SPHERICAL_BASIS
+
+
+def drive_components(vector):
+    """The {sigma: (amplitude, phase)} of a complex Cartesian drive vector, its
+    projections on the eps_s: the inverse of drive_vector."""
+    projections = (SPHERICAL_BASIS.conj() @ vector).tolist()
+    return {sigma: (abs(a), -cmath.phase(a)) for sigma, a in zip(SIGMAS, projections)}
 
 
 def reference_reduced_element(upper, lower, d):

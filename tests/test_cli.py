@@ -762,6 +762,28 @@ def test_molecule_read_error_is_not_a_stdout_error(tmp_path, capsys, monkeypatch
     assert "Input/output error" in err and "stdout" not in err
 
 
+@pytest.mark.parametrize(
+    "error", [OSError(errno.EIO, "Input/output error"), PermissionError(errno.EACCES, "Permission denied")],
+    ids=["EIO", "EACCES"],
+)
+def test_unreadable_molecule_file_exits_2(tmp_path, capsys, monkeypatch, error):
+    path = tmp_path / "demo.mol"
+    path.write_text(GOOD_CONFIG)
+
+    def unreadable(self, *args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(Path, "read_text", unreadable)
+    assert run(["transitions", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: cannot read molecule file {str(path)!r}: {error.strerror}\n")
+
+
+def test_overlong_molecule_name_exits_2(capsys):
+    assert run(["transitions", "x" * 5000]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read molecule file 'xxx") and err.count("\n") == 1
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize(
     "argv",

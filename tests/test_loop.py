@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chiraloop import dynamics, loop, wigner
+from chiraloop import dipole as dipole_module
+from chiraloop import dynamics, loop
 from chiraloop.dipole import BodyDipole
 from chiraloop.fields import DriveField
 from chiraloop.loop import (
@@ -33,7 +34,8 @@ from chiraloop.loop import (
 )
 from chiraloop.rotor import OrderingError
 
-from conftest import X, Y, Z, linear_loop_spec, pure_loop_spec, random_loop_spec
+from conftest import X, Y, Z, drive_components, drive_vector, linear_loop_spec, pure_loop_spec
+from conftest import random_loop_spec
 from conftest import reference_diagnostics, reference_dressed
 
 
@@ -480,17 +482,25 @@ def test_dressed_states_equal_reference_bit_for_bit(which, kind, seed, ground, j
             assert x.tobytes() == y.tobytes()
 
 
-def test_verdicts_read_the_coupling_term_table(triad_a, dipole):
+def test_verdicts_read_the_coupling_term_table(triad_a, dipole, monkeypatch):
     """After one warm-up verdict, single and stacked verdicts look up no 3j
     symbol: their field-2 blocks read dipole._coupling_terms."""
     rng = np.random.default_rng(41)
     specs = [random_loop_spec(rng, triad_a, dipole) for _ in range(LOOP_BATCH_ROWS)]
     loop_diagnostics(specs[0])
-    before = wigner._wigner3j.cache_info()
+    calls = 0
+    w_coupling = dipole_module.w_coupling
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return w_coupling(*args)
+
+    monkeypatch.setattr(dipole_module, "w_coupling", counting)
     for spec in specs[:100]:
         loop_diagnostics(spec)
     list(Triad(*triad_a, dipole).diagnostics(*stack_drives(specs)))
-    assert wigner._wigner3j.cache_info() == before
+    assert calls == 0
 
 
 def test_batch_checks_every_chunk_against_closed_form(triad_a, dipole, monkeypatch):
@@ -558,3 +568,55 @@ def test_triad_computes_each_reduced_element_once(triad_a, dipole, monkeypatch):
 def test_triad_rejects_malformed_drives(triad_a, dipole, amps, phases, message):
     with pytest.raises(ValueError, match=message):  # before any row is evaluated
         Triad(*triad_a, dipole).diagnostics(amps, phases)
+
+
+# ---------------------------------------------------------------------------
+# rotation symmetry
+
+CLOSING_ROWS = ((1, -1, 0), (0, 1, 1), (-1, 0, -1))
+
+
+def _leak_norms(diag):
+    """sqrt(|<c'|H|b>|^2 + |<c''|H|b>|^2) and sqrt(|<c|H|b'>|^2 + |<c|H|b''>|^2)."""
+    r = np.abs(diag.residuals)
+    return math.hypot(r[0], r[1]), math.hypot(r[2], r[3])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    which=st.sampled_from("abc"),
+    sigmas=st.sampled_from([*CLOSING_ROWS, None]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rotating_all_drives_changes_no_observable(which, sigmas, seed, ground, j1_levels, dipole):
+    """The ground level has J = 0 and is isotropic, so one proper rotation of
+    the three drives' Cartesian vectors moves no verdict, |Omega|, loop phase,
+    leak norm or loop population.  The drives are closing pure-sigma rows
+    (sigmas) or general drives (None) whose residuals lie far above the
+    closure tolerance, so rounding cannot flip a verdict."""
+    tau_b, tau_c = TRIAD_TAUS[which]
+    levels = (ground, j1_levels[tau_b], j1_levels[tau_c])
+    rng = np.random.default_rng(seed)
+    if sigmas is None:
+        spec = random_loop_spec(rng, levels, dipole)
+    else:
+        amps, phases = rng.uniform(0.5, 2.0, 3), rng.uniform(-np.pi, np.pi, 3)
+        spec = pure_loop_spec(levels, dipole, sigmas, amps, phases)
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    rotation = q * np.linalg.det(q)  # det +1
+    fields = (spec.field1, spec.field2, spec.field3)
+    rotated = LoopSpec.resonant(
+        spec.triad, [drive_components(rotation @ drive_vector(f.comps)) for f in fields]
+    )
+    before, after = loop_diagnostics(spec), loop_diagnostics(rotated)
+
+    verdict = (True, None) if sigmas else (False, "not_closed")
+    assert (before.closed, before.failure) == (after.closed, after.failure) == verdict
+    assert sigmas or before.max_residual >= 1e-6
+    assert np.abs(np.abs(after.omegas) - np.abs(before.omegas)).max() <= 1e-12
+    products = [loop_product(SingleLoopHamiltonian(*d.omegas)) for d in (before, after)]
+    assert abs(cmath.phase(products[1] / products[0])) <= 1e-12
+    assert np.abs(np.subtract(_leak_norms(after), _leak_norms(before))).max() <= 1e-12
+    times = np.linspace(0.0, 5.0, 101)
+    pops = [dynamics.loop_populations(s, times, (1.0, 0.0, 0.0)) for s in (spec, rotated)]
+    assert np.abs(pops[1] - pops[0]).max() <= 1e-12
