@@ -9,7 +9,6 @@ error, 141 stdout closed early (as by `| head`).  Diagnostics go to stderr.
 from __future__ import annotations
 
 import functools
-import importlib.resources
 import math
 import sys
 import warnings
@@ -111,35 +110,37 @@ def parse_molecule_config(text: str) -> MoleculeConfig:
     return config
 
 
+_DATA = Path(__file__).with_name("data")
+
+
 def bundled_molecules() -> list[str]:
-    root = importlib.resources.files("chiraloop") / "data"
-    return sorted(p.name[: -len(".mol")] for p in root.iterdir() if p.name.endswith(".mol"))
+    return sorted(p.name[: -len(".mol")] for p in _DATA.iterdir() if p.name.endswith(".mol"))
+
+
+def _read_molecule(path: Path, name_or_path: str) -> MoleculeConfig | None:
+    """The molecule config file at path parsed, or None when there is no file there."""
+    try:
+        text = path.read_text(encoding="utf-8") if path.is_file() else None
+    except (OSError, UnicodeDecodeError) as exc:  # unreadable, undecodable, a name too long
+        reason = getattr(exc, "strerror", None) or exc
+        raise ParseError(f"cannot read molecule file {name_or_path!r}: {reason}") from None
+    return None if text is None else parse_molecule_config(text)
 
 
 @functools.lru_cache(maxsize=MEMO_ENTRIES)  # package data cannot change while the process runs
 def _bundled_config(name: str) -> MoleculeConfig | None:
-    if name not in bundled_molecules():
-        return None
-    resource = importlib.resources.files("chiraloop") / "data" / f"{name}.mol"
-    return parse_molecule_config(resource.read_text())
+    return _read_molecule(_DATA / f"{name}.mol", name) if name in bundled_molecules() else None
 
 
 def load_molecule(name_or_path: str) -> MoleculeConfig:
     """Load a bundled molecule by name (parsed once per process) or any molecule
     config file by path (read on every call, as the file can change)."""
-    config = _bundled_config(name_or_path)
-    if config is not None:
-        return config
-    path = Path(name_or_path)
-    try:
-        text = path.read_text() if path.is_file() else None
-    except OSError as exc:  # a file we may not read, an I/O error, a name too long
-        raise ParseError(f"cannot read molecule file {name_or_path!r}: {exc.strerror or exc}") from None
-    if text is not None:
-        return parse_molecule_config(text)
-    raise ParseError(
-        f"unknown molecule '{name_or_path}' (bundled: {', '.join(bundled_molecules())})"
-    )
+    config = _bundled_config(name_or_path) or _read_molecule(Path(name_or_path), name_or_path)
+    if config is None:
+        raise ParseError(
+            f"unknown molecule '{name_or_path}' (bundled: {', '.join(bundled_molecules())})"
+        )
+    return config
 
 
 def _level_blocks(constants: RotationalConstants, js) -> tuple[list[list[AsymTopLevel]], str]:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .dipole import BodyDipole, _stacked_coupling_block, reduced_matrix_element
 from .fields import DriveField
-from .loop import RESONANCE_TOL_MHZ, LoopSpec, SingleLoopHamiltonian, dressed_states
+from .loop import LoopSpec, ResonanceAmbiguityError, SingleLoopHamiltonian, dressed_states
 from .loop import loop_diagnostics
 from .rotor import AsymTopLevel
 
@@ -43,10 +43,6 @@ HERMITICITY_ATOL = 1e-14
 
 # Time-grid rows `evolve` takes at once; bounds its temporaries at any grid length.
 EVOLVE_BLOCK_ROWS = 2048
-
-
-class ResonanceAmbiguityError(ValueError):
-    """A drive frequency matches more than one level-pair transition."""
 
 
 def coupling_block(
@@ -75,14 +71,12 @@ def assemble_full_hamiltonian(spec: LoopSpec) -> np.ndarray:
     with M = +1, 0, -1 each (indices 0, 1..3, 4..6).
 
     Drives 1, 2 and 3 address b <- a, c <- b and c <- a, the transitions
-    LoopSpec holds them resonant with, each with its leg's reduced element
-    from spec.triad; all the polarization components of a drive couple every
-    M-allowed sublevel pair of its transition, including branches outside
-    the intended loop.  Raises ResonanceAmbiguityError when a drive is also
-    resonant, within 1e-3 MHz, with another transition.
+    LoopSpec holds them resonant with (and Triad, with no other), each with
+    its leg's reduced element from spec.triad; all the polarization
+    components of a drive couple every M-allowed sublevel pair of its
+    transition, including branches outside the intended loop.
     """
     t = spec.triad
-    transitions = {("b", "a"): t.f_ba, ("c", "a"): t.f_ca, ("c", "b"): t.f_cb}
     legs = (
         (spec.field1, t.level_b, t.level_a, t.gamma_ba, slice(1, 4), slice(0, 1)),
         (spec.field2, t.level_c, t.level_b, t.gamma_cb, slice(4, 7), slice(1, 4)),
@@ -90,11 +84,6 @@ def assemble_full_hamiltonian(spec: LoopSpec) -> np.ndarray:
     )
     h = np.zeros((7, 7), dtype=complex)
     for field, upper, lower, gamma, rows, cols in legs:
-        matches = [k for k, f in transitions.items() if abs(field.freq - f) < RESONANCE_TOL_MHZ]
-        if len(matches) > 1:
-            raise ResonanceAmbiguityError(
-                f"drive at {field.freq} MHz is resonant with transitions {matches}"
-            )
         block = _field_block(upper, lower, field, gamma)
         h[rows, cols] += block
         h[cols, rows] += block.conj().T
@@ -194,18 +183,14 @@ def enantiomer_contrast(
 ) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
     """Loop-state populations (P_a, P_b, P_c) at time t for both enantiomers.
 
-    Starts from the ground state |a> and evolves under the full 7-level
-    Hamiltonian built with the given dipole and with its mirror image; the
-    same drives act on both.
+    Row 0 of loop_populations from the ground state |a>, for the spec and
+    for its mirror image (the same drives act on both); at t = 0 exactly
+    (1, 0, 0) for both, free of eigenvector rounding.
     """
-    result = []
-    for s in (spec, spec.mirrored()):
-        frame = loop_frame(s)
-        h = assemble_full_hamiltonian(s)
-        psi = propagate(h, frame[0], t)
-        pops = np.abs(frame.conj() @ psi) ** 2
-        result.append(tuple(float(p) for p in pops))
-    return result[0], result[1]
+    right, left = (loop_populations(s, [t], (1.0, 0.0, 0.0))[0] for s in (spec, spec.mirrored()))
+    if t == 0.0:
+        return (1.0, 0.0, 0.0), (1.0, 0.0, 0.0)
+    return tuple(map(float, right)), tuple(map(float, left))
 
 
 def compare_full_vs_reduced(spec: LoopSpec, t_grid: ArrayLike,

@@ -36,6 +36,7 @@ __all__ = [
     "RESONANCE_TOL_MHZ",
     "NotClosedError",
     "ZeroRabiError",
+    "ResonanceAmbiguityError",
     "LoopSpec",
     "Triad",
     "DressedStates",
@@ -93,12 +94,16 @@ class ZeroRabiError(ValueError):
         )
 
 
+class ResonanceAmbiguityError(ValueError):
+    """Two transitions of a triad lie so close that one drive can be resonant with both."""
+
+
 @dataclass(frozen=True)
 class LoopSpec:
     """A triad (its levels and dipole) under three resonant drives.
 
     Each field must be resonant with its transition (1 <-> b-a, 2 <-> c-b,
-    3 <-> c-a) within RESONANCE_TOL_MHZ.
+    3 <-> c-a) within RESONANCE_TOL_MHZ, and so, as Triad ensures, with no other.
     """
 
     triad: Triad
@@ -374,9 +379,9 @@ class Triad:
     frequencies f_ba, f_cb and f_ca, checked and computed once.
 
     level_a must be the J=0 ground level; level_b and level_c are J=1 with
-    f_c > f_b.  Every LoopSpec holds one.  `diagnostics` evaluates a stack of
-    drives on the triad at once, through the same `_verdicts` that
-    `loop_diagnostics` runs on one triple.
+    f_c > f_b, and no two transitions lie within 2 * RESONANCE_TOL_MHZ.
+    Every LoopSpec holds one.  `diagnostics` judges a stack of drives at
+    once, through the `_verdicts` that `loop_diagnostics` runs on one triple.
     """
 
     level_a: AsymTopLevel
@@ -397,9 +402,16 @@ class Triad:
         if b.J != 1 or c.J != 1:
             raise ValueError("level_b and level_c must have J = 1")
         legs = (("ba", b, a), ("cb", c, b), ("ca", c, a))
-        for leg, upper, lower in legs:  # every order check before any element
-            object.__setattr__(self, "f_" + leg, transition_frequency(upper, lower))
+        # every order check, then the resonance check, before any element
+        freqs = {leg: transition_frequency(upper, lower) for leg, upper, lower in legs}
+        for (x, fx), (y, fy) in itertools.combinations(freqs.items(), 2):
+            if abs(fx - fy) < 2 * RESONANCE_TOL_MHZ:
+                raise ResonanceAmbiguityError(
+                    f"transitions f_{x} = {fx} MHz and f_{y} = {fy} MHz are closer than "
+                    f"{2 * RESONANCE_TOL_MHZ} MHz, so one drive can be resonant with both"
+                )
         for leg, upper, lower in legs:
+            object.__setattr__(self, "f_" + leg, freqs[leg])
             gamma = reduced_matrix_element(upper, lower, self.dipole).value
             object.__setattr__(self, "gamma_" + leg, gamma)
 

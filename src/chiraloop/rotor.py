@@ -9,6 +9,7 @@ labeled by tau = -J..J in order of increasing energy.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -87,6 +88,7 @@ def rotor_hamiltonian_block(constants: RotationalConstants, J: int) -> np.ndarra
     Nonzero elements: <K|H|K> = A K^2 + (B+C)/2 (J(J+1) - K^2) and the
     K <-> K+-2 couplings (B-C)/4 sqrt(J(J+1)-K(K+-1)) sqrt(J(J+1)-(K+-1)(K+-2)).
     """
+    J = operator.index(J)
     if J < 0:
         raise ValueError(f"J must be >= 0, got {J}")
     K = np.arange(-J, J + 1)
@@ -120,6 +122,7 @@ def rotor_levels(constants: RotationalConstants, J: int) -> list[AsymTopLevel]:
     DegenerateLevelsWarning.  Raises ValueError when a level frequency is
     not finite.
     """
+    J = operator.index(J)
     block = rotor_hamiltonian_block(constants, J)
     n = 2 * J + 1
     root_half = 1.0 / np.sqrt(2.0)

@@ -40,8 +40,6 @@ def wigner3j(j1: int, j2: int, j3: int, m1: int, m2: int, m3: int) -> float:
 
     t_min = max(0, j2 - j3 - m1, j1 - j3 + m2)
     t_max = min(j1 + j2 - j3, j1 - m1, j2 + m2)
-    if t_max < t_min:
-        return 0.0
 
     dens = [
         math.factorial(t)

@@ -639,6 +639,42 @@ def test_unwritable_csv_path_exits_2(tmp_path, capsys, name):
     assert len(captured.err.splitlines()) == 1
 
 
+def test_undecodable_molecule_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.mol"
+    path.write_bytes(b"name = \xff\n")
+    assert run(["transitions", str(path)]) == 2
+    assert capsys.readouterr() == ("", (
+        f"error: cannot read molecule file {str(path)!r}: "
+        "'utf-8' codec can't decode byte 0xff in position 7: invalid start byte\n"
+    ))
+
+
+# A = B + 2 C: on triad a, f_ba = f_cb = 3 MHz
+AMBIGUOUS_CONFIG = "name = amb\nA_MHz = 4\nB_MHz = 2\nC_MHz = 1\nmu_x_D = 1\nmu_y_D = 0.5\nmu_z_D = 0.7\n"
+
+
+def test_ambiguous_triad_is_refused_by_every_judging_command(tmp_path, capsys):
+    path = str(tmp_path / "amb.mol")
+    Path(path).write_text(AMBIGUOUS_CONFIG)
+    refused = [
+        ["loops", "verify", path, "--sigma", "1,-1,0"],
+        ["loops", "enumerate", path],
+        ["loops", "sample", path, "--samples", "10"],
+        ["simulate", path, "--config", "1,-1,0", "--t", "1", "--dt", "0.1"],
+        ["contrast", path, "--config", "1,-1,0", "--t", "1", "--dt", "0.1"],
+    ]
+    for argv in refused:
+        assert run([*argv, "--triad", "a"]) == 2
+        assert capsys.readouterr() == ("", (
+            "error: transitions f_ba = 3.0 MHz and f_cb = 3.0 MHz are closer than 0.002 MHz, "
+            "so one drive can be resonant with both\n"
+        ))
+    for argv in (["transitions", path, "--triad", "a"], [*refused[0], "--triad", "b"]):
+        assert run(argv) == 0
+        out, err = capsys.readouterr()
+        assert out and err == ""
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("jmax", ["0", "8"])  # 0's CSV fails at the close, 8's (26 kB) at a write
 def test_csv_write_failure_exits_2(capsys, jmax):

@@ -110,13 +110,13 @@ def test_resonance_ambiguity_detected():
     j1 = {level.tau: level for level in rotor_levels(constants, 1)}
     from conftest import PROPANEDIOL_DIPOLE
 
-    spec = LoopSpec(
-        triad=Triad(ground, j1[-1], j1[1], PROPANEDIOL_DIPOLE),
-        field1=DriveField.pure(1, 1.0, j1[-1].freq),
-        field2=DriveField.pure(-1, 1.0, j1[1].freq - j1[-1].freq),
-        field3=DriveField.pure(0, 1.0, j1[1].freq),
-    )
     with pytest.raises(ResonanceAmbiguityError):
+        spec = LoopSpec(
+            triad=Triad(ground, j1[-1], j1[1], PROPANEDIOL_DIPOLE),
+            field1=DriveField.pure(1, 1.0, j1[-1].freq),
+            field2=DriveField.pure(-1, 1.0, j1[1].freq - j1[-1].freq),
+            field3=DriveField.pure(0, 1.0, j1[1].freq),
+        )
         assemble_full_hamiltonian(spec)
 
 

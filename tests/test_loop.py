@@ -20,6 +20,7 @@ from chiraloop.loop import (
     TABLE_ROWS,
     LoopSpec,
     NotClosedError,
+    ResonanceAmbiguityError,
     SingleLoopHamiltonian,
     Triad,
     ZeroRabiError,
@@ -32,7 +33,7 @@ from chiraloop.loop import (
     omega2_closed_form,
     verify_linear_orthogonality,
 )
-from chiraloop.rotor import OrderingError
+from chiraloop.rotor import OrderingError, RotationalConstants, rotor_levels
 
 from conftest import X, Y, Z, drive_components, drive_vector, linear_loop_spec, pure_loop_spec
 from conftest import random_loop_spec
@@ -65,6 +66,43 @@ def test_loopspec_rejects_wrong_j(triad_a, dipole):
         Triad(a, c, b, dipole)
     with pytest.raises(OrderingError, match="nan MHz"):
         Triad(a, dataclasses.replace(b, freq=math.nan), c, dipole)
+
+
+@pytest.mark.parametrize("gap, refused", [(1.5e-3, True), (2.5e-3, False)])
+def test_triad_refuses_transitions_closer_than_twice_the_resonance_tol(triad_a, dipole, gap, refused):
+    """f_ba and f_cb, or f_cb and f_ca, set `gap` MHz apart by hand: within
+    2 * RESONANCE_TOL_MHZ one drive could be resonant with both."""
+    a, b, c = triad_a
+    for b_freq, c_freq in ((3.0, 6.0 + gap), (gap, 3.0)):  # f_cb near f_ba, then near f_ca
+        levels = (dataclasses.replace(a, freq=0.0), dataclasses.replace(b, freq=b_freq),
+                  dataclasses.replace(c, freq=c_freq))
+        if refused:
+            with pytest.raises(ResonanceAmbiguityError, match=r"f_c[ab] = .* MHz are closer than 0\.002 MHz"):
+                Triad(*levels, dipole)
+        else:
+            assert Triad(*levels, dipole).f_cb == c_freq - b_freq
+
+
+def test_every_route_refuses_an_ambiguous_triad(dipole):
+    """A = B + 2C puts f_ba = f_cb on triad a: the verdicts, the table and
+    the Hamiltonian all stop at the same Triad check, with the same message."""
+    ambiguous = RotationalConstants(A=4.0, B=2.0, C=1.0)
+    (ground,), j1 = rotor_levels(ambiguous, 0), rotor_levels(ambiguous, 1)
+    levels = (ground, j1[0], j1[2])
+    messages = set()
+    for route in (
+        lambda: Triad(*levels, dipole),
+        lambda: enumerate_pure_polarizations(levels, dipole),
+        lambda: verify_linear_orthogonality(X, Y, Z, levels, dipole),
+    ):
+        with pytest.raises(ResonanceAmbiguityError) as info:
+            route()
+        messages.add(str(info.value))
+    assert messages == {
+        "transitions f_ba = 3.0 MHz and f_cb = 3.0 MHz are closer than 0.002 MHz, "
+        "so one drive can be resonant with both"
+    }
+    assert dynamics.ResonanceAmbiguityError is ResonanceAmbiguityError
 
 
 def test_loopspec_rejects_off_resonant_field(triad_a, dipole):

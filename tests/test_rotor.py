@@ -152,6 +152,20 @@ def test_block_spherical_top_j2_is_diagonal():
     assert np.allclose(block, 6.0 * np.eye(5), atol=0.0)
 
 
+@pytest.mark.parametrize("build", [rotor_hamiltonian_block, rotor_levels])
+def test_non_integer_j_rejected(constants, build):
+    """Half-integer and float J are not defined here, 2.0 included, as in wigner3j."""
+    for J in (1.5, 2.0):
+        with pytest.raises(TypeError):
+            build(constants, J)
+
+
+def test_numpy_integer_j_gives_the_same_levels(constants):
+    for level, expected in zip(rotor_levels(constants, np.int64(2)), rotor_levels(constants, 2)):
+        assert (type(level.J), level.J, level.tau, level.freq) == (int, 2, expected.tau, expected.freq)
+        assert np.array_equal(level.coeffs, expected.coeffs)
+
+
 def test_block_matches_explicit_elements(constants):
     J = 3
     block = rotor_hamiltonian_block(constants, J)
