@@ -84,8 +84,8 @@ def test_triad_refuses_transitions_closer_than_twice_the_resonance_tol(triad_a, 
 
 
 def test_every_route_refuses_an_ambiguous_triad(dipole):
-    """A = B + 2C puts f_ba = f_cb on triad a: the verdicts, the table and
-    the Hamiltonian all stop at the same Triad check, with the same message."""
+    """A = B + 2C puts f_ba = f_cb on triad a: a verdict and the table stop
+    at the same Triad check as a spec (and so the Hamiltonian) does."""
     ambiguous = RotationalConstants(A=4.0, B=2.0, C=1.0)
     (ground,), j1 = rotor_levels(ambiguous, 0), rotor_levels(ambiguous, 1)
     levels = (ground, j1[0], j1[2])

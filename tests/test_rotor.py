@@ -161,7 +161,9 @@ def test_non_integer_j_rejected(constants, build):
 
 
 def test_numpy_integer_j_gives_the_same_levels(constants):
-    for level, expected in zip(rotor_levels(constants, np.int64(2)), rotor_levels(constants, 2)):
+    levels, reference = rotor_levels(constants, np.int64(2)), rotor_levels(constants, 2)
+    assert len(levels) == len(reference) == 5
+    for level, expected in zip(levels, reference):
         assert (type(level.J), level.J, level.tau, level.freq) == (int, 2, expected.tau, expected.freq)
         assert np.array_equal(level.coeffs, expected.coeffs)
 
