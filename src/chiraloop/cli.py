@@ -120,7 +120,7 @@ def bundled_molecules() -> list[str]:
 def _read_molecule(path: Path, name_or_path: str) -> MoleculeConfig | None:
     """The molecule config file at path parsed, or None when there is no file there."""
     try:
-        text = path.read_text(encoding="utf-8") if path.is_file() else None
+        text = path.read_text(encoding="utf-8-sig") if path.is_file() else None
     except (OSError, UnicodeDecodeError) as exc:  # unreadable, undecodable, a name too long
         reason = getattr(exc, "strerror", None) or exc
         raise ParseError(f"cannot read molecule file {name_or_path!r}: {reason}") from None
@@ -238,7 +238,7 @@ def _drive_components(args) -> list[dict[int, tuple[float, float]]]:
 
 def _loop_spec(config: MoleculeConfig, args) -> loop.LoopSpec:
     comps = _drive_components(args)
-    return loop.LoopSpec.resonant(loop.Triad(*_triad(config, args.triad), config.dipole()), comps)
+    return loop.LoopSpec(loop.Triad(*_triad(config, args.triad), config.dipole()), comps)
 
 
 def _csv_field(text: str) -> str:
@@ -505,7 +505,8 @@ def _time_grid(args) -> np.ndarray:
         raise ValueError(f"need finite --t >= 0 and --dt > 0, got {args.t} and {args.dt}")
     if not args.t / args.dt < MAX_TABLE_ROWS:
         raise ValueError(f"--t / --dt asks for more than {MAX_TABLE_ROWS} time steps")
-    steps = int(round(args.t / args.dt))
+    # the last step not beyond --t; the slack keeps 0.3 / 0.1 = 2.9999999999999996 at 3
+    steps = math.floor(args.t / args.dt * (1 + 1e-9))
     return np.arange(steps + 1) * args.dt
 
 

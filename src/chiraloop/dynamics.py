@@ -2,7 +2,7 @@
 
 Assembles the full resonant rotating-wave Hamiltonian over the ground
 state and all six magnetic sublevels of the two J=1 levels, including the
-spectator couplings that a would-be single loop must avoid, and propagates
+spectator couplings that a would-be single loop must avoid, and evolves
 states by exact eigendecomposition (the Hamiltonian is time independent
 under resonant driving).  Energies in MHz, times in microseconds, so the
 accumulated phase is 2 pi H t with no hidden constants.  Coupling blocks
@@ -31,7 +31,6 @@ __all__ = [
     "assemble_full_hamiltonian",
     "require_hermitian",
     "evolve",
-    "propagate",
     "loop_frame",
     "loop_populations",
     "leakage",
@@ -71,10 +70,10 @@ def assemble_full_hamiltonian(spec: LoopSpec) -> np.ndarray:
     with M = +1, 0, -1 each (indices 0, 1..3, 4..6).
 
     Drives 1, 2 and 3 address b <- a, c <- b and c <- a, the transitions
-    LoopSpec holds them resonant with (and Triad, with no other), each with
-    its leg's reduced element from spec.triad; all the polarization
-    components of a drive couple every M-allowed sublevel pair of its
-    transition, including branches outside the intended loop.
+    LoopSpec tunes them to exactly (and, as Triad ensures, to no other),
+    each with its leg's reduced element from spec.triad; all the
+    polarization components of a drive couple every M-allowed sublevel pair
+    of its transition, including branches outside the intended loop.
     """
     t = spec.triad
     legs = (
@@ -122,15 +121,6 @@ def evolve(h: np.ndarray, psi0: np.ndarray, times: ArrayLike) -> np.ndarray:
         # `evecs @ v` per time; a single matrix product sums in another order
         out[block] = (evecs @ coeffs[..., None])[..., 0]
     return out
-
-
-def propagate(h: np.ndarray, psi0: np.ndarray, t: float) -> np.ndarray:
-    """psi(t) = exp(-2 pi i H t) psi0 for Hermitian H (MHz) and t in us.
-
-    At t = 0 this is psi0 exactly, free of eigenvector rounding.
-    """
-    psi = evolve(h, psi0, [t])[0]
-    return np.array(psi0, dtype=complex) if t == 0.0 else psi
 
 
 def loop_frame(spec: LoopSpec) -> np.ndarray:

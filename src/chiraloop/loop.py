@@ -45,7 +45,6 @@ __all__ = [
     "LoopCandidate",
     "TABLE_ROWS",
     "dressed_states",
-    "closure_conditions_closed_form",
     "build_single_loop",
     "loop_diagnostics",
     "loop_product",
@@ -58,6 +57,7 @@ __all__ = [
 # floating-point noise in trigonometric cancellations.
 DEFAULT_CLOSURE_TOL_MHZ = 1e-9
 
+# Triad refuses two transitions closer than twice this: one drive could address both.
 RESONANCE_TOL_MHZ = 1e-3
 
 # Drive rows `Triad.diagnostics` evaluates at once; bounds its temporaries
@@ -102,37 +102,26 @@ class ResonanceAmbiguityError(ValueError):
 class LoopSpec:
     """A triad (its levels and dipole) under three resonant drives.
 
-    Each field must be resonant with its transition (1 <-> b-a, 2 <-> c-b,
-    3 <-> c-a) within RESONANCE_TOL_MHZ, and so, as Triad ensures, with no other.
+    comps holds one {sigma: (amplitude, phase)} dict per drive (DriveField's
+    own component format); field1, field2 and field3 are its drives at
+    exactly f_ba, f_cb and f_ca, and so, as Triad ensures, resonant with no
+    other transition.
     """
 
     triad: Triad
-    field1: DriveField
-    field2: DriveField
-    field3: DriveField
+    comps: tuple
+    field1: DriveField = field(init=False)
+    field2: DriveField = field(init=False)
+    field3: DriveField = field(init=False)
 
     def __post_init__(self):
+        comps = tuple(self.comps)
+        if len(comps) != 3:
+            raise ValueError(f"a LoopSpec takes three drives' components, got {len(comps)}")
+        object.__setattr__(self, "comps", comps)
         t = self.triad
-        for name, f, target in (
-            ("field1", self.field1, t.f_ba),
-            ("field2", self.field2, t.f_cb),
-            ("field3", self.field3, t.f_ca),
-        ):
-            if abs(f.freq - target) >= RESONANCE_TOL_MHZ:
-                raise ValueError(
-                    f"{name} at {f.freq} MHz is not resonant with its "
-                    f"transition at {target} MHz"
-                )
-
-    @classmethod
-    def resonant(cls, triad: Triad, comps) -> "LoopSpec":
-        """The triad under three drives tuned to b-a, c-b and c-a.
-
-        comps holds one {sigma: (amplitude, phase)} dict per drive, in that
-        order (DriveField's own component format).
-        """
-        freqs = (triad.f_ba, triad.f_cb, triad.f_ca)
-        return cls(triad, *(DriveField(freq, comp) for freq, comp in zip(freqs, comps)))
+        for name, freq, c in zip(("field1", "field2", "field3"), (t.f_ba, t.f_cb, t.f_ca), comps):
+            object.__setattr__(self, name, DriveField(freq, c))
 
     def mirrored(self) -> "LoopSpec":
         """Same fields and levels on the mirror triad: the opposite enantiomer."""
@@ -240,13 +229,6 @@ def dressed_states(spec: LoopSpec) -> DressedStates:
     return DressedStates(*b, *c)
 
 
-def _closed_form_inputs(spec: LoopSpec):
-    """Field trig, phases (phi_+1, phi_0, phi_-1) and the field-2 prefactor."""
-    amps, phis, totals = _drive_arrays(spec)
-    trig = tuple(_field_trig(*amps[d], totals[d]) for d in range(3))
-    return trig, phis, _closed_form_prefactor(spec.triad.gamma_cb, totals[1])
-
-
 def _closed_form_prefactor(gamma_cb: complex, total2):
     """Gamma_cb E_2 / (2 sqrt 6) in MHz, of one drive or a stack."""
     return gamma_cb * total2 * DEBYE_VCM_TO_MHZ / (2.0 * _SQRT6)
@@ -306,16 +288,6 @@ def _closed_form(trig, phases, pref):
         + st1 * cf1 * ct2 * st3 * sf3 * ph_amz
     )
     return c_prime_b, c_dprime_b, c_b_prime, c_b_dprime, half_omega2
-
-
-def closure_conditions_closed_form(spec: LoopSpec) -> tuple[complex, complex, complex, complex]:
-    """Closed-form route to the four cross couplings (MHz); see _closed_form."""
-    return tuple(complex(x) for x in _closed_form(*_closed_form_inputs(spec))[:4])
-
-
-def omega2_closed_form(spec: LoopSpec) -> complex:
-    """Closed-form middle Rabi frequency 2 <c|H2|b>, MHz."""
-    return complex(2.0 * _closed_form(*_closed_form_inputs(spec))[4])
 
 
 class LoopDiagnostics(NamedTuple):
@@ -419,10 +391,10 @@ class Triad:
         """loop_diagnostics of every row of a stack of drives, bit for bit.
 
         amplitudes (V/cm, >= 0) and phases (rad) have shape (N, 3, 3): drives
-        1, 2, 3 (tuned to b-a, c-b, c-a) over sigma = (+1, 0, -1), amplitude
-        0 for an absent component.  Row n's verdict is the one
-        loop_diagnostics gives the LoopSpec.resonant of the same components,
-        and like it is cross-checked against the closed form.  The arrays are
+        1, 2, 3 (at f_ba, f_cb, f_ca) over sigma = (+1, 0, -1), amplitude 0
+        for an absent component.  Row n's verdict is loop_diagnostics of
+        LoopSpec(self, comps) with row n's components as comps, and like it
+        is cross-checked against the closed form.  The arrays are
         validated at once; the verdicts are computed LOOP_BATCH_ROWS rows at
         a time as the iteration reaches them, so memory stays bounded.
         """
@@ -590,5 +562,5 @@ def verify_linear_orthogonality(
     exactly when the three directions are mutually orthogonal.
     """
     comps = [linear_components(d, 1.0, 0.0) for d in (dir1, dir2, dir3)]
-    diag = loop_diagnostics(LoopSpec.resonant(Triad(*levels, dipole), comps))
+    diag = loop_diagnostics(LoopSpec(Triad(*levels, dipole), comps))
     return diag.closed, diag.max_residual

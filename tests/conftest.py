@@ -1,6 +1,7 @@
 """Shared fixtures: the bundled molecule, its triad levels, spec builders,
 the map between a drive and its Cartesian vector, and the written-out per-K
-reduced element, Rabi frequency and scalar closure verdict used as oracles."""
+reduced element, Rabi frequency, closed-form closure route and scalar closure
+verdict used as oracles."""
 
 import cmath
 import math
@@ -52,7 +53,7 @@ def triad_a(ground, j1_levels):
 
 def pure_loop_spec(levels, dip, sigmas, amplitudes=(1.0, 1.0, 1.0), phases=(0.0, 0.0, 0.0)):
     comps = [{s: (amp, phase)} for s, amp, phase in zip(sigmas, amplitudes, phases)]
-    return LoopSpec.resonant(Triad(*levels, dip), comps)
+    return LoopSpec(Triad(*levels, dip), comps)
 
 
 def linear_loop_spec(levels, dip, directions, amplitudes=(1.0, 1.0, 1.0), phases=(0.0, 0.0, 0.0)):
@@ -60,7 +61,7 @@ def linear_loop_spec(levels, dip, directions, amplitudes=(1.0, 1.0, 1.0), phases
         linear_components(direction, amp, phase)
         for direction, amp, phase in zip(directions, amplitudes, phases)
     ]
-    return LoopSpec.resonant(Triad(*levels, dip), comps)
+    return LoopSpec(Triad(*levels, dip), comps)
 
 
 def random_loop_spec(rng, levels, dip):
@@ -68,7 +69,7 @@ def random_loop_spec(rng, levels, dip):
         {sigma: (rng.uniform(0.05, 2.0), rng.uniform(-np.pi, np.pi)) for sigma in (-1, 0, 1)}
         for _ in range(3)
     ]
-    return LoopSpec.resonant(Triad(*levels, dip), comps)
+    return LoopSpec(Triad(*levels, dip), comps)
 
 
 # eps_+1, eps_0 and eps_-1 of the fields convention, one per row, over (X, Y, Z)
@@ -147,6 +148,18 @@ def reference_dressed(f):
     )
 
 
+def reference_closed_form(spec):
+    """The four cross couplings <c'|H2|b>, <c''|H2|b>, <c|H2|b'>, <c|H2|b''> and
+    <c|H2|b>, half of Omega2, of one spec on the closed-form route, MHz:
+    loop._closed_form of the drives' field trigonometry, component phases and
+    field-2 prefactor.  Oracle for the matrix route."""
+    fields = (spec.field1, spec.field2, spec.field3)
+    trig = tuple(loop._field_trig(*(f.amplitude(s) for s in SIGMAS), f.total) for f in fields)
+    phases = [[f.phase(s) for s in SIGMAS] for f in fields]
+    pref = loop._closed_form_prefactor(spec.triad.gamma_cb, spec.field2.total)
+    return tuple(complex(x) for x in loop._closed_form(trig, phases, pref))
+
+
 def reference_diagnostics(spec):
     """The closure verdict of one spec on the scalar route: complex dressed
     vectors, dynamics.coupling_block, one sandwich per cross coupling and
@@ -164,7 +177,7 @@ def reference_diagnostics(spec):
     residuals = (
         sandwich(c_prime, b), sandwich(c_dprime, b), sandwich(c, b_prime), sandwich(c, b_dprime)
     )
-    closed_form = (*loop.closure_conditions_closed_form(spec), loop.omega2_closed_form(spec) / 2)
+    closed_form = reference_closed_form(spec)
     scale = max(np.abs(block).max(), 1e-300)
     checked = (*residuals, sandwich(c, b))
     assert not max(abs(x - y) for x, y in zip(checked, closed_form)) > 1e-12 * scale

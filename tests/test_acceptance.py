@@ -24,6 +24,7 @@ from conftest import (
     linear_loop_spec,
     pure_loop_spec,
     random_loop_spec,
+    reference_closed_form,
 )
 
 GROUND = rotor_levels(PROPANEDIOL, 0)[0]
@@ -148,12 +149,12 @@ def test_criterion_08_closed_form_equivalence():
             complex(ds.c.conj() @ block @ ds.b_prime),
             complex(ds.c.conj() @ block @ ds.b_dprime),
         )
-        closed_form = loop.closure_conditions_closed_form(spec)
+        *closed_form, half_omega2 = reference_closed_form(spec)
         scale = float(np.abs(block).max())
         for x, y in zip(from_block, closed_form):
             assert abs(x - y) <= 1e-12 * scale
         omega2 = 2.0 * complex(ds.c.conj() @ block @ ds.b)
-        assert abs(omega2 - loop.omega2_closed_form(spec)) <= 1e-12 * scale
+        assert abs(omega2 - 2.0 * half_omega2) <= 1e-12 * scale
 
 
 @criterion(9, "closed configs: leakage and full-vs-reduced <= 1e-10; 5 deg tilt leaks > 1e-4")
@@ -283,10 +284,10 @@ def test_criterion_11_property_suites():
     psi = np.zeros(7, dtype=complex)
     psi[0] = 1.0
     for t in (0.37, 1.41, 7.3):
-        assert abs(np.linalg.norm(dynamics.propagate(h7, psi, t)) - 1.0) < 1e-12
+        assert abs(np.linalg.norm(dynamics.evolve(h7, psi, [t])[0]) - 1.0) < 1e-12
     h2 = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
     start = np.array([1.0, 0.0], dtype=complex)
     for t in (0.1, 0.33, 0.5):
-        upper = abs(dynamics.propagate(h2, start, t)[1]) ** 2
+        upper = abs(dynamics.evolve(h2, start, [t])[0][1]) ** 2
         assert upper == pytest.approx(math.sin(math.pi * t) ** 2, abs=1e-10)
-    assert abs(dynamics.propagate(h2, start, 0.5)[1]) ** 2 == pytest.approx(1.0, abs=1e-10)
+    assert abs(dynamics.evolve(h2, start, [0.5])[0][1]) ** 2 == pytest.approx(1.0, abs=1e-10)

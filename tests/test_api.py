@@ -1,6 +1,7 @@
 """The public names: each module's __all__, and the README's library table."""
 
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -42,3 +43,12 @@ def test_all_entries_exist(name):
     module = importlib.import_module(f"chiraloop.{name}")
     missing = [entry for entry in module.__all__ if not hasattr(module, entry)]
     assert missing == []
+
+
+@pytest.mark.parametrize("module, names", layout_rows())
+def test_layout_row_names_every_public_function(module, names):
+    """Each function in a module's __all__ is named in its README row;
+    classes, exceptions and constants need not be."""
+    owner = importlib.import_module(module)
+    functions = [name for name in owner.__all__ if inspect.isfunction(getattr(owner, name))]
+    assert [name for name in functions if name not in names] == []

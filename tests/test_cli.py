@@ -330,6 +330,15 @@ def test_bad_time_grid_exits_2(command, grid, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("t, dt, times", [
+    ("1", "0.6", ["0.0000", "0.6000"]),  # t / dt = 1.67: no row beyond --t
+    ("0.3", "0.1", ["0.0000", "0.1000", "0.2000", "0.3000"]),  # t / dt = 2.9999999999999996
+])
+def test_time_grid_ends_at_the_last_step_not_beyond_t(t, dt, times, capsys):
+    assert run(["simulate", "propanediol", "--config", "ZXY", "--t", t, "--dt", dt]) == 0
+    assert [row.split()[0] for row in capsys.readouterr().out.splitlines()[1:]] == times
+
+
 def test_negative_jmax_exits_2(capsys):
     assert run(["levels", "propanediol", "--jmax", "-1"]) == 2
     captured = capsys.readouterr()
@@ -647,6 +656,17 @@ def test_undecodable_molecule_file_exits_2(tmp_path, capsys):
         f"error: cannot read molecule file {str(path)!r}: "
         "'utf-8' codec can't decode byte 0xff in position 7: invalid start byte\n"
     ))
+
+
+def test_molecule_file_with_byte_order_mark_reads_as_without(tmp_path, capsys):
+    """A UTF-8 byte-order mark, as some editors write it, is dropped, not read as part of a key."""
+    outputs = []
+    for name, data in (("plain.mol", b""), ("bom.mol", b"\xef\xbb\xbf")):
+        path = tmp_path / name
+        path.write_bytes(data + GOOD_CONFIG.encode())
+        assert run(["transitions", str(path)]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1] and outputs[0].err == ""
 
 
 # A = B + 2 C: on triad a, f_ba = f_cb = 3 MHz

@@ -21,7 +21,6 @@ from chiraloop.dynamics import (
     leakage,
     loop_frame,
     loop_populations,
-    propagate,
 )
 from chiraloop.fields import DriveField
 from chiraloop.loop import LoopSpec, Triad, build_single_loop, loop_product
@@ -112,10 +111,8 @@ def test_resonance_ambiguity_detected():
 
     with pytest.raises(ResonanceAmbiguityError):
         spec = LoopSpec(
-            triad=Triad(ground, j1[-1], j1[1], PROPANEDIOL_DIPOLE),
-            field1=DriveField.pure(1, 1.0, j1[-1].freq),
-            field2=DriveField.pure(-1, 1.0, j1[1].freq - j1[-1].freq),
-            field3=DriveField.pure(0, 1.0, j1[1].freq),
+            Triad(ground, j1[-1], j1[1], PROPANEDIOL_DIPOLE),
+            [{1: (1.0, 0.0)}, {-1: (1.0, 0.0)}, {0: (1.0, 0.0)}],
         )
         assemble_full_hamiltonian(spec)
 
@@ -170,20 +167,13 @@ def test_coupling_block_entries_are_half_rabi_frequencies(j_upper, j_lower, leve
 # ---------------------------------------------------------------------------
 # propagation
 
-def test_propagate_t0_is_identity(circular_spec):
-    h = assemble_full_hamiltonian(circular_spec)
-    psi0 = np.zeros(7, dtype=complex)
-    psi0[0] = 1.0
-    assert np.array_equal(propagate(h, psi0, 0.0), psi0)
-
-
 def test_two_level_rabi_analytic():
     h = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)  # |Omega| = 1 MHz
     psi0 = np.array([1.0, 0.0], dtype=complex)
     for t in (0.1, 0.25, 0.37, 0.5):
-        psi = propagate(h, psi0, t)
+        psi = evolve(h, psi0, [t])[0]
         assert abs(psi[1]) ** 2 == pytest.approx(math.sin(math.pi * t) ** 2, abs=1e-10)
-    assert abs(propagate(h, psi0, 0.5)[1]) ** 2 == pytest.approx(1.0, abs=1e-10)
+    assert abs(evolve(h, psi0, [0.5])[0][1]) ** 2 == pytest.approx(1.0, abs=1e-10)
 
 
 def test_propagation_norm_conserved(linear_spec):
@@ -192,7 +182,7 @@ def test_propagation_norm_conserved(linear_spec):
     psi0 = rng.normal(size=7) + 1j * rng.normal(size=7)
     psi0 /= np.linalg.norm(psi0)
     for t in (0.3, 1.7, 9.4):
-        assert np.linalg.norm(propagate(h, psi0, t)) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(evolve(h, psi0, [t])[0]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_propagation_semigroup(linear_spec):
@@ -200,8 +190,8 @@ def test_propagation_semigroup(linear_spec):
     rng = np.random.default_rng(4)
     psi0 = rng.normal(size=7) + 1j * rng.normal(size=7)
     psi0 /= np.linalg.norm(psi0)
-    once = propagate(h, psi0, 1.3)
-    twice = propagate(h, propagate(h, psi0, 0.8), 0.5)
+    once = evolve(h, psi0, [1.3])[0]
+    twice = evolve(h, evolve(h, psi0, [0.8])[0], [0.5])[0]
     assert np.abs(once - twice).max() < 1e-12
 
 
@@ -209,7 +199,7 @@ def test_propagate_matches_rk4_oracle(linear_spec):
     h = assemble_full_hamiltonian(linear_spec)
     psi0 = np.zeros(7, dtype=complex)
     psi0[0] = 1.0
-    exact = propagate(h, psi0, 0.4)
+    exact = evolve(h, psi0, [0.4])[0]
     stepped = rk4_propagate(h, psi0, 0.4, steps=6000)
     assert np.abs(exact - stepped).max() < 1e-8
 
@@ -217,13 +207,13 @@ def test_propagate_matches_rk4_oracle(linear_spec):
 def test_propagate_rejects_unnormalized(circular_spec):
     h = assemble_full_hamiltonian(circular_spec)
     with pytest.raises(ValueError):
-        propagate(h, np.ones(7, dtype=complex), 1.0)
+        evolve(h, np.ones(7, dtype=complex), [1.0])
 
 
 def test_propagate_rejects_non_hermitian():
     bad = np.array([[0.0, 1.0], [0.5, 0.0]], dtype=complex)
     with pytest.raises(ValueError):
-        propagate(bad, np.array([1.0, 0.0], dtype=complex), 1.0)
+        evolve(bad, np.array([1.0, 0.0], dtype=complex), [1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +242,7 @@ def test_decoupled_state_never_enters_loop(circular_spec):
     psi0 = np.zeros(7, dtype=complex)
     psi0[ket("c", 1)] = 1.0
     for t in (0.0, 0.7, 1.9):
-        psi = propagate(h, psi0, t)
+        psi = evolve(h, psi0, [t])[0]
         assert float(np.sum(np.abs(frame.conj() @ psi) ** 2)) == 0.0
 
 
@@ -279,8 +269,8 @@ def test_bare_basis_evolution_matches_dressed_projection(linear_spec):
     psi3 = np.array([0.6, 0.48j, 0.64], dtype=complex)
     psi3 /= np.linalg.norm(psi3)
     for t in (0.3, 1.1):
-        via_full = frame.conj() @ propagate(h7, psi3 @ frame, t)
-        via_loop = propagate(h3, psi3, t)
+        via_full = frame.conj() @ evolve(h7, psi3 @ frame, [t])[0]
+        via_loop = evolve(h3, psi3, [t])[0]
         assert np.abs(via_full - via_loop).max() < 1e-12
 
 
@@ -319,13 +309,8 @@ def test_contrast_vanishes_at_real_loop_phase(triad_a, dipole):
 def test_contrast_negligible_without_field2(triad_a, dipole):
     """An (effectively) absent middle drive leaves no loop, so no mirror
     asymmetry; zero amplitude itself is not representable in a DriveField."""
-    a, b, c = triad_a
     strong = equal_omega_spec(triad_a, dipole, 0.5)
-    import dataclasses
-
-    spec = dataclasses.replace(
-        strong, field2=DriveField.pure(-1, 1e-12, c.freq - b.freq)
-    )
+    spec = LoopSpec(strong.triad, (strong.comps[0], {-1: (1e-12, 0.0)}, strong.comps[2]))
     for t in (0.4, 1.3, 2.0):
         right, left = enantiomer_contrast(spec, t)
         assert max(abs(r - l) for r, l in zip(right, left)) < 1e-8
@@ -338,7 +323,7 @@ def test_mirror_image_evolves_as_drives_shifted_by_pi(taus, seed, ground, j1_lev
     -F, every component phase shifted by pi, for general drives on each triad."""
     levels = (ground, j1_levels[taus[0]], j1_levels[taus[1]])
     spec = random_loop_spec(np.random.default_rng(seed), levels, dipole)
-    shifted = LoopSpec.resonant(spec.triad, [
+    shifted = LoopSpec(spec.triad, [
         {sigma: (amp, phase + math.pi) for sigma, (amp, phase) in f.comps.items()}
         for f in (spec.field1, spec.field2, spec.field3)
     ])
@@ -397,7 +382,7 @@ def test_evolve_rows_equal_propagate(seed, dim, times):
     grid = evolve(h, psi0, times)
     assert grid.shape == (len(times), dim)
     for row, t in zip(grid, times):
-        single = propagate(h, psi0, t)
+        single = evolve(h, psi0, [t])[0]
         if dim == 1:
             # numpy merges a one-column grid into a single SIMD complex
             # multiply (fused multiply-add), so it can differ from a
@@ -415,7 +400,7 @@ def test_evolve_across_blocks_equals_propagate(linear_spec):
     grid = evolve(h, psi0, times)
     edges = [0, EVOLVE_BLOCK_ROWS - 1, EVOLVE_BLOCK_ROWS, 2 * EVOLVE_BLOCK_ROWS, len(times) - 1]
     for k in edges + list(range(0, len(times), 211)):
-        assert np.array_equal(grid[k], propagate(h, psi0, times[k]))
+        assert np.array_equal(grid[k], evolve(h, psi0, [times[k]])[0])
 
 
 def test_evolve_empty_grid(linear_spec):
@@ -438,7 +423,7 @@ def test_evolve_rejects_non_finite_input():
         with pytest.raises(ValueError, match="finite"):
             evolve(h, np.array([1.0, 0.0]), [0.0, t])
         with pytest.raises(ValueError, match="finite"):
-            propagate(h, np.array([1.0, 0.0]), t)
+            evolve(h, np.array([1.0, 0.0]), [t])
 
 
 def test_loop_populations_match_contrast(linear_spec):

@@ -4,7 +4,7 @@ The `simulate` and `contrast` files under tests/golden/ were written by the
 per-step propagation loops that `dynamics.evolve` replaced, the `levels`
 files by the cyclic Jacobi solver that the Wang-block `eigh` replaced, and
 the `loops` files by the per-builder spec construction and the two-pass
-closure evaluation that `LoopSpec.resonant` and the single
+closure evaluation that `LoopSpec(triad, comps)` and the single
 `loop_diagnostics` pass replaced (`sample_large` and `sample_empty` by the
 one-verdict-at-a-time sampling that `Triad.diagnostics` replaced, and
 `levels_j8` and `simulate_one_row` by the row-at-a-time string emission

@@ -25,19 +25,17 @@ from chiraloop.loop import (
     Triad,
     ZeroRabiError,
     build_single_loop,
-    closure_conditions_closed_form,
     dressed_states,
     enumerate_pure_polarizations,
     loop_diagnostics,
     loop_product,
-    omega2_closed_form,
     verify_linear_orthogonality,
 )
 from chiraloop.rotor import OrderingError, RotationalConstants, rotor_levels
 
 from conftest import X, Y, Z, drive_components, drive_vector, linear_loop_spec, pure_loop_spec
 from conftest import random_loop_spec
-from conftest import reference_diagnostics, reference_dressed
+from conftest import reference_closed_form, reference_diagnostics, reference_dressed
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +45,7 @@ def test_resonant_tunes_each_drive_to_its_transition(triad_a, dipole):
     a, b, c = triad_a
     comps = [{1: (1.0, 0.5)}, {-1: (2.0, -4.0), 0: (0.5, 0.0)}, {0: (-1.0, 0.0)}]
     triad = Triad(*triad_a, dipole)
-    spec = LoopSpec.resonant(triad, comps)
+    spec = LoopSpec(triad, comps)
     assert spec.triad is triad
     assert (triad.level_a, triad.level_b, triad.level_c, triad.dipole) == (a, b, c, dipole)
     fields = (spec.field1, spec.field2, spec.field3)
@@ -105,15 +103,12 @@ def test_every_route_refuses_an_ambiguous_triad(dipole):
     assert dynamics.ResonanceAmbiguityError is ResonanceAmbiguityError
 
 
-def test_loopspec_rejects_off_resonant_field(triad_a, dipole):
-    a, b, c = triad_a
-    with pytest.raises(ValueError, match="field1 .* not resonant"):
-        LoopSpec(
-            triad=Triad(a, b, c, dipole),
-            field1=DriveField.pure(0, 1.0, b.freq - a.freq + 0.5),
-            field2=DriveField.pure(0, 1.0, c.freq - b.freq),
-            field3=DriveField.pure(0, 1.0, c.freq - a.freq),
-        )
+@pytest.mark.parametrize("count", [2, 4])
+def test_loopspec_needs_three_drives(triad_a, dipole, count):
+    """Two or four drives' components are refused, not cut to three or left short."""
+    comps = [{0: (1.0, 0.0)}] * count
+    with pytest.raises(ValueError, match=f"three drives' components, got {count}"):
+        LoopSpec(Triad(*triad_a, dipole), comps)
 
 
 # ---------------------------------------------------------------------------
@@ -184,12 +179,12 @@ def test_closed_form_route_matches_block_route(triad_a, dipole):
             complex(ds.c.conj() @ block @ ds.b_prime),
             complex(ds.c.conj() @ block @ ds.b_dprime),
         )
-        closed_form = closure_conditions_closed_form(spec)
+        *closed_form, half_omega2 = reference_closed_form(spec)
         scale = float(np.abs(block).max())
         for x, y in zip(from_block, closed_form):
             assert abs(x - y) <= 1e-12 * scale
         omega2_block = 2.0 * complex(ds.c.conj() @ block @ ds.b)
-        assert abs(omega2_block - omega2_closed_form(spec)) <= 1e-12 * scale
+        assert abs(omega2_block - 2.0 * half_omega2) <= 1e-12 * scale
 
 
 def test_verdict_checks_closed_form_once(triad_a, dipole, monkeypatch):
@@ -477,7 +472,7 @@ def random_drives(kind, rng, levels, dip, count):
                 {s: (a, p) for s, a, p in zip((1, 0, -1), row_amps, row_phis) if a > 0}
                 for row_amps, row_phis in zip(amps, phis)
             ]
-            specs.append(LoopSpec.resonant(Triad(*levels, dip), comps))
+            specs.append(LoopSpec(Triad(*levels, dip), comps))
             raw_amps.append(amps)
             raw_phases.append(phis)
     if kind == "raw":
@@ -643,7 +638,7 @@ def test_rotating_all_drives_changes_no_observable(which, sigmas, seed, ground, 
     q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     rotation = q * np.linalg.det(q)  # det +1
     fields = (spec.field1, spec.field2, spec.field3)
-    rotated = LoopSpec.resonant(
+    rotated = LoopSpec(
         spec.triad, [drive_components(rotation @ drive_vector(f.comps)) for f in fields]
     )
     before, after = loop_diagnostics(spec), loop_diagnostics(rotated)
