@@ -120,7 +120,8 @@ def bundled_molecules() -> list[str]:
 def _read_molecule(path: Path, name_or_path: str) -> MoleculeConfig | None:
     """The molecule config file at path parsed, or None when there is no file there."""
     try:
-        text = path.read_text(encoding="utf-8-sig") if path.is_file() else None
+        # a byte-order mark is dropped after decoding, so codec positions are file offsets
+        text = path.read_text(encoding="utf-8").removeprefix("\ufeff") if path.is_file() else None
     except (OSError, UnicodeDecodeError) as exc:  # unreadable, undecodable, a name too long
         reason = getattr(exc, "strerror", None) or exc
         raise ParseError(f"cannot read molecule file {name_or_path!r}: {reason}") from None

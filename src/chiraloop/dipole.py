@@ -5,7 +5,7 @@ spherical dipole components with 3j coupling coefficients over both
 prolate-basis expansions; it is independent of the lab-frame projection M
 and of drive polarization.  The coupling terms that survive the selection
 rules depend only on the two J values, so they are tabulated once per
-(J_upper, J_lower) pair and each element is a sum over its pair's table.
+(J_upper, J_lower) pair; each element sums the part at its levels' K parities.
 The same table, read over M instead of K, gives the Delta-M = sigma
 entries of every lab-frame coupling block (`_stacked_coupling_block`,
 which `loop` and `dynamics` call), and DEBYE_VCM_TO_MHZ turns field
@@ -109,10 +109,10 @@ def _coupling_terms(
     M_l) as of (K_u, K_l), and (-1)^(sigma - M_l) is the block's phase
     (-1)^(M_l + sigma), so _stacked_coupling_block reads each coupling
     block's Delta-M = sigma entries from this table too: the table keeps
-    every nonzero W, whatever the levels' coefficients.  Skipping terms
-    that vanish for a level's K parity belongs in reduced_matrix_element's
-    loop, not here.  Only |J_u - J_l| <= 1 asks for a table, so the cache
-    holds at most 3 tables per J.
+    every nonzero W, whatever the levels' coefficients.  The terms that
+    vanish for a level's K parity are skipped in _parity_terms, the view of
+    this table that reduced_matrix_element reads.  Only |J_u - J_l| <= 1
+    asks for a table, so the cache holds at most 3 tables per J.
     """
     terms = tuple(
         tuple(
@@ -125,6 +125,16 @@ def _coupling_terms(
     return math.sqrt((2 * J_u + 1) * (2 * J_l + 1)), terms
 
 
+@lru_cache(maxsize=None)
+def _parity_terms(J_u: int, J_l: int, p_u: int, p_l: int) -> tuple[float, tuple]:
+    """_coupling_terms(J_u, J_l) with only its terms at K_u % 2 == p_u, K_l % 2 == p_l."""
+    norm, tables = _coupling_terms(J_u, J_l)
+    return norm, tuple(
+        tuple(t for t in terms if (t[0] - J_u) % 2 == p_u and (t[1] - J_l) % 2 == p_l)
+        for terms in tables
+    )
+
+
 def reduced_matrix_element(
     upper: AsymTopLevel, lower: AsymTopLevel, d: BodyDipole
 ) -> ReducedElement:
@@ -132,12 +142,14 @@ def reduced_matrix_element(
 
     Sums c_upper(K_u) * c_lower(K_l) * (sign * W) over the pair's tabulated
     coupling terms per sigma, then contracts with the spherical dipole.
-    Exactly zero when |J_upper - J_lower| > 1 (triangle rule).
+    Terms off the levels' k_parity multiply a coefficient of exactly +-0.0,
+    so _parity_terms skips them and every bit stays.  Exactly zero when
+    |J_upper - J_lower| > 1 (triangle rule).
     """
     tag = ((upper.J, upper.tau), (lower.J, lower.tau))
     if abs(upper.J - lower.J) > 1:
         return ReducedElement(0j, *tag)
-    norm, tables = _coupling_terms(upper.J, lower.J)
+    norm, tables = _parity_terms(upper.J, lower.J, upper.k_parity, lower.k_parity)
     cu, cl = upper.coeffs.tolist(), lower.coeffs.tolist()
     total = 0j
     for mu_s, terms in zip(d._spherical, tables):

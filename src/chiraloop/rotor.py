@@ -73,13 +73,15 @@ class AsymTopLevel:
 
     coeffs[k] is the amplitude on |J, K=k-J); the vector is normalized,
     real, and phase-fixed so its first nonzero entry (scanning K = -J..J)
-    is positive.
+    is positive.  k_parity (0 or 1, the parity of Ka) is the K parity of its
+    Wang sub-block; every coefficient at the other K parity is +-0.0.
     """
 
     J: int
     tau: int
     freq: float
     coeffs: np.ndarray
+    k_parity: int
 
 
 def rotor_hamiltonian_block(constants: RotationalConstants, J: int) -> np.ndarray:
@@ -126,7 +128,7 @@ def rotor_levels(constants: RotationalConstants, J: int) -> list[AsymTopLevel]:
     block = rotor_hamiltonian_block(constants, J)
     n = 2 * J + 1
     root_half = 1.0 / np.sqrt(2.0)
-    vals, rows = [], []  # per Wang sub-block: eigenvalues, eigenvectors as rows
+    vals, rows, parities = [], [], []  # eigenvalues, eigenvectors as rows, K parity per row
     # Huge constants overflow to inf or NaN here; the finiteness check reports it.
     with np.errstate(over="ignore", invalid="ignore"):
         for sign, k0 in _WANG_BLOCKS:
@@ -154,6 +156,7 @@ def rotor_levels(constants: RotationalConstants, J: int) -> list[AsymTopLevel]:
                     coeffs[:, J] = vecs[0]
             vals.append(w)
             rows.append(coeffs)
+            parities += [k0 % 2] * d.size
     freqs = np.concatenate(vals)
     order = np.argsort(freqs, kind="stable")
     freqs, coeffs = freqs[order], np.concatenate(rows)[order]
@@ -168,8 +171,8 @@ def rotor_levels(constants: RotationalConstants, J: int) -> list[AsymTopLevel]:
     flip = coeffs[np.arange(n), first] < 0
     coeffs[flip] = -coeffs[flip]
     return [
-        AsymTopLevel(J=J, tau=tau, freq=freq, coeffs=vec)
-        for tau, freq, vec in zip(range(-J, J + 1), freqs, coeffs)
+        AsymTopLevel(J=J, tau=tau, freq=freq, coeffs=vec, k_parity=parities[row])
+        for tau, freq, vec, row in zip(range(-J, J + 1), freqs, coeffs, order.tolist())
     ]
 
 

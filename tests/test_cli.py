@@ -658,6 +658,17 @@ def test_undecodable_molecule_file_exits_2(tmp_path, capsys):
     ))
 
 
+def test_undecodable_molecule_file_after_byte_order_mark_gives_file_offset(tmp_path, capsys):
+    """The codec's position counts the mark's three bytes: 0xff is at offset 10."""
+    path = tmp_path / "bombad.mol"
+    path.write_bytes(b"\xef\xbb\xbfname = \xff\n")
+    assert run(["transitions", str(path)]) == 2
+    assert capsys.readouterr() == ("", (
+        f"error: cannot read molecule file {str(path)!r}: "
+        "'utf-8' codec can't decode byte 0xff in position 10: invalid start byte\n"
+    ))
+
+
 def test_molecule_file_with_byte_order_mark_reads_as_without(tmp_path, capsys):
     """A UTF-8 byte-order mark, as some editors write it, is dropped, not read as part of a key."""
     outputs = []

@@ -259,6 +259,27 @@ def test_reduced_element_equals_per_k_reference_bit_for_bit(abc, mu, J_l, delta)
                 assert _bits(value) == _bits(reference_reduced_element(up, low, d))
 
 
+def test_reduced_element_at_j12_equals_per_k_reference_bit_for_bit():
+    """Propanediol at the top of the line list: upper J = 12, lower J = 11 or
+    12.  Every pair with a level of the ulp-split top doublet of J = 12 (tau
+    11 and 12, 142 pairs) and 400 of the other 1,058, seeded, keep the per-K
+    route's bits."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateLevelsWarning)
+        upper, lower = rotor_levels(PROPANEDIOL, 12), rotor_levels(PROPANEDIOL, 11)
+    doublet = upper[-2:]
+    assert doublet[1].freq - doublet[0].freq <= np.spacing(doublet[1].freq)
+    pairs = [(up, low) for up in upper for low in lower + upper]
+    top = [(up, low) for up, low in pairs if up in doublet or low in doublet]
+    rest = [pair for pair in pairs if pair not in top]
+    sample = np.random.default_rng(12).choice(len(rest), 400, replace=False)
+    checked = top + [rest[i] for i in sorted(sample)]
+    assert len(top) == 142 and len(checked) == 542
+    for up, low in checked:
+        value = reduced_matrix_element(up, low, PROPANEDIOL_DIPOLE).value
+        assert _bits(value) == _bits(reference_reduced_element(up, low, PROPANEDIOL_DIPOLE))
+
+
 def test_line_list_tabulates_each_coupling_term_once(monkeypatch):
     """A J <= 12 line list (every Delta J <= 1 pair, upper block J or J + 1,
     as bench/workloads.line_list builds it) evaluates each coupling
@@ -274,6 +295,7 @@ def test_line_list_tabulates_each_coupling_term_once(monkeypatch):
 
     monkeypatch.setattr(dipole_module, "w_coupling", counting)
     dipole_module._coupling_terms.cache_clear()
+    dipole_module._parity_terms.cache_clear()  # its views would skip _coupling_terms
     jtop = 12
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateLevelsWarning)

@@ -371,7 +371,9 @@ def test_transition_ordering_error(constants):
 
 def test_transition_from_nan_level_is_ordering_error(constants):
     ground = rotor_levels(constants, 0)[0]
-    broken = AsymTopLevel(J=1, tau=-1, freq=math.nan, coeffs=np.array([0.0, 1.0, 0.0]))
+    broken = AsymTopLevel(
+        J=1, tau=-1, freq=math.nan, coeffs=np.array([0.0, 1.0, 0.0]), k_parity=0
+    )
     with pytest.raises(OrderingError):
         transition_frequency(broken, ground)
     with pytest.raises(OrderingError):
@@ -398,6 +400,27 @@ def test_wang_parity_residuals_and_eigvalsh(triple, J):
     assert np.allclose(freqs, np.linalg.eigvalsh(block), rtol=1e-9, atol=0.0)
     assert [level.tau for level in levels] == list(range(-J, J + 1))
     assert all(b >= a for a, b in zip(freqs, freqs[1:]))
+
+
+@pytest.mark.filterwarnings("ignore::chiraloop.rotor.DegenerateLevelsWarning")
+@settings(max_examples=50, deadline=None)
+@given(
+    triple=constants_strategy,
+    ties=st.sampled_from([(0, 1, 2), (0, 0, 2), (0, 1, 1), (0, 0, 0)]),
+    J=st.integers(0, 20),
+)
+def test_k_parity_matches_coefficients(triple, ties, J):
+    """Asymmetric and degenerate tops (A = B, B = C, A = B = C): every
+    coefficient at a K of the other parity than k_parity is exactly +-0.0,
+    and one at k_parity is nonzero.  reduced_matrix_element skips the terms
+    at the other parity on the strength of this."""
+    abc = triple[::-1]
+    constants = RotationalConstants(*(abc[i] for i in ties))
+    K = np.arange(-J, J + 1)
+    for level in rotor_levels(constants, J):
+        assert level.k_parity in (0, 1)
+        assert (level.coeffs[K % 2 != level.k_parity] == 0.0).all()
+        assert (level.coeffs[K % 2 == level.k_parity] != 0.0).any()
 
 
 def test_propanediol_j7_top_doublet_is_unmixed(constants):
