@@ -22,7 +22,7 @@ import numpy as np
 from . import dynamics, loop
 from .dipole import BodyDipole
 from .fields import _wrap_phase, linear_components, stacked_linear_components
-from .rotor import AsymTopLevel, RangeError, RotationalConstants, rotor_levels
+from .rotor import AsymTopLevel, RotationalConstants, rotor_levels
 from .rotor import DegenerateLevelsWarning, transition_frequency
 
 __all__ = ["ParseError", "MoleculeConfig", "parse_molecule_config", "load_molecule", "run", "main"]
@@ -400,11 +400,11 @@ def cmd_transitions(args) -> int:
 
 def cmd_loops_enumerate(args) -> int:
     config = load_molecule(args.molecule)
-    levels = _triad(config, args.triad)
+    triad = loop.Triad(*_triad(config, args.triad), config.dipole())
     rows = [
         [*map(str, (c.sigma1, c.sigma2, c.sigma3, c.m_b, c.m_c)), "true" if c.closed else "false",
          *(f"{o:.4f}" for o in c.omega_abs), f"{c.max_residual:.3e}"]
-        for c in loop.enumerate_pure_polarizations(levels, config.dipole())
+        for c in loop.enumerate_pure_polarizations(triad)
     ]
     _emit(
         ["sigma1", "sigma2", "sigma3", "Mb", "Mc", "closed", "|O1|", "|O2|", "|O3|", "residual_max"],
@@ -642,7 +642,7 @@ def run(argv: list[str]) -> int:
         return code
     except BrokenPipeError:  # the reader went away; not an error of ours
         return EXIT_BROKEN_PIPE
-    except (ParseError, RangeError, ValueError) as exc:
+    except ValueError as exc:  # ParseError and RangeError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal error

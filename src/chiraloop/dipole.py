@@ -73,8 +73,6 @@ class ReducedElement(NamedTuple):
     """
 
     value: complex
-    upper: tuple[int, int]
-    lower: tuple[int, int]
 
 
 def spherical_components(d: BodyDipole) -> tuple[complex, complex, complex]:
@@ -146,9 +144,8 @@ def reduced_matrix_element(
     so _parity_terms skips them and every bit stays.  Exactly zero when
     |J_upper - J_lower| > 1 (triangle rule).
     """
-    tag = ((upper.J, upper.tau), (lower.J, lower.tau))
     if abs(upper.J - lower.J) > 1:
-        return ReducedElement(0j, *tag)
+        return ReducedElement(0j)
     norm, tables = _parity_terms(upper.J, lower.J, upper.k_parity, lower.k_parity)
     cu, cl = upper.coeffs.tolist(), lower.coeffs.tolist()
     total = 0j
@@ -159,7 +156,7 @@ def reduced_matrix_element(
         for iu, il, w in terms:
             acc += cu[iu] * cl[il] * w
         total += mu_s * acc
-    return ReducedElement(norm * total, *tag)
+    return ReducedElement(norm * total)
 
 
 def _stacked_coupling_block(

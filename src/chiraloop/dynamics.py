@@ -18,15 +18,13 @@ import numpy as np
 
 from .dipole import BodyDipole, _stacked_coupling_block, reduced_matrix_element
 from .fields import DriveField
-from .loop import LoopSpec, ResonanceAmbiguityError, SingleLoopHamiltonian, dressed_states
-from .loop import loop_diagnostics
+from .loop import LoopSpec, SingleLoopHamiltonian, dressed_states, loop_diagnostics
 from .rotor import AsymTopLevel
 
 if TYPE_CHECKING:
     from numpy.typing import ArrayLike
 
 __all__ = [
-    "ResonanceAmbiguityError",
     "coupling_block",
     "assemble_full_hamiltonian",
     "require_hermitian",

@@ -92,10 +92,6 @@ class DriveField:
             raise ValueError("drive field needs at least one nonzero amplitude")
         object.__setattr__(self, "comps", norm)
 
-    @classmethod
-    def pure(cls, sigma: int, amplitude: float, freq: float, phase: float = 0.0) -> "DriveField":
-        return cls(freq=freq, comps={sigma: (amplitude, phase)})
-
     def amplitude(self, sigma: int) -> float:
         return self.comps.get(sigma, (0.0, 0.0))[0]
 

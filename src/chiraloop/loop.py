@@ -73,13 +73,13 @@ _CHECKED_SANDWICHES = (np.array([1, 2, 0, 0, 0]), np.array([0, 0, 1, 2, 0]))
 
 
 class NotClosedError(ValueError):
-    """Some closure residual reaches DEFAULT_CLOSURE_TOL_MHZ: the configuration leaks."""
+    """Some closure residual reaches DEFAULT_CLOSURE_TOL_MHZ (in MHz or of min |Omega|): it leaks."""
 
     def __init__(self, max_residual: float):
         self.max_residual = max_residual
         super().__init__(
-            f"configuration is not a single loop: max closure residual "
-            f"{max_residual:.3e} MHz >= {DEFAULT_CLOSURE_TOL_MHZ:.1e} MHz"
+            f"configuration is not a single loop: max closure residual {max_residual:.3e} MHz is "
+            f"not below both {DEFAULT_CLOSURE_TOL_MHZ:.1e} MHz and that times the smallest |Omega|"
         )
 
 
@@ -325,14 +325,17 @@ def _omegas(gamma_ba: complex, gamma_ca: complex, total1, total3, c_block_b):
 
 
 def _verdict(residuals, omegas) -> LoopDiagnostics:
-    """The verdict on one set of residuals and Rabi frequencies, failing closed."""
+    """The verdict on one set of residuals and Rabi frequencies, failing closed: residuals are
+    judged in MHz and against the smallest |Omega|, as both scale with the drives."""
     max_residual = max(map(abs, residuals))
     if not all(map(cmath.isfinite, (*residuals, *omegas))):
         failure = "non_finite"
     elif max_residual >= DEFAULT_CLOSURE_TOL_MHZ:
         failure = "not_closed"
-    elif min(map(abs, omegas)) <= DEFAULT_CLOSURE_TOL_MHZ:
+    elif (min_omega := min(map(abs, omegas))) <= DEFAULT_CLOSURE_TOL_MHZ:
         failure = "zero_rabi"
+    elif max_residual > DEFAULT_CLOSURE_TOL_MHZ * min_omega:
+        failure = "not_closed"
     else:
         failure = None
     return LoopDiagnostics(  # positional: this runs once per row of every stack
@@ -468,10 +471,11 @@ class Triad:
 def build_single_loop(spec: LoopSpec) -> SingleLoopHamiltonian:
     """Verify closure and return the loop's three Rabi frequencies.
 
-    Raises NotClosedError when a residual reaches DEFAULT_CLOSURE_TOL_MHZ
-    (the configuration is multi-loop / leaky) and ZeroRabiError when some
-    |Omega| is at most that (the cycle is broken, e.g. three parallel Z
-    drives); ValueError when a residual or Rabi frequency is not finite.
+    Raises NotClosedError when a residual reaches DEFAULT_CLOSURE_TOL_MHZ, in
+    MHz or relative to the smallest |Omega| (the configuration is multi-loop
+    / leaky), and ZeroRabiError when some |Omega| is at most that (the cycle
+    is broken, e.g. three parallel Z drives); ValueError when a residual or
+    Rabi frequency is not finite.
     """
     diag = loop_diagnostics(spec)
     if diag.failure == "non_finite":
@@ -517,10 +521,7 @@ TABLE_ROWS = (
 )
 
 
-def enumerate_pure_polarizations(
-    levels: tuple[AsymTopLevel, AsymTopLevel, AsymTopLevel],
-    dipole: BodyDipole,
-) -> list[LoopCandidate]:
+def enumerate_pure_polarizations(triad: Triad) -> list[LoopCandidate]:
     """Try all 27 single-component polarization triples on the triad.
 
     With unit amplitudes, exactly the six TABLE_ROWS close (for a dipole
@@ -536,7 +537,7 @@ def enumerate_pure_polarizations(
     )
     # unit amplitude on the one component of each drive
     amps = np.array([[[float(s == t) for t in SIGMAS] for s in key[:3]] for key in keys])
-    diags = Triad(*levels, dipole).diagnostics(amps, np.zeros_like(amps))
+    diags = triad.diagnostics(amps, np.zeros_like(amps))
     return [
         LoopCandidate(
             *key,
@@ -548,13 +549,7 @@ def enumerate_pure_polarizations(
     ]
 
 
-def verify_linear_orthogonality(
-    dir1,
-    dir2,
-    dir3,
-    levels: tuple[AsymTopLevel, AsymTopLevel, AsymTopLevel],
-    dipole: BodyDipole,
-) -> tuple[bool, float]:
+def verify_linear_orthogonality(dir1, dir2, dir3, triad: Triad) -> tuple[bool, float]:
     """Closure verdict for three unit linearly polarized drives along dir1..3.
 
     Returns (closed, max closure residual in MHz).  Closed requires both
@@ -562,5 +557,5 @@ def verify_linear_orthogonality(
     exactly when the three directions are mutually orthogonal.
     """
     comps = [linear_components(d, 1.0, 0.0) for d in (dir1, dir2, dir3)]
-    diag = loop_diagnostics(LoopSpec(Triad(*levels, dipole), comps))
+    diag = loop_diagnostics(LoopSpec(triad, comps))
     return diag.closed, diag.max_residual

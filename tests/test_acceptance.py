@@ -96,8 +96,9 @@ def test_criterion_04_rabi_ratios():
 
 @criterion(5, "pure-polarization enumeration reproduces the six-row table, all triads")
 def test_criterion_05_table_reproduction():
-    for triad in TRIADS.values():
-        rows = loop.enumerate_pure_polarizations(triad, PROPANEDIOL_DIPOLE)
+    triads = [loop.Triad(*levels, PROPANEDIOL_DIPOLE) for levels in TRIADS.values()]
+    for triad in triads:
+        rows = loop.enumerate_pure_polarizations(triad)
         assert len(rows) == 27
         closed = [
             (r.sigma1, r.sigma2, r.sigma3, r.m_b, r.m_c) for r in rows if r.closed
@@ -118,10 +119,11 @@ def test_criterion_06_zzz_structural_zero():
 @criterion(7, "10^4-sample check: linear triads close iff mutually orthogonal")
 def test_criterion_07_orthogonality_theorem():
     rng = np.random.default_rng(20240814)
+    triad = loop.Triad(*TRIAD_A, PROPANEDIOL_DIPOLE)
     # closed => orthogonal on random triads
     for _ in range(10_000):
         dirs = rng.normal(size=(3, 3))
-        closed, _ = loop.verify_linear_orthogonality(*dirs, TRIAD_A, PROPANEDIOL_DIPOLE)
+        closed, _ = loop.verify_linear_orthogonality(*dirs, triad)
         if closed:
             units = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
             dots = [abs(units[i] @ units[j]) for i, j in ((0, 1), (0, 2), (1, 2))]
@@ -129,9 +131,7 @@ def test_criterion_07_orthogonality_theorem():
     # orthogonal => closed on random rotations of (Z, X, Y)
     for _ in range(500):
         q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-        closed, residual = loop.verify_linear_orthogonality(
-            q[:, 0], q[:, 1], q[:, 2], TRIAD_A, PROPANEDIOL_DIPOLE
-        )
+        closed, residual = loop.verify_linear_orthogonality(q[:, 0], q[:, 1], q[:, 2], triad)
         assert closed, f"orthogonal triad not closed (residual {residual:.3e})"
 
 

@@ -45,6 +45,16 @@ def test_all_entries_exist(name):
     assert missing == []
 
 
+@pytest.mark.parametrize("name", chiraloop.__all__)
+def test_all_entries_are_defined_in_their_module(name):
+    """A module's __all__ lists only the classes and functions it defines, so
+    none has a second public name.  Constants carry no __module__."""
+    module = importlib.import_module(f"chiraloop.{name}")
+    owners = {entry: getattr(getattr(module, entry), "__module__", module.__name__)
+              for entry in module.__all__}
+    assert {entry: owner for entry, owner in owners.items() if owner != module.__name__} == {}
+
+
 @pytest.mark.parametrize("module, names", layout_rows())
 def test_layout_row_names_every_public_function(module, names):
     """Each function in a module's __all__ is named in its README row;

@@ -192,6 +192,29 @@ def test_verify_general_field_syntax(capsys):
     assert "true" in capsys.readouterr().out
 
 
+def test_verify_small_leak_times_1e8_is_not_closed(capsys):
+    """The drives of the verify_small_leak golden, whose largest residual is
+    9.0e-10 MHz, times 1e8: they leak at this scale too."""
+    fields = [
+        ((1, 1.2728232239707524e-08, 0.8890122483827381),
+         (0, 1.7688024063092044e-08, 1.6674408940429402),
+         (-1, 5.185749510088329e-09, 2.523727209565692)),
+        ((1, 6.7387708124941385e-09, 0.6749556019830414),
+         (0, 4.968869351317691e-09, -1.4665665713443095),
+         (-1, 3.952330882173437e-09, -0.25246503949351906)),
+        ((1, 1.429953779947541e-08, -0.9348620760500412),
+         (0, 1.6131856270493757e-08, 0.4059734343853938),
+         (-1, 1.2430144163165125e-08, 1.6190026652218368)),
+    ]
+    argv = ["loops", "verify", "propanediol"] + [
+        "--field=" + ",".join(f"{s}:{amp * 1e8!r}:{phase!r}" for s, amp, phase in drive)
+        for drive in fields
+    ]
+    assert run(argv) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows[-2:] == [["closed", "false"], ["failure", "not_closed"]]
+
+
 @pytest.mark.parametrize("option", ["--amp=5,5,5", "--phase=1,2,3"])
 def test_amp_or_phase_with_field_exits_2(option, capsys):
     """A --field gives each component its amplitude and phase; --amp or --phase

@@ -12,7 +12,6 @@ from chiraloop import loop
 from chiraloop.dipole import DEBYE_VCM_TO_MHZ, _coupling_terms, reduced_matrix_element
 from chiraloop.dynamics import (
     EVOLVE_BLOCK_ROWS,
-    ResonanceAmbiguityError,
     assemble_full_hamiltonian,
     compare_full_vs_reduced,
     coupling_block,
@@ -23,7 +22,8 @@ from chiraloop.dynamics import (
     loop_populations,
 )
 from chiraloop.fields import DriveField
-from chiraloop.loop import LoopSpec, Triad, build_single_loop, loop_product
+from chiraloop.loop import LoopSpec, ResonanceAmbiguityError, Triad, build_single_loop
+from chiraloop.loop import loop_product
 from chiraloop.rotor import RotationalConstants, rotor_levels
 
 from conftest import X, Y, Z, linear_loop_spec, pure_loop_spec, random_loop_spec, reference_rabi
@@ -119,7 +119,7 @@ def test_resonance_ambiguity_detected():
 
 def test_coupling_block_shape_and_selection(triad_a, dipole):
     a, b, c = triad_a
-    field = DriveField.pure(-1, 1.0, c.freq - b.freq)
+    field = DriveField(c.freq - b.freq, {-1: (1.0, 0.0)})
     block = coupling_block(c, b, field, dipole)
     assert block.shape == (3, 3)
     # sigma=-1 couples (b,M) -> (c,M-1): entries (c0<-b+1) and (c-1<-b0)

@@ -176,9 +176,9 @@ def field_trig(f: DriveField):
 
 def test_angles_pure_components():
     # exact structural zeros: theta = pi/2, phi = 0; theta = phi = pi/2; theta = 0
-    assert field_trig(DriveField.pure(1, 2.0, 10.0)) == (1.0, 0.0, 0.0, 1.0)
-    assert field_trig(DriveField.pure(0, 2.0, 10.0)) == (1.0, 0.0, 1.0, 0.0)
-    assert field_trig(DriveField.pure(-1, 2.0, 10.0)) == (0.0, 1.0, 0.0, 1.0)
+    assert field_trig(DriveField(10.0, {1: (2.0, 0.0)})) == (1.0, 0.0, 0.0, 1.0)
+    assert field_trig(DriveField(10.0, {0: (2.0, 0.0)})) == (1.0, 0.0, 1.0, 0.0)
+    assert field_trig(DriveField(10.0, {-1: (2.0, 0.0)})) == (0.0, 1.0, 0.0, 1.0)
 
 
 def test_angles_roundtrip_z():

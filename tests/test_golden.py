@@ -86,6 +86,17 @@ CASES = {
     "verify_non_finite": [
         "loops", "verify", "propanediol", "--pol", "ZXY", "--amp", "1e200,1e200,1e200",
     ],
+    # leaky general drives scaled until every residual is below 1e-9 MHz: not
+    # closed, as the residual is 0.34 of the smallest |Omega| at every scale
+    "verify_small_leak": [
+        "loops", "verify", "propanediol",
+        "--field=1:1.2728232239707524e-08:0.8890122483827381,0:1.7688024063092044e-08:"
+        "1.6674408940429402,-1:5.185749510088329e-09:2.523727209565692",
+        "--field=1:6.7387708124941385e-09:0.6749556019830414,0:4.968869351317691e-09:"
+        "-1.4665665713443095,-1:3.952330882173437e-09:-0.25246503949351906",
+        "--field=1:1.429953779947541e-08:-0.9348620760500412,0:1.6131856270493757e-08:"
+        "0.4059734343853938,-1:1.2430144163165125e-08:1.6190026652218368",
+    ],
 }
 
 

@@ -8,13 +8,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chiraloop import dipole as dipole_module
 from chiraloop import dynamics, loop
 from chiraloop.dipole import BodyDipole
-from chiraloop.fields import DriveField
+from chiraloop.fields import DriveField, stacked_linear_components
 from chiraloop.loop import (
     LOOP_BATCH_ROWS,
     TABLE_ROWS,
@@ -90,8 +90,8 @@ def test_every_route_refuses_an_ambiguous_triad(dipole):
     messages = set()
     for route in (
         lambda: Triad(*levels, dipole),
-        lambda: enumerate_pure_polarizations(levels, dipole),
-        lambda: verify_linear_orthogonality(X, Y, Z, levels, dipole),
+        lambda: enumerate_pure_polarizations(Triad(*levels, dipole)),
+        lambda: verify_linear_orthogonality(X, Y, Z, Triad(*levels, dipole)),
     ):
         with pytest.raises(ResonanceAmbiguityError) as info:
             route()
@@ -100,7 +100,6 @@ def test_every_route_refuses_an_ambiguous_triad(dipole):
         "transitions f_ba = 3.0 MHz and f_cb = 3.0 MHz are closer than 0.002 MHz, "
         "so one drive can be resonant with both"
     }
-    assert dynamics.ResonanceAmbiguityError is ResonanceAmbiguityError
 
 
 @pytest.mark.parametrize("count", [2, 4])
@@ -326,7 +325,7 @@ def test_loop_product_gauge_invariant_magnitude_across_rows(triad_a, dipole):
 def test_enumeration_matches_table_for_all_triads(constants, dipole, ground, j1_levels):
     for tau_b, tau_c in [(-1, 1), (-1, 0), (0, 1)]:
         levels = (ground, j1_levels[tau_b], j1_levels[tau_c])
-        rows = enumerate_pure_polarizations(levels, dipole)
+        rows = enumerate_pure_polarizations(Triad(*levels, dipole))
         assert len(rows) == 27
         closed = [r for r in rows if r.closed]
         assert [
@@ -335,7 +334,7 @@ def test_enumeration_matches_table_for_all_triads(constants, dipole, ground, j1_
 
 
 def test_enumeration_closed_rows_lead_in_table_order(triad_a, dipole):
-    rows = enumerate_pure_polarizations(triad_a, dipole)
+    rows = enumerate_pure_polarizations(Triad(*triad_a, dipole))
     leading = [(r.sigma1, r.sigma2, r.sigma3, r.m_b, r.m_c) for r in rows[:6]]
     assert leading == list(TABLE_ROWS)
     assert all(not r.closed for r in rows[6:])
@@ -347,7 +346,7 @@ def test_enumeration_closed_rows_lead_in_table_order(triad_a, dipole):
 def test_enumeration_table_rows_lead_even_when_open(triad_a, mu):
     """With mu_x = 0 or mu_z = 0 no row closes, and the six TABLE_ROWS still
     come first, in table order, then the other 21 lexicographically."""
-    rows = enumerate_pure_polarizations(triad_a, BodyDipole(*mu))
+    rows = enumerate_pure_polarizations(Triad(*triad_a, BodyDipole(*mu)))
     keys = [(r.sigma1, r.sigma2, r.sigma3, r.m_b, r.m_c) for r in rows]
     assert keys[:6] == list(TABLE_ROWS)
     assert keys[6:] == sorted(keys[6:])
@@ -356,13 +355,13 @@ def test_enumeration_table_rows_lead_even_when_open(triad_a, mu):
 
 def test_enumeration_zero_mu_y_closes_nothing(triad_a):
     no_y = BodyDipole(1.916, 0.0, 1.201)
-    rows = enumerate_pure_polarizations(triad_a, no_y)
+    rows = enumerate_pure_polarizations(Triad(*triad_a, no_y))
     assert not any(r.closed for r in rows)
 
 
 def test_enumeration_deterministic(triad_a, dipole):
-    first = enumerate_pure_polarizations(triad_a, dipole)
-    second = enumerate_pure_polarizations(triad_a, dipole)
+    first = enumerate_pure_polarizations(Triad(*triad_a, dipole))
+    second = enumerate_pure_polarizations(Triad(*triad_a, dipole))
     assert first == second
 
 
@@ -370,33 +369,33 @@ def test_enumeration_deterministic(triad_a, dipole):
 # linear-polarization orthogonality rule
 
 def test_orthogonality_zxy_closed(triad_a, dipole):
-    closed, residual = verify_linear_orthogonality(Z, X, Y, triad_a, dipole)
+    closed, residual = verify_linear_orthogonality(Z, X, Y, Triad(*triad_a, dipole))
     assert closed
     assert residual < 1e-12
 
 
 def test_orthogonality_tilted_third_axis_fails(triad_a, dipole):
     tilted = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
-    closed, residual = verify_linear_orthogonality(Z, X, tilted, triad_a, dipole)
+    closed, residual = verify_linear_orthogonality(Z, X, tilted, Triad(*triad_a, dipole))
     assert not closed
     assert residual > 1e-3
 
 
 def test_orthogonality_rotated_triads_closed(triad_a, dipole):
     rng = np.random.default_rng(17)
+    triad = Triad(*triad_a, dipole)
     for _ in range(50):
         q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-        closed, residual = verify_linear_orthogonality(
-            q[:, 0], q[:, 1], q[:, 2], triad_a, dipole
-        )
+        closed, residual = verify_linear_orthogonality(q[:, 0], q[:, 1], q[:, 2], triad)
         assert closed, f"rotated orthogonal triad not closed, residual={residual}"
 
 
 def test_orthogonality_random_triads_never_close(triad_a, dipole):
     rng = np.random.default_rng(23)
+    triad = Triad(*triad_a, dipole)
     for _ in range(300):
         dirs = rng.normal(size=(3, 3))
-        closed, _ = verify_linear_orthogonality(*dirs, triad_a, dipole)
+        closed, _ = verify_linear_orthogonality(*dirs, triad)
         units = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
         dots = [abs(units[i] @ units[j]) for i, j in ((0, 1), (0, 2), (1, 2))]
         assert closed == (max(dots) < 1e-8)
@@ -406,7 +405,7 @@ def test_orthogonality_zero_direction_raises(triad_a, dipole):
     from chiraloop.fields import ZeroVectorError
 
     with pytest.raises(ZeroVectorError):
-        verify_linear_orthogonality((0, 0, 0), X, Y, triad_a, dipole)
+        verify_linear_orthogonality((0, 0, 0), X, Y, Triad(*triad_a, dipole))
 
 
 # ---------------------------------------------------------------------------
@@ -583,8 +582,8 @@ def test_triad_computes_each_reduced_element_once(triad_a, dipole, monkeypatch):
     assert (triad.gamma_ba, triad.gamma_cb, triad.gamma_ca) == tuple(
         real(upper, lower, dipole).value for upper, lower in calls
     )
-    enumerate_pure_polarizations(triad_a, dipole)
-    assert len(calls) == 6
+    enumerate_pure_polarizations(triad)  # adds none: the triad holds them
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize(
@@ -653,3 +652,60 @@ def test_rotating_all_drives_changes_no_observable(which, sigmas, seed, ground, 
     times = np.linspace(0.0, 5.0, 101)
     pops = [dynamics.loop_populations(s, times, (1.0, 0.0, 0.0)) for s in (spec, rotated)]
     assert np.abs(pops[1] - pops[0]).max() <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# drive scale: residuals and Rabi frequencies both scale with the amplitudes
+
+def _scaled(exponents, amps, phases):
+    """Drive arrays (N, 3, 3) of amps and phases (3, 3), amps times 10**u for each u."""
+    scales = 10.0 ** np.asarray(exponents, dtype=float)[:, None, None]
+    return amps * scales, np.broadcast_to(phases, scales.shape[:1] + (3, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    which=st.sampled_from("abc"),
+    kind=st.sampled_from(["general", "linear", "pure", "raw"]),
+    u=st.floats(-12.0, 12.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_leak_is_closed_at_no_drive_scale(which, kind, u, seed, ground, j1_levels, dipole):
+    """A drive whose largest residual is at least 1e-6 of its smallest |Omega|
+    is not closed at any common amplitude scale 10^u, u in [-12, 12]: the
+    integers and a drawn u.  Scaled down, its residuals fall below
+    DEFAULT_CLOSURE_TOL_MHZ, but their ratio to |Omega| stays."""
+    tau_b, tau_c = TRIAD_TAUS[which]
+    levels = (ground, j1_levels[tau_b], j1_levels[tau_c])
+    _, (amps, phases) = random_drives(kind, np.random.default_rng(seed), levels, dipole, 1)
+    triad = Triad(*levels, dipole)
+    diag = next(triad.diagnostics(amps, phases))
+    assume(diag.max_residual >= 1e-6 * min(map(abs, diag.omegas)))
+    exponents = [*range(-12, 13), u]
+    verdicts = triad.diagnostics(*_scaled(exponents, amps[0], phases[0]))
+    assert [u for u, d in zip(exponents, verdicts) if d.closed] == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    which=st.sampled_from("abc"),
+    row=st.sampled_from(TABLE_ROWS),
+    u=st.floats(-6.0, 0.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_table_rows_and_orthogonal_frames_close_at_small_drive_scales(
+    which, row, u, seed, ground, j1_levels, dipole
+):
+    """A table row and an orthogonal linear frame, each with drawn drive
+    amplitudes and phases, stay closed at every common amplitude scale 10^u,
+    u in [-6, 0]: the integers and a drawn u."""
+    tau_b, tau_c = TRIAD_TAUS[which]
+    triad = Triad(ground, j1_levels[tau_b], j1_levels[tau_c], dipole)
+    rng = np.random.default_rng(seed)
+    pure = np.array([[float(s == t) for t in (1, 0, -1)] for s in row[:3]])
+    frame_amps, frame_phases = stacked_linear_components(np.linalg.qr(rng.normal(size=(3, 3)))[0].T)
+    for unit, unit_phases in ((pure, np.zeros((3, 3))), (frame_amps, frame_phases)):
+        amps = unit * rng.uniform(0.5, 2.0, (3, 1))
+        phases = unit_phases + rng.uniform(-np.pi, np.pi, (3, 1))
+        verdicts = triad.diagnostics(*_scaled([*range(-6, 1), u], amps, phases))
+        assert [d.failure for d in verdicts] == [None] * 8
