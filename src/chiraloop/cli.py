@@ -37,7 +37,7 @@ _AXES = {"X": (1.0, 0.0, 0.0), "Y": (0.0, 1.0, 0.0), "Z": (0.0, 0.0, 1.0)}
 # K rows of `levels`): it bounds the float columns held in memory and the run
 # time, as the text is written a block at a time.
 MAX_TABLE_ROWS = 1_000_000
-MEMO_ENTRIES = 16  # kept by each memo of the CLI: parsed bundled molecules, J <= 1 levels
+MEMO_ENTRIES = 16  # kept by each CLI memo: parsed bundled molecules, each molecule's triads
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by it
 
 
@@ -156,23 +156,30 @@ def _level_blocks(constants: RotationalConstants, js) -> tuple[list[list[AsymTop
 
 
 @functools.lru_cache(maxsize=MEMO_ENTRIES)
-def _low_levels(config: MoleculeConfig) -> tuple[AsymTopLevel, tuple[AsymTopLevel, ...], str]:
-    """The J = 0 level, the J = 1 levels by tau + 1 and their degeneracy warning,
-    built once per molecule value for every triad of every command."""
+def _molecule_triads(config: MoleculeConfig) -> SimpleNamespace:
+    """Per molecule value, for every command: each triad's levels (a, b, c) by name,
+    their J <= 1 degeneracy warning, and each triad's Triad once it was asked for."""
     ((ground,), j1), warning = _level_blocks(config.constants(), (0, 1))
     for level in (ground, *j1):
         level.coeffs.setflags(write=False)  # every later command is handed these arrays
-    return ground, tuple(j1), warning
+    by_tau = {level.tau: level for level in j1}
+    levels = {name: (ground, by_tau[b], by_tau[c]) for name, (b, c) in _TRIADS.items()}
+    return SimpleNamespace(levels=levels, warning=warning, triads={})
 
 
-def _triad(config: MoleculeConfig, which: str) -> tuple[AsymTopLevel, AsymTopLevel, AsymTopLevel]:
-    try:
-        tau_b, tau_c = _TRIADS[which]
-    except KeyError:
-        raise ValueError(f"triad must be one of a, b, c; got '{which}'") from None
-    ground, j1, warning = _low_levels(config)
-    sys.stderr.write(warning)
-    return ground, j1[tau_b + 1], j1[tau_c + 1]
+def _triad_levels(config: MoleculeConfig, which: str) -> tuple[AsymTopLevel, AsymTopLevel, AsymTopLevel]:
+    if which not in _TRIADS:
+        raise ValueError(f"triad must be one of a, b, c; got '{which}'")
+    memo = _molecule_triads(config)
+    sys.stderr.write(memo.warning)
+    return memo.levels[which]
+
+
+def _triad(config: MoleculeConfig, which: str) -> loop.Triad:
+    """The Triad of --triad, built on first use; a refused one is not kept, so it is
+    refused again.  Concurrent first builds are equal, and the first one stored wins."""
+    levels, triads = _triad_levels(config, which), _molecule_triads(config).triads
+    return triads.get(which) or triads.setdefault(which, loop.Triad(*levels, config.dipole()))
 
 
 def _split3(text: str, kind: str, cast) -> tuple:
@@ -239,7 +246,7 @@ def _drive_components(args) -> list[dict[int, tuple[float, float]]]:
 
 def _loop_spec(config: MoleculeConfig, args) -> loop.LoopSpec:
     comps = _drive_components(args)
-    return loop.LoopSpec(loop.Triad(*_triad(config, args.triad), config.dipole()), comps)
+    return loop.LoopSpec(_triad(config, args.triad), comps)
 
 
 def _csv_field(text: str) -> str:
@@ -387,8 +394,7 @@ def cmd_levels(args) -> int:
 
 
 def cmd_transitions(args) -> int:
-    config = load_molecule(args.molecule)
-    a, b, c = _triad(config, args.triad)
+    a, b, c = _triad_levels(load_molecule(args.molecule), args.triad)
     rows = [
         ["nu1", f"(1,{b.tau})", "(0,0)", f"{transition_frequency(b, a):.2f}"],
         ["nu2", f"(1,{c.tau})", f"(1,{b.tau})", f"{transition_frequency(c, b):.2f}"],
@@ -399,8 +405,7 @@ def cmd_transitions(args) -> int:
 
 
 def cmd_loops_enumerate(args) -> int:
-    config = load_molecule(args.molecule)
-    triad = loop.Triad(*_triad(config, args.triad), config.dipole())
+    triad = _triad(load_molecule(args.molecule), args.triad)
     rows = [
         [*map(str, (c.sigma1, c.sigma2, c.sigma3, c.m_b, c.m_c)), "true" if c.closed else "false",
          *(f"{o:.4f}" for o in c.omega_abs), f"{c.max_residual:.3e}"]
@@ -458,8 +463,7 @@ def cmd_loops_sample(args) -> int:
         raise ValueError(f"--samples must be >= 0, got {args.samples}")
     if args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
-    config = load_molecule(args.molecule)
-    triad = loop.Triad(*_triad(config, args.triad), config.dipole())
+    triad = _triad(load_molecule(args.molecule), args.triad)
     rng = np.random.default_rng(args.seed)
 
     # frames are drawn, projected and judged one chunk at a time, so memory

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chiraloop import cli, dynamics
+from chiraloop import cli, dynamics, loop
 from chiraloop.cli import (
     MoleculeConfig,
     ParseError,
@@ -412,12 +413,30 @@ def test_degenerate_triad_gives_one_warning_line(tmp_path, capsys):
     path = tmp_path / "oblate.mol"
     path.write_text(GOOD_CONFIG.replace("8572.05", "5000").replace("3640.10", "5000")
                     .replace("2790.96", "3000"))
+    warning = ("warning: degenerate levels in the J = 1 blocks; "
+               "their tau order is not physically defined")
     for _ in range(2):  # the levels are built once; every command prints their warning
         assert run(["transitions", str(path)]) == 0
-        assert capsys.readouterr().err.splitlines() == [
-            "warning: degenerate levels in the J = 1 blocks; "
-            "their tau order is not physically defined"
-        ]
+        assert capsys.readouterr().err.splitlines() == [warning]
+        # its exit code is left open: triad a's spectator level 1_0 lies at f_ba
+        run(["loops", "verify", str(path), "--triad", "a", "--pol", "ZXY"])
+        assert capsys.readouterr().err.splitlines()[0] == warning
+
+
+def test_errors_keep_their_order_around_the_warning(tmp_path, capsys):
+    """The drives are read before the triad name, and the triad's warning is
+    written before the drives' values are checked."""
+    path = tmp_path / "oblate.mol"
+    path.write_text(GOOD_CONFIG.replace("8572.05", "5000").replace("3640.10", "5000")
+                    .replace("2790.96", "3000"))
+    assert run(["loops", "verify", str(path), "--triad", "x", "--sigma", "1,-1,2"]) == 2
+    assert capsys.readouterr() == ("", "error: --sigma components must be -1, 0 or 1, got '1,-1,2'\n")
+    assert run(["loops", "verify", str(path), "--triad", "a", "--sigma", "1,-1,0",
+                "--amp", "inf,1,1"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: degenerate levels in the J = 1 blocks; their tau order is not physically defined",
+        "error: sigma=1: amplitude and phase must be finite",
+    ]
 
 
 def test_degenerate_triad_gives_one_error_text(tmp_path, capsys):
@@ -445,29 +464,119 @@ def test_rewritten_molecule_file_is_read_again(tmp_path, capsys):
         path.write_text(text)
         assert run(["transitions", str(path)]) == 0
         outputs.append(capsys.readouterr().out)
-    cli._low_levels.cache_clear()
+    cli._molecule_triads.cache_clear()
     assert run(["transitions", str(path)]) == 0
     assert capsys.readouterr().out == outputs[1] != outputs[0]
 
 
 def test_repeated_verdicts_build_the_levels_once(monkeypatch, capsys):
-    """100 loops verify runs on one molecule build its J = 0 and J = 1 blocks
-    once: two rotor_levels calls, not two per run."""
-    calls = 0
-    rotor_levels = cli.rotor_levels
+    """100 loops verify runs on one molecule, then loops enumerate and loops
+    sample on each triad, build its J = 0 and J = 1 blocks once (two
+    rotor_levels calls, not two per run) and each triad's Triad once (nine
+    reduced elements, not three per command)."""
+    calls = {"levels": 0, "elements": 0}
 
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return rotor_levels(*args)
+    def counting(key, function):
+        def counted(*args):
+            calls[key] += 1
+            return function(*args)
+        return counted
 
-    monkeypatch.setattr(cli, "rotor_levels", counting)
-    cli._low_levels.cache_clear()
+    monkeypatch.setattr(cli, "rotor_levels", counting("levels", cli.rotor_levels))
+    monkeypatch.setattr(loop, "reduced_matrix_element",
+                        counting("elements", loop.reduced_matrix_element))
+    cli._molecule_triads.cache_clear()
     for triad in "abc" * 33 + "a":
         assert run(["loops", "verify", "propanediol", f"--triad={triad}", "--pol=ZXY"]) == 0
-    assert calls <= 2
+    for triad in "abc":
+        assert run(["loops", "enumerate", "propanediol", f"--triad={triad}"]) == 0
+        assert run(["loops", "sample", "propanediol", f"--triad={triad}", "--samples=10"]) == 0
+    assert calls["levels"] <= 2
+    assert calls["elements"] == 9
     assert capsys.readouterr().err == ""
 
+
+def test_rewritten_dipole_gives_its_new_rabi_frequencies(tmp_path, capsys):
+    """A file whose dipole lines alone change between two runs is a new
+    molecule value, so the second run judges the new dipole."""
+    path = tmp_path / "demo.mol"
+    argv = ["loops", "verify", str(path), "--pol", "ZXY"]
+    outputs = []
+    for text in (GOOD_CONFIG, GOOD_CONFIG.replace("mu_x_D = 1.916", "mu_x_D = 3.832")
+                 .replace("mu_y_D = 0.365", "mu_y_D = 0.73").replace("mu_z_D = 1.201", "mu_z_D = 2.402")):
+        path.write_text(text)
+        assert run(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    cli._molecule_triads.cache_clear()
+    assert run(argv) == 0
+    assert capsys.readouterr().out == outputs[1]
+    omegas = [[line for line in out.splitlines() if line.lstrip().startswith("|Omega")]
+              for out in outputs]
+    assert len(omegas[0]) == 3 and omegas[0] != omegas[1]
+
+
+def test_signed_zero_dipoles_share_a_memo_entry(tmp_path, capsys):
+    """mu_y = 0.0 and -0.0 are one MoleculeConfig value, so the second file
+    of a process is handed the first file's triads: each file's output is
+    the one it gives on its own, in either order, as their reduced
+    elements are bit-equal."""
+    paths = []
+    for text in ("0.0", "-0.0"):
+        paths.append(tmp_path / f"mu_y_{text}.mol")
+        paths[-1].write_text(GOOD_CONFIG.replace("mu_y_D = 0.365", f"mu_y_D = {text}"))
+    configs = [load_molecule(str(path)) for path in paths]
+    assert configs[0] == configs[1] and math.copysign(1.0, configs[1].mu_y) == -1.0
+    for which in "abc":
+        triads = [loop.Triad(*cli._triad_levels(c, which), c.dipole()) for c in configs]
+        bits = [[(g.real.hex(), g.imag.hex()) for g in (t.gamma_ba, t.gamma_cb, t.gamma_ca)]
+                for t in triads]
+        assert bits[0] == bits[1]
+
+    def outputs(path):
+        commands = [["loops", "verify", str(path), "--pol", "ZXY"], ["loops", "enumerate", str(path)],
+                    ["contrast", str(path), "--config", "ZXY", "--t", "0.1", "--dt", "0.05"]]
+        return [(run(argv), capsys.readouterr()) for argv in commands]
+
+    alone = []
+    for path in paths:
+        cli._molecule_triads.cache_clear()
+        alone.append(outputs(path))
+    for order in ((0, 1), (1, 0)):
+        cli._molecule_triads.cache_clear()
+        for i in order:
+            assert outputs(paths[i]) == alone[i]
+    assert all(code == 0 and err == "" for code, (_, err) in alone[0] + alone[1])
+
+
+def test_concurrent_first_builds_give_equal_triads():
+    """Threads that all miss the memo at once build equal Triads; once the
+    race is over, every command is handed the one that was stored."""
+    config = load_molecule("propanediol")
+    cli._molecule_triads.cache_clear()
+    barrier, results = threading.Barrier(8), []
+
+    def build():
+        barrier.wait(timeout=10)
+        results.extend((which, cli._triad(config, which)) for which in "abc")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and len(results) == 24
+    def values(t):
+        return t.gamma_ba, t.gamma_cb, t.gamma_ca, t.f_ba, t.f_cb, t.f_ca
+
+    for which, triad in results:
+        stored = cli._triad(config, which)
+        assert values(triad) == values(stored)
+        assert cli._triad(config, which) is stored
 
 def test_zero_duration_gives_one_row(capsys):
     assert run(["simulate", "propanediol", "--config", "1,-1,0", "--t", "0"]) == 0
