@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-import warnings
 from collections.abc import Iterator
 from pathlib import Path
 from types import SimpleNamespace
@@ -22,8 +21,7 @@ import numpy as np
 from . import dynamics, loop
 from .dipole import BodyDipole
 from .fields import _wrap_phase, linear_components, stacked_linear_components
-from .rotor import AsymTopLevel, RotationalConstants, rotor_levels
-from .rotor import DegenerateLevelsWarning, transition_frequency
+from .rotor import AsymTopLevel, RotationalConstants, _levels, transition_frequency
 
 __all__ = ["ParseError", "MoleculeConfig", "parse_molecule_config", "load_molecule", "run", "main"]
 
@@ -145,14 +143,13 @@ def load_molecule(name_or_path: str) -> MoleculeConfig:
 
 
 def _level_blocks(constants: RotationalConstants, js) -> tuple[list[list[AsymTopLevel]], str]:
-    """rotor_levels of each J in js, and one stderr line naming the J blocks that
+    """The levels of each J in js, and one stderr line naming the J blocks that
     hold degenerate levels ("" if none) in place of a DegenerateLevelsWarning each."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", DegenerateLevelsWarning)
-        blocks = [rotor_levels(constants, J) for J in js]
-    degenerate = [str(w.message.J) for w in caught if w.category is DegenerateLevelsWarning]
-    return blocks, (f"warning: degenerate levels in the J = {', '.join(degenerate)} blocks; "
-                    "their tau order is not physically defined\n") if degenerate else ""
+    built = [_levels(constants, J) for J in js]
+    degenerate = ", ".join(str(J) for J, (_, tie) in zip(js, built) if tie)
+    warning = (f"warning: degenerate levels in the J = {degenerate} blocks; "
+               "their tau order is not physically defined\n") if degenerate else ""
+    return [levels for levels, _ in built], warning
 
 
 @functools.lru_cache(maxsize=MEMO_ENTRIES)

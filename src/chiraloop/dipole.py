@@ -94,43 +94,30 @@ def enantiomer(d: BodyDipole) -> BodyDipole:
 
 
 @lru_cache(maxsize=None)
-def _coupling_terms(
-    J_u: int, J_l: int
-) -> tuple[float, tuple[tuple[tuple[int, int, float], ...], ...]]:
+def _coupling_terms(J_u: int, J_l: int) -> tuple[float, tuple]:
     """The norm sqrt((2 J_u + 1)(2 J_l + 1)) of the reduced element between
-    blocks J_u and J_l, and its terms per sigma = -1, 0, 1: (K_u index,
-    K_l index, sign * W) in ascending K_u, for every K_l = K_u - sigma whose
-    coupling coefficient W is nonzero.
+    blocks J_u and J_l, and its terms grouped as [p_u][p_l][sigma + 1] by the
+    K parities of K_u and K_l: (K_u index, K_l index, sign * W) in ascending
+    K_u, for every K_l = K_u - sigma whose coupling coefficient W is nonzero.
 
     Indices address a level's coeffs (K + J); sign is (-1)^(sigma - K_l).
+    As K_l = K_u - sigma, a group of equal parities holds only sigma = 0
+    terms and one of unequal parities only sigma = +-1 terms.
     W = w_coupling(J_u, K_u, J_l, K_l, sigma) is the same function of (M_u,
     M_l) as of (K_u, K_l), and (-1)^(sigma - M_l) is the block's phase
     (-1)^(M_l + sigma), so _stacked_coupling_block reads each coupling
-    block's Delta-M = sigma entries from this table too: the table keeps
-    every nonzero W, whatever the levels' coefficients.  The terms that
-    vanish for a level's K parity are skipped in _parity_terms, the view of
-    this table that reduced_matrix_element reads.  Only |J_u - J_l| <= 1
-    asks for a table, so the cache holds at most 3 tables per J.
+    block's Delta-M = sigma entries from all four groups, while
+    reduced_matrix_element reads only its levels' group.  Only
+    |J_u - J_l| <= 1 asks for a table, so the cache holds at most 3 per J.
     """
-    terms = tuple(
-        tuple(
-            (ku + J_u, kl + J_l, -w if (sig - kl) % 2 else w)
-            for ku in range(-J_u, J_u + 1)
-            if abs(kl := ku - sig) <= J_l and (w := w_coupling(J_u, ku, J_l, kl, sig)) != 0.0
-        )
-        for sig in (-1, 0, 1)
-    )
-    return math.sqrt((2 * J_u + 1) * (2 * J_l + 1)), terms
-
-
-@lru_cache(maxsize=None)
-def _parity_terms(J_u: int, J_l: int, p_u: int, p_l: int) -> tuple[float, tuple]:
-    """_coupling_terms(J_u, J_l) with only its terms at K_u % 2 == p_u, K_l % 2 == p_l."""
-    norm, tables = _coupling_terms(J_u, J_l)
-    return norm, tuple(
-        tuple(t for t in terms if (t[0] - J_u) % 2 == p_u and (t[1] - J_l) % 2 == p_l)
-        for terms in tables
-    )
+    groups = [[([], [], []), ([], [], [])], [([], [], []), ([], [], [])]]
+    for sig in (-1, 0, 1):
+        for ku in range(-J_u, J_u + 1):
+            if abs(kl := ku - sig) <= J_l and (w := w_coupling(J_u, ku, J_l, kl, sig)) != 0.0:
+                term = (ku + J_u, kl + J_l, -w if (sig - kl) % 2 else w)
+                groups[ku % 2][kl % 2][sig + 1].append(term)
+    frozen = tuple(tuple(tuple(map(tuple, by_sigma)) for by_sigma in row) for row in groups)
+    return math.sqrt((2 * J_u + 1) * (2 * J_l + 1)), frozen
 
 
 def reduced_matrix_element(
@@ -141,15 +128,15 @@ def reduced_matrix_element(
     Sums c_upper(K_u) * c_lower(K_l) * (sign * W) over the pair's tabulated
     coupling terms per sigma, then contracts with the spherical dipole.
     Terms off the levels' k_parity multiply a coefficient of exactly +-0.0,
-    so _parity_terms skips them and every bit stays.  Exactly zero when
-    |J_upper - J_lower| > 1 (triangle rule).
+    so only the levels' parity group is read and every bit stays.  Exactly
+    zero when |J_upper - J_lower| > 1 (triangle rule).
     """
     if abs(upper.J - lower.J) > 1:
         return ReducedElement(0j)
-    norm, tables = _parity_terms(upper.J, lower.J, upper.k_parity, lower.k_parity)
+    norm, groups = _coupling_terms(upper.J, lower.J)
     cu, cl = upper.coeffs.tolist(), lower.coeffs.tolist()
     total = 0j
-    for mu_s, terms in zip(d._spherical, tables):
+    for mu_s, terms in zip(d._spherical, groups[upper.k_parity][lower.k_parity]):
         if mu_s == 0:
             continue
         acc = 0.0
@@ -175,14 +162,16 @@ def _stacked_coupling_block(
     # entry axes first while filling, so one drive's entries are floats
     re, im = np.zeros((2, 2 * upper.J + 1, 2 * lower.J + 1, *np.shape(components[0][1])))
     if abs(upper.J - lower.J) <= 1:  # else the triangle rule leaves all zeros
-        tables = _coupling_terms(upper.J, lower.J)[1]
+        groups = _coupling_terms(upper.J, lower.J)[1]
         # a table index K + J read as M + J; rows and columns run M = +J..-J
         last_u, last_l = 2 * upper.J, 2 * lower.J
         g = (gamma.real, gamma.imag)
         for sigma, amp, e in components:
             rabi = _mul((amp * DEBYE_VCM_TO_MHZ, 0.0), (e.real, e.imag))
-            for iu, il, w in tables[sigma + 1]:
-                half_re, half_im = _mul((0.5, 0.0), _mul(_mul(rabi, (w, 0.0)), g))
-                re[last_u - iu, last_l - il] += half_re
-                im[last_u - iu, last_l - il] += half_im
+            for row in groups:
+                for group in row:
+                    for iu, il, w in group[sigma + 1]:
+                        half_re, half_im = _mul((0.5, 0.0), _mul(_mul(rabi, (w, 0.0)), g))
+                        re[last_u - iu, last_l - il] += half_re
+                        im[last_u - iu, last_l - il] += half_im
     return np.ascontiguousarray(_complex(re, im).transpose(*range(2, re.ndim), 0, 1))

@@ -124,6 +124,15 @@ def rotor_levels(constants: RotationalConstants, J: int) -> list[AsymTopLevel]:
     DegenerateLevelsWarning.  Raises ValueError when a level frequency is
     not finite.
     """
+    levels, degenerate = _levels(constants, J)
+    if degenerate:
+        warnings.warn(DegenerateLevelsWarning(levels[0].J), stacklevel=2)
+    return levels
+
+
+def _levels(constants: RotationalConstants, J: int) -> tuple[list[AsymTopLevel], bool]:
+    """rotor_levels(constants, J) without its warning, and whether two of the
+    levels lie within DEGENERACY_TOL_MHZ of each other."""
     J = operator.index(J)
     block = rotor_hamiltonian_block(constants, J)
     n = 2 * J + 1
@@ -162,8 +171,6 @@ def rotor_levels(constants: RotationalConstants, J: int) -> list[AsymTopLevel]:
     freqs, coeffs = freqs[order], np.concatenate(rows)[order]
     if not np.isfinite(freqs).all():
         raise ValueError(f"J={J} levels are not finite: the rotational constants overflow")
-    if (np.diff(freqs) < DEGENERACY_TOL_MHZ).any():
-        warnings.warn(DegenerateLevelsWarning(J), stacklevel=2)
 
     # Phase: the first coefficient (K = -J..J) above 1e-10 of its row's largest is positive.
     size = np.abs(coeffs)
@@ -173,7 +180,7 @@ def rotor_levels(constants: RotationalConstants, J: int) -> list[AsymTopLevel]:
     return [
         AsymTopLevel(J=J, tau=tau, freq=freq, coeffs=vec, k_parity=parities[row])
         for tau, freq, vec, row in zip(range(-J, J + 1), freqs, coeffs, order.tolist())
-    ]
+    ], bool((np.diff(freqs) < DEGENERACY_TOL_MHZ).any())
 
 
 def transition_frequency(upper: AsymTopLevel, lower: AsymTopLevel) -> float:

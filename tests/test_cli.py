@@ -377,7 +377,7 @@ def test_jmax_over_row_budget_exits_2_before_any_level(jmax, capsys, monkeypatch
     def no_levels(*args):
         raise AssertionError("a level was computed")
 
-    monkeypatch.setattr(cli, "rotor_levels", no_levels)
+    monkeypatch.setattr(cli, "_levels", no_levels)
     assert run(["levels", "propanediol", "--jmax", jmax]) == 2
     captured = capsys.readouterr()
     assert "table rows" in captured.err
@@ -482,7 +482,7 @@ def test_repeated_verdicts_build_the_levels_once(monkeypatch, capsys):
             return function(*args)
         return counted
 
-    monkeypatch.setattr(cli, "rotor_levels", counting("levels", cli.rotor_levels))
+    monkeypatch.setattr(cli, "_levels", counting("levels", cli._levels))
     monkeypatch.setattr(loop, "reduced_matrix_element",
                         counting("elements", loop.reduced_matrix_element))
     cli._molecule_triads.cache_clear()
@@ -548,35 +548,75 @@ def test_signed_zero_dipoles_share_a_memo_entry(tmp_path, capsys):
     assert all(code == 0 and err == "" for code, (_, err) in alone[0] + alone[1])
 
 
-def test_concurrent_first_builds_give_equal_triads():
-    """Threads that all miss the memo at once build equal Triads; once the
-    race is over, every command is handed the one that was stored."""
-    config = load_molecule("propanediol")
-    cli._molecule_triads.cache_clear()
-    barrier, results = threading.Barrier(8), []
+# A = B: the two lowest J = 1 levels tie, and the J > 1 blocks hold ties too;
+# triad b's levels coincide, so it is refused
+OBLATE = MoleculeConfig("oblate", 5000.0, 5000.0, 3000.0, 1.916, 0.365, 1.201)
 
-    def build():
+
+def _in_threads(target, count):
+    """target's results from count threads released at once, switching often."""
+    barrier, results = threading.Barrier(count), []
+
+    def run_target():
         barrier.wait(timeout=10)
-        results.extend((which, cli._triad(config, which)) for which in "abc")
+        results.append(target())
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=build) for _ in range(8)]
+        threads = [threading.Thread(target=run_target) for _ in range(count)]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join(timeout=30)
     finally:
         sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads) and len(results) == 24
+    assert not any(thread.is_alive() for thread in threads) and len(results) == count
+    return results
+
+
+def test_level_blocks_in_threads_give_the_single_thread_line():
+    """4 threads that each build the A = B top's J = 0..5 blocks 100 times
+    read the warning line one thread alone reads on every call, and none
+    raises: no thread's degeneracy reaches another's line or escapes as a
+    warning."""
+    constants = OBLATE.constants()
+    line = cli._level_blocks(constants, range(6))[1]
+    assert line == ("warning: degenerate levels in the J = 1, 2, 3, 4, 5 blocks; "
+                    "their tau order is not physically defined\n")
+    lines = _in_threads(lambda: [cli._level_blocks(constants, range(6))[1] for _ in range(100)], 4)
+    assert lines == [[line] * 100] * 4
+
+
+def test_concurrent_first_builds_give_equal_triads():
+    """Threads that all miss the memo at once build equal Triads, or meet one
+    refusal, and store the warning line one thread alone gives; once the race
+    is over, every command is handed the Triad that was stored.  The A = B
+    top races 50 times over, as a lost warning line shows in few rounds."""
     def values(t):
         return t.gamma_ba, t.gamma_cb, t.gamma_ca, t.f_ba, t.f_cb, t.f_ca
 
-    for which, triad in results:
-        stored = cli._triad(config, which)
-        assert values(triad) == values(stored)
-        assert cli._triad(config, which) is stored
+    def build(config, which):
+        try:
+            return cli._triad(config, which)
+        except ValueError as exc:
+            return type(exc), str(exc)
+
+    for config, rounds, warned in ((load_molecule("propanediol"), 1, False), (OBLATE, 50, True)):
+        line = cli._level_blocks(config.constants(), (0, 1))[1]
+        assert bool(line) == warned
+        for _ in range(rounds):
+            cli._molecule_triads.cache_clear()
+            results = _in_threads(lambda: [(which, build(config, which)) for which in "abc"], 8)
+            assert cli._molecule_triads(config).warning == line
+            for which, triad in (pair for result in results for pair in result):
+                stored = build(config, which)
+                if isinstance(triad, tuple):  # a refusal
+                    assert triad == stored
+                    continue
+                assert values(triad) == values(stored)
+                assert cli._triad(config, which) is stored
+
 
 def test_zero_duration_gives_one_row(capsys):
     assert run(["simulate", "propanediol", "--config", "1,-1,0", "--t", "0"]) == 0

@@ -288,7 +288,6 @@ def test_line_list_tabulates_each_coupling_term_once(monkeypatch):
 
     monkeypatch.setattr(dipole_module, "w_coupling", counting)
     dipole_module._coupling_terms.cache_clear()
-    dipole_module._parity_terms.cache_clear()  # its views would skip _coupling_terms
     jtop = 12
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateLevelsWarning)

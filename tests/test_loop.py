@@ -709,3 +709,54 @@ def test_table_rows_and_orthogonal_frames_close_at_small_drive_scales(
         phases = unit_phases + rng.uniform(-np.pi, np.pi, (3, 1))
         verdicts = triad.diagnostics(*_scaled([*range(-6, 1), u], amps, phases))
         assert [d.failure for d in verdicts] == [None] * 8
+
+
+# ---------------------------------------------------------------------------
+# leg types and chirality over random asymmetric tops
+
+# The body axis whose dipole component drives legs ba, cb and ca of each triad.
+LEG_AXES = {"a": "zxy", "b": "zyx", "c": "xzy"}
+
+signed_mu = st.tuples(st.floats(0.01, 5.0), st.sampled_from((-1.0, 1.0))).map(lambda m: m[0] * m[1])
+
+
+def _kept(d: BodyDipole, axis: str) -> BodyDipole:
+    """d with only its component along axis; the other two are 0."""
+    return BodyDipole(*(getattr(d, "mu_" + a) if a == axis else 0.0 for a in "xyz"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    c_mhz=st.floats(100.0, 20000.0),
+    gaps=st.tuples(st.floats(1.0, 20000.0), st.floats(1.0, 20000.0)),
+    mu=st.tuples(signed_mu, signed_mu, signed_mu),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_each_leg_is_one_dipole_component_and_the_mirror_flips_every_loop(c_mhz, gaps, mu, seed):
+    """On a random top with A > B > C, each gap at least 1 MHz, and a signed
+    dipole, each leg of triads a, b and c is driven by one body-frame
+    component (LEG_AXES): its reduced element equals the one of that
+    component alone, and the other two components alone give exactly 0.  So
+    each table row's loop product, at drawn amplitudes and phases, is exactly
+    minus the mirror molecule's."""
+    top = RotationalConstants(A=c_mhz + gaps[1] + gaps[0], B=c_mhz + gaps[1], C=c_mhz)
+    dip = BodyDipole(*mu)
+    ground, j1 = rotor_levels(top, 0)[0], {level.tau: level for level in rotor_levels(top, 1)}
+    try:
+        triads = {which: Triad(ground, j1[b], j1[c], dip) for which, (b, c) in TRIAD_TAUS.items()}
+    except ResonanceAmbiguityError:
+        assume(False)
+    rng = np.random.default_rng(seed)
+    for which, t in triads.items():
+        legs = ((t.level_b, t.level_a, t.gamma_ba), (t.level_c, t.level_b, t.gamma_cb),
+                (t.level_c, t.level_a, t.gamma_ca))
+        for (upper, lower, gamma), axis in zip(legs, LEG_AXES[which]):
+            alone = {a: dipole_module.reduced_matrix_element(upper, lower, _kept(dip, a)).value
+                     for a in "xyz"}
+            assert alone.pop(axis) == gamma
+            assert list(alone.values()) == [0j, 0j]
+        for row in TABLE_ROWS:
+            amps, phases = rng.uniform(0.1, 10.0, 3).tolist(), rng.uniform(-math.pi, math.pi, 3).tolist()
+            spec = LoopSpec(t, [{s: (amp, phase)} for s, amp, phase in zip(row[:3], amps, phases)])
+            product = loop_product(build_single_loop(spec))
+            assert product != 0 and loop_product(build_single_loop(spec.mirrored())) == -product
