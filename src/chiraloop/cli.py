@@ -86,24 +86,16 @@ def parse_molecule_config(text: str) -> MoleculeConfig:
     if missing:
         raise ParseError(f"missing keys: {', '.join(missing)}")
 
-    numbers = {}
+    numbers = []  # the fields of MoleculeConfig after name, in _KEYS order
     for key in _KEYS[1:]:
         try:
-            numbers[key] = float(values[key])
+            numbers.append(float(values[key]))
         except ValueError:
             raise ParseError(f"key '{key}': not a number: {values[key]!r}") from None
-        if not math.isfinite(numbers[key]):
+        if not math.isfinite(numbers[-1]):
             raise ParseError(f"key '{key}': not a finite number: {values[key]!r}")
 
-    config = MoleculeConfig(
-        name=values["name"],
-        A=numbers["A_MHz"],
-        B=numbers["B_MHz"],
-        C=numbers["C_MHz"],
-        mu_x=numbers["mu_x_D"],
-        mu_y=numbers["mu_y_D"],
-        mu_z=numbers["mu_z_D"],
-    )
+    config = MoleculeConfig(values["name"], *numbers)
     config.constants()  # raises RangeError unless A >= B >= C > 0
     return config
 
@@ -206,42 +198,35 @@ def _parse_general_field(text: str) -> dict[int, tuple[float, float]]:
 
 
 def _drive_components(args) -> list[dict[int, tuple[float, float]]]:
-    """The three drives' {sigma: (amplitude, phase)} from --pol, --sigma or --field."""
+    """The three drives' {sigma: (amplitude, phase)} from the one drive option given, which
+    each error names; --config reads as axes when it is three of X, Y, Z, else as sigmas."""
     amps = _split3(args.amp, "amp", float) if args.amp is not None else (1.0, 1.0, 1.0)
     phases = _split3(args.phase, "phase", float) if args.phase is not None else (0.0, 0.0, 0.0)
 
-    pol = getattr(args, "pol", None)
-    sigma = getattr(args, "sigma", None)
-    general = getattr(args, "field", None)
-    config = getattr(args, "config", None)
-    if config:
-        if all(ch.upper() in _AXES for ch in config) and len(config) == 3:
-            pol = config
-        else:
-            sigma = config
-
-    given = [x for x in (pol, sigma, general) if x]
+    given = [(name, value) for name, value in vars(args).items()
+             if name in ("pol", "sigma", "field", "config") and value not in (None, [])]
     if len(given) != 1:
         raise ValueError("specify the drives with exactly one of --pol, --sigma, --field")
+    [(option, text)] = given
+    if option == "field":
+        if args.amp is not None or args.phase is not None:
+            raise ValueError("--field takes no --amp or --phase: each component gives its own")
+        if len(text) != 3:
+            raise ValueError("--field must be given exactly three times")
+        return [_parse_general_field(field) for field in text]
+    axes = [_AXES.get(ch.upper()) for ch in text]
+    if option == "pol" and (len(axes) != 3 or None in axes):
+        raise ValueError(f"--pol must be three of X, Y, Z, got {text!r}")
+    if option == "pol" or option == "config" and len(axes) == 3 and None not in axes:
+        return [linear_components(axis, a, p) for axis, a, p in zip(axes, amps, phases)]
+    sigmas = _split3(text, option, int)
+    if any(s not in (-1, 0, 1) for s in sigmas):
+        raise ValueError(f"--{option} components must be -1, 0 or 1, got {text!r}")
+    return [{s: (amp, phase)} for s, amp, phase in zip(sigmas, amps, phases)]
 
-    if pol:
-        letters = [ch.upper() for ch in pol]
-        if len(letters) != 3 or any(ch not in _AXES for ch in letters):
-            raise ValueError(f"--pol must be three of X, Y, Z, got {pol!r}")
-        return [linear_components(_AXES[ch], a, p) for ch, a, p in zip(letters, amps, phases)]
-    if sigma:
-        sigmas = _split3(sigma, "sigma", int)
-        if any(s not in (-1, 0, 1) for s in sigmas):
-            raise ValueError(f"--sigma components must be -1, 0 or 1, got {sigma!r}")
-        return [{s: (amp, phase)} for s, amp, phase in zip(sigmas, amps, phases)]
-    if args.amp is not None or args.phase is not None:
-        raise ValueError("--field takes no --amp or --phase: each component gives its own")
-    if len(general) != 3:
-        raise ValueError("--field must be given exactly three times")
-    return [_parse_general_field(text) for text in general]
 
-
-def _loop_spec(config: MoleculeConfig, args) -> loop.LoopSpec:
+def _loop_spec(args) -> loop.LoopSpec:
+    config = load_molecule(args.molecule)
     comps = _drive_components(args)
     return loop.LoopSpec(_triad(config, args.triad), comps)
 
@@ -417,9 +402,7 @@ def cmd_loops_enumerate(args) -> int:
 
 
 def cmd_loops_verify(args) -> int:
-    config = load_molecule(args.molecule)
-    spec = _loop_spec(config, args)
-    diag = loop.loop_diagnostics(spec)
+    diag = loop.loop_diagnostics(_loop_spec(args))
     o1, o2, o3 = (abs(o) for o in diag.omegas)
     ratio = f"{1.0:.2f}:{o2 / o1:.2f}:{o3 / o1:.2f}" if o1 > 0 else "undefined"
     # in (-pi, pi], so the sign of a rounding-level zero imaginary part
@@ -442,17 +425,17 @@ def cmd_loops_verify(args) -> int:
     return 0
 
 
-def _normal_frames(rng: np.random.Generator, n: int) -> Iterator[np.ndarray]:
-    """n standard-normal 3x3 matrices, LOOP_BATCH_ROWS at a time: the numbers that
-    one rng.normal(size=(n, 3, 3)) draw gives."""
+def _sampled_verdicts(triad: loop.Triad, rng: np.random.Generator, n: int,
+                      orthogonal: bool) -> Iterator[tuple[np.ndarray, Iterator[loop.LoopDiagnostics]]]:
+    """n standard-normal 3x3 frames as one rng.normal(size=(n, 3, 3)) draw gives them, or
+    their Q factors transposed if orthogonal, LOOP_BATCH_ROWS at a time, each chunk with the
+    verdicts for unit linear drives 1, 2, 3 along frames[k, 0], [k, 1], [k, 2]."""
     for start in range(0, n, loop.LOOP_BATCH_ROWS):
-        yield rng.normal(size=(min(loop.LOOP_BATCH_ROWS, n - start), 3, 3))
-
-
-def _linear_verdicts(triad: loop.Triad, frames: np.ndarray) -> Iterator[loop.LoopDiagnostics]:
-    """Verdicts for unit linear drives 1, 2, 3 along frames[n, 0], [n, 1], [n, 2]."""
-    amps, phases = stacked_linear_components(frames.reshape(-1, 3))
-    return triad.diagnostics(amps.reshape(-1, 3, 3), phases.reshape(-1, 3, 3))
+        frames = rng.normal(size=(min(loop.LOOP_BATCH_ROWS, n - start), 3, 3))
+        if orthogonal:
+            frames = np.linalg.qr(frames)[0].transpose(0, 2, 1)
+        amps, phases = stacked_linear_components(frames.reshape(-1, 3))
+        yield frames, triad.diagnostics(amps.reshape(-1, 3, 3), phases.reshape(-1, 3, 3))
 
 
 def cmd_loops_sample(args) -> int:
@@ -465,13 +448,12 @@ def cmd_loops_sample(args) -> int:
 
     # frames are drawn, projected and judged one chunk at a time, so memory
     # does not grow with --samples
-    n_random = args.samples
     n_orth = max(1, args.samples // 10)
     closed_random = 0
     orthogonal_random = 0
     consistent = True
-    for dirs in _normal_frames(rng, n_random):
-        closed = np.fromiter((d.closed for d in _linear_verdicts(triad, dirs)), bool, len(dirs))
+    for dirs, verdicts in _sampled_verdicts(triad, rng, args.samples, orthogonal=False):
+        closed = np.fromiter((d.closed for d in verdicts), bool, len(dirs))
         units = dirs / np.linalg.norm(dirs, axis=2, keepdims=True)
         dots = np.abs(units @ units.transpose(0, 2, 1))[:, (0, 0, 1), (1, 2, 2)]
         orthogonal = dots.max(axis=1) < 1e-8
@@ -481,15 +463,13 @@ def cmd_loops_sample(args) -> int:
 
     closed_orth = 0
     max_residual_orth = 0.0
-    for frames in _normal_frames(rng, n_orth):
-        q, _ = np.linalg.qr(frames)
-        # drive k along column k of each random orthogonal matrix
-        for diag in _linear_verdicts(triad, q.transpose(0, 2, 1)):
+    for _, verdicts in _sampled_verdicts(triad, rng, n_orth, orthogonal=True):
+        for diag in verdicts:
             closed_orth += diag.closed
             max_residual_orth = max(max_residual_orth, diag.max_residual)
 
     rows = [
-        ["random_samples", str(n_random)],
+        ["random_samples", str(args.samples)],
         ["random_closed", str(closed_random)],
         ["random_orthogonal", str(orthogonal_random)],
         ["orthogonal_samples", str(n_orth)],
@@ -514,7 +494,7 @@ def _time_grid(args) -> np.ndarray:
 
 def _driven_spec(args) -> loop.LoopSpec:
     """simulate's and contrast's drives, refused when their verdict is non_finite."""
-    spec = _loop_spec(load_molecule(args.molecule), args)
+    spec = _loop_spec(args)
     if loop.loop_diagnostics(spec).failure == "non_finite":
         raise ValueError("the drives' closure residuals or Rabi frequencies are not finite")
     return spec

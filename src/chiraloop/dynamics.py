@@ -27,7 +27,6 @@ if TYPE_CHECKING:
 __all__ = [
     "coupling_block",
     "assemble_full_hamiltonian",
-    "require_hermitian",
     "evolve",
     "loop_frame",
     "loop_populations",
@@ -87,12 +86,6 @@ def assemble_full_hamiltonian(spec: LoopSpec) -> np.ndarray:
     return h
 
 
-def require_hermitian(h: np.ndarray) -> None:
-    scale = max(1.0, float(np.abs(h).max()))
-    if not np.abs(h - h.conj().T).max() <= HERMITICITY_ATOL * scale:  # NaN fails too
-        raise ValueError("operator is not Hermitian")
-
-
 def evolve(h: np.ndarray, psi0: np.ndarray, times: ArrayLike) -> np.ndarray:
     """psi(t) = exp(-2 pi i H t) psi0 at every t of a 1-D grid, shape (n_t, dim).
 
@@ -103,7 +96,9 @@ def evolve(h: np.ndarray, psi0: np.ndarray, times: ArrayLike) -> np.ndarray:
     psi0 = np.asarray(psi0, dtype=complex)
     if not abs(np.linalg.norm(psi0) - 1.0) <= 1e-8:
         raise ValueError("initial state must be normalized")
-    require_hermitian(h)
+    scale = max(1.0, float(np.abs(h).max()))
+    if not np.abs(h - h.conj().T).max() <= HERMITICITY_ATOL * scale:  # NaN fails too
+        raise ValueError("operator is not Hermitian")
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
         raise ValueError("times must be a 1-D grid")

@@ -6,6 +6,7 @@ import errno
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -83,6 +84,20 @@ def test_parse_constants_out_of_order_is_range_error():
     swapped = GOOD_CONFIG.replace("B_MHz = 3640.10", "B_MHz = 2000.0")
     with pytest.raises(RangeError):
         parse_molecule_config(swapped)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("name demo\n", "line 1: expected 'key = value', got 'name demo'"),
+        (GOOD_CONFIG.replace("A_MHz = 8572.05", "A_MHz =  # none"), "line 3: empty value for 'A_MHz'"),
+    ],
+    ids=["no-equals", "empty-value"],
+)
+def test_parse_malformed_line_names_it(text, message):
+    with pytest.raises(ParseError) as excinfo:
+        parse_molecule_config(text)
+    assert str(excinfo.value) == message
 
 
 def test_load_molecule_from_path(tmp_path):
@@ -228,20 +243,44 @@ def test_amp_or_phase_with_field_exits_2(option, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, option",
+    "argv, message",
     [
-        (["loops", "verify", "propanediol", "--pol", "ZXY"], "amp"),
-        (["loops", "verify", "propanediol", "--sigma", "1,-1,0"], "phase"),
-        (["simulate", "propanediol", "--config", "ZXY", "--t", "0"], "amp"),
+        (["loops", "verify", "propanediol", "--pol", "ZXY", "--amp="],
+         "--amp needs three comma-separated values, got ''"),
+        (["loops", "verify", "propanediol", "--sigma", "1,-1,0", "--phase="],
+         "--phase needs three comma-separated values, got ''"),
+        (["simulate", "propanediol", "--config", "ZXY", "--t", "0", "--amp="],
+         "--amp needs three comma-separated values, got ''"),
+        (["loops", "verify", "propanediol", "--sigma=", "--pol=ZXY"],
+         "specify the drives with exactly one of --pol, --sigma, --field"),
+        (["loops", "verify", "propanediol", "--pol="], "--pol must be three of X, Y, Z, got ''"),
     ],
-    ids=["verify-pol-amp", "verify-sigma-phase", "simulate-amp"],
+    ids=["verify-pol-amp", "verify-sigma-phase", "simulate-amp", "verify-empty-sigma-and-pol",
+         "verify-empty-pol"],
 )
-def test_empty_amp_or_phase_exits_2(argv, option, capsys):
-    """An empty --amp or --phase is a bad value, not an absent one."""
-    assert run([*argv, f"--{option}="]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == f"error: --{option} needs three comma-separated values, got ''\n"
-    assert captured.out == ""
+def test_empty_amp_or_phase_exits_2(argv, message, capsys):
+    """An empty --amp, --phase or drive option is a bad value, not an absent one."""
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["simulate", "contrast"])
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ("ZZ", "--config needs three comma-separated values, got 'ZZ'"),
+        ("XYW", "--config needs three comma-separated values, got 'XYW'"),
+        ("1,-1,x", "--config: could not parse '1,-1,x'"),
+        ("2,0,0", "--config components must be -1, 0 or 1, got '2,0,0'"),
+        ("", "--config needs three comma-separated values, got ''"),
+    ],
+    ids=["two-letters", "not-an-axis", "not-an-integer", "not-a-sigma", "empty"],
+)
+def test_config_errors_name_config(command, config, message, capsys):
+    """A --config that is not three of X, Y, Z is read as sigmas, and its errors
+    name --config, the option these commands take."""
+    assert run([command, "propanediol", f"--config={config}", "--t", "0"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_simulate_closed_loop(tmp_path, capsys):
@@ -644,6 +683,16 @@ def test_unparsable_field_component_names_it(component, capsys):
     assert captured.out == ""
 
 
+def test_internal_error_exits_1_with_one_line(monkeypatch, capsys):
+    """An exception that is not a ValueError is a fault of the program: exit 1, one line."""
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_levels", broken)
+    assert run(["levels", "propanediol"]) == 1
+    assert capsys.readouterr() == ("", "internal error: RuntimeError: boom\n")
+
+
 @pytest.mark.parametrize(
     "argv, option, value, code",
     [
@@ -680,8 +729,19 @@ def test_value_starting_with_minus_works_without_equals(argv, option, value, cod
         (["simulate", "propanediol", "--c", "ZXY"], "ambiguous option '--c'"),
         (["levels", "propanediol", "--jmax"], "--jmax needs a value"),
         (["transitions", "propanediol", "--triad", "d"], "triad must be one of a, b, c; got 'd'"),
+        (["loops", "verify", "propanediol", "--pol", "ZXY", "--amp", "1,x,2"],
+         "--amp: could not parse '1,x,2'"),
+        (["loops", "verify", "propanediol", "--field", "1:2", "--field", "0:1:0", "--field", "1:1:0"],
+         "--field component must be sigma:amp:phase, got '1:2'"),
+        (["loops", "verify", "propanediol", "--field=1:1:0", "--field=0:1:0"],
+         "--field must be given exactly three times"),
+        (["loops", "verify", "propanediol", *["--field=1:1:0"] * 4],
+         "--field must be given exactly three times"),
+        (["loops", "verify", "propanediol", "demo.mol", "--pol", "ZXY"],
+         "loops verify takes one MOLECULE, got 2: ['propanediol', 'demo.mol']"),
     ],
-    ids=["pol-or-phase", "csv-or-config", "no-value", "triad"],
+    ids=["pol-or-phase", "csv-or-config", "no-value", "triad", "amp-not-a-number",
+         "field-two-parts", "field-twice", "field-four-times", "two-molecules"],
 )
 def test_bad_option_word_gives_one_error_line(argv, message, capsys):
     assert run(argv) == 2
@@ -733,9 +793,12 @@ ARGV_VALUES = [
 def test_any_argv_exits_0_or_2(data):
     """Fail closed over the grammar of every command: both option forms, exact names,
     unique and ambiguous prefixes, an option with no value, bad or good values, and a
-    molecule file with one key spoiled.  No value draws a grid of more than 150 rows."""
+    molecule file with one key spoiled.  No value draws a grid of more than 150 rows.
+    An error names only options of the command, but where it echoes an unknown or
+    ambiguous option word."""
     command = data.draw(st.sampled_from(list(cli._COMMANDS)))
-    names = [name for name, *_ in (cli._CSV, *cli._COMMANDS[command][1])] + ["help"]
+    options = [name for name, *_ in (cli._CSV, *cli._COMMANDS[command][1])]
+    names = options + ["help"]
     keys = sorted({name[:i] for name in names for i in range(len(name) + 1)}) + ["nope"]
     molecule = st.one_of(st.just("propanediol"), st.sampled_from(["demo.mol", "", "-1,1,0"]))
     argv = [*command.split(), data.draw(molecule)]
@@ -762,6 +825,10 @@ def test_any_argv_exits_0_or_2(data):
     assert all(line.startswith(("warning: ", "error: ")) for line in lines), (argv, lines)
     errors = [line for line in lines if line.startswith("error: ")]
     assert errors == (lines[-1:] if code == 2 else []), (argv, lines)
+    named = {name for line in errors if not line.startswith(("error: unknown option",
+                                                              "error: ambiguous option"))
+             for name in re.findall(r"--([a-z]+)", line)}
+    assert named <= set(options), (argv, lines)
 
 
 def test_non_finite_amplitude_exits_2(capsys):

@@ -87,6 +87,9 @@ def test_zero_direction_rejected():
     ):
         with pytest.raises(ValueError, match="finite"):
             linear_components(direction, amplitude, phase)
+    for direction in ((1.0, 0.0), (1.0, 0.0, 0.0, 0.0), ((1.0, 0.0, 0.0),)):
+        with pytest.raises(ValueError, match=r"^direction must be a 3-vector$"):
+            linear_components(direction, 1.0, 0.0)
 
 
 def test_linear_components_are_the_drive_components():

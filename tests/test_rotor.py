@@ -160,6 +160,13 @@ def test_non_integer_j_rejected(constants, build):
             build(constants, J)
 
 
+@pytest.mark.parametrize("build", [rotor_hamiltonian_block, rotor_levels])
+def test_negative_j_rejected(constants, build):
+    for J in (-1, np.int64(-3)):
+        with pytest.raises(ValueError, match=rf"^J must be >= 0, got {J}$"):
+            build(constants, J)
+
+
 def test_numpy_integer_j_gives_the_same_levels(constants):
     levels, reference = rotor_levels(constants, np.int64(2)), rotor_levels(constants, 2)
     assert len(levels) == len(reference) == 5
