@@ -238,72 +238,81 @@ def _csv_field(text: str) -> str:
 
 @functools.cache
 def _quad_table() -> np.ndarray:
-    """Four characters as uint32: 0 to 9999 with blanks for leading zeros
-    ("   0", "  42"), then with the zeros ("0042"), then four blanks."""
+    """Four characters as uint32: 0 to 9999 with their leading zeros ("0042"), then with
+    blanks for them ("   0", "  42"), then four blanks."""
     i, places = np.arange(10**4)[:, None], 10 ** np.arange(3, -1, -1)
     zeros = i // places % 10 + 48
     blanks = np.where((i < places) & (places > 1), 32, zeros)
-    return np.concatenate([blanks, zeros, [[32] * 4]]).astype(np.uint8).view(np.uint32).ravel()
+    return np.concatenate([zeros, blanks, [[32] * 4]]).astype(np.uint8).view(np.uint32).ravel()
+
+
+def _rounded(x: np.ndarray, n: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """q = rint(|x| 10**n) as int64 where it is the rounding `%.{n}f` prints (exact), else 0:
+    10**n is exact, so scaled is within scaled * 2**-53 of |x| 10**n and rounds as `%` does
+    (half to even) unless within scaled * 2**-52 of a half-integer, as any scaled >= 2**51 is."""
+    if n is None:
+        return x, np.zeros(x.shape, bool)
+    scaled = np.fmin(np.abs(x), 2.0**51) * 10.0**n  # no overflow; NaN, like inf, is 2**51
+    exact = np.abs(scaled - np.floor(scaled) - 0.5) > scaled * 2.0**-52
+    q = np.rint(scaled)
+    q[~exact] = 0.0
+    return q.astype(np.int64), exact
 
 
 class _Column:
-    """A float column's `fmt % x` cells as right-aligned ASCII bytes, a block at a time.
-
-    `%.Nf` cells (N <= 15) are rounded and spelled in numpy; the rest take
-    `fmt % x` once per distinct value (bit pattern), up front."""
+    """A float column's width and the `fmt % x` texts of the cells `_spell` does not spell:
+    all of them but for `%.Nf` (N <= 15), taken once per distinct value (bit pattern)."""
 
     def __init__(self, fmt: str, column: np.ndarray):
         fixed = fmt[:2] == "%." and fmt[-1:] == "f" and fmt[2:-1].isdigit()
-        self.n = int(fmt[2:-1]) if fixed and int(fmt[2:-1]) <= 15 else None
-        self.column, self.keys = column, column.view(np.int64)
-        exact = self._rounded(column)[1]
-        # a fixed-point text never shortens as |x| grows: the largest cell of each sign is widest
-        signs = (column[exact], column[exact & np.signbit(column)])
-        widest = [fmt % cells[np.abs(cells).argmax()] for cells in signs if cells.size]
-        # an index flag keeps np.unique from importing numpy.ma
-        self.distinct, first = np.unique(self.keys[~exact], return_index=True)
-        texts = [fmt % x for x in column[~exact][first].tolist()]
-        self.width = max(map(len, texts + widest), default=0)
+        self.n = n = int(fmt[2:-1]) if fixed and int(fmt[2:-1]) <= 15 else None
+        q, exact = _rounded(column, n)
+        # a fixed-point text never shortens as |x| grows: the largest q, and the largest of
+        # the negative cells (one character more), give the widest
+        tops = [q[cells].max(initial=-1) for cells in (exact, exact & np.signbit(column))]
+        widest = [len(str(top // 10**n)) + n + (n > 0) + minus
+                  for minus, top in enumerate(tops) if top >= 0]
+        keys = np.sort(column.view(np.int64)[~exact])  # a sort: np.unique's is a stable argsort
+        self.distinct = np.delete(keys, np.flatnonzero(keys[1:] == keys[:-1]) + 1)
+        texts = [fmt % x for x in self.distinct.view(np.float64).tolist()]
+        self.width = max([*map(len, texts), *widest], default=0)
         table = "".join(t.rjust(self.width) for t in texts).encode("ascii")
         self.table = np.frombuffer(table, np.uint8).reshape(len(texts), self.width)
 
-    def _rounded(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """q = rint(|x| 10**n), and where q is the rounding `%.{n}f` prints: 10**n is exact, so
-        scaled is within scaled * 2**-53 of |x| 10**n and rounds as `%` does (half to even)
-        unless within scaled * 2**-52 of a half-integer, as NaN and any scaled >= 2**51 are."""
-        if self.n is None:
-            return x, np.zeros(len(x), bool)
-        scaled = np.minimum(np.abs(x), 2.0**51) * 10.0**self.n  # no overflow; NaN stays NaN
-        exact = np.abs(scaled - np.floor(scaled) - 0.5) > scaled * 2.0**-52
-        return np.where(exact, np.rint(scaled), 0.0), exact
 
-    def render(self, rows: slice) -> np.ndarray:
-        """The cells of rows as a (rows, width) uint8 block."""
-        x, keys = self.column[rows], self.keys[rows]
-        q, exact = self._rounded(x)
-        if not exact.any():
-            return self.table[np.searchsorted(self.distinct, keys)]
-        n, whole = self.n, np.floor(q / 10.0**self.n)  # every step is exact, as q < 2**51
-        # four characters at a time, right to left: the decimals with their zeros, the integer
-        # part with zeros below its top digit and blanks above it, the dot over decimal padding
-        quads = (-(-n // 4), -(-len(str(int(whole.max()))) // 4))
-        size = 4 * sum(quads) + self.width
-        text, dot = np.full((len(x), size), 32, np.uint8), size - n - (n > 0)
-        for part, count, end, zeros in ((q - whole * 10.0**n, quads[0], size, True),
-                                        (whole, quads[1], dot, False)):
-            high = [np.floor(part / 10.0 ** (4 * j)) for j in range(count)] + [0.0]
-            cells = text[:, end - 4 * count : end].view(np.uint32)
-            for j in range(count):
-                index = high[j] - high[j + 1] * 1e4 + 1e4 * (zeros or high[j + 1] > 0)
-                if j and not zeros:
-                    index[high[j] == 0] = 2e4
-                cells[:, -1 - j] = _quad_table().take(index.astype(np.intp))
-        text[:, dot : dot + (n > 0)] = 46
-        text = text[:, 4 * sum(quads) :]
-        negative = np.signbit(x) & exact
+def _spell(columns: list[_Column], x: np.ndarray) -> np.ndarray:
+    """The cells x (rows, k) of k columns of one conversion as (rows, k, width) uint8, right-aligned
+    in the widest column's width: `%.Nf` cells spelled in numpy, the rest from each column's table."""
+    n, width = columns[0].n, max(c.width for c in columns)
+    if n is None:  # one column of another conversion: every cell from its table
+        return columns[0].table[np.searchsorted(columns[0].distinct, x.view(np.int64))]
+    q, exact = _rounded(x, n)
+    whole = q // 10**n
+    # four characters at a time, right to left: the decimals with their zeros, the integer
+    # part with zeros below its top digit and blanks above it, the dot over decimal padding
+    quads = (-(-n // 4), -(-len(str(whole.max())) // 4))
+    size = 4 * sum(quads) + width
+    text, dot = np.full((*x.shape, size), 32, np.uint8), size - n - (n > 0)
+    for rest, count, end, lead in ((q - whole * 10**n, quads[0], size, False),
+                                   (whole, quads[1], dot, True)):
+        cells = text[..., end - 4 * count : end].view(np.uint32)
+        for j in range(count):
+            high = rest // 10**4 if j < count - 1 else 0
+            index = rest - high * 10**4
+            if lead:  # blanks above the top digit, four of them above a zero rest
+                index += 10**4 * (high == 0) + (10**4 * (rest == 0) if j else 0)
+            cells[..., -1 - j] = _quad_table().take(index)
+            rest = high
+    text[..., dot : dot + (n > 0)] = 46
+    text = text[..., 4 * sum(quads) :]
+    negative = np.signbit(x) & exact
+    if negative.any():
         text[negative, np.argmax(text[negative] != 32, axis=1) - 1] = 45
-        text[~exact] = self.table[np.searchsorted(self.distinct, keys[~exact])]
-        return text
+    for j in np.flatnonzero(~exact.all(axis=0)):  # the columns with cells left to their tables
+        miss, c = ~exact[:, j], columns[j]
+        keys = x[miss, j].view(np.int64)
+        text[miss, j, width - c.width :] = c.table[np.searchsorted(c.distinct, keys)]
+    return text
 
 
 def _write(target: str, op, *args, **kwargs):
@@ -322,13 +331,16 @@ def _emit(headers: list[str], rows: np.ndarray | list[list[str]], csv_path: str 
 
     rows is a 2-D float array with one column per header and one % conversion
     per column in formats, or a short list of rows of strings, written as given.
-    Float rows are rendered as bytes (`_Column`), EVOLVE_BLOCK_ROWS at a time; a
-    float's text holds no space, so its CSV is the same bytes, unpadded, with commas."""
-    texts, columns = [headers], []  # the lines Python writes: the header, and any strings
+    Float rows are rendered as bytes EVOLVE_BLOCK_ROWS at a time, with one `_spell` per
+    block for all the columns of one conversion; a float's text holds no space, so its CSV
+    is the same bytes, unpadded, with commas."""
+    texts, columns, groups = [headers], [], {}  # the lines Python writes: the header, and any strings
     if isinstance(rows, np.ndarray):
         columns = [_Column(f, rows[:, i]) for i, f in enumerate(formats)]
         widths = [max(len(h), c.width) for h, c in zip(headers, columns)]
         ends = np.cumsum(widths) + 2 * np.arange(len(widths))  # where each column's cells end
+        for i, (f, c) in enumerate(zip(formats, columns)):  # the columns of one %.Nf spell together
+            groups.setdefault(i if c.n is None else f, []).append(i)
     else:  # a few rows of strings: cell by cell in Python costs less than numpy's set-up
         texts += rows
         widths = [max(map(len, column)) for column in zip(*texts)]
@@ -341,15 +353,19 @@ def _emit(headers: list[str], rows: np.ndarray | list[list[str]], csv_path: str 
         if handle:
             to_csv(handle.write, "".join(",".join(map(_csv_field, r)) + "\r\n" for r in texts))
         for start in range(0, len(rows) if columns else 0, dynamics.EVOLVE_BLOCK_ROWS):
-            block = slice(start, start + dynamics.EVOLVE_BLOCK_ROWS)
-            line = np.full((len(rows[block]), ends[-1] + 1), 32, np.uint8)
-            for column, end in zip(columns, ends):
-                line[:, end - column.width : end] = column.render(block)
+            block = rows[start : start + dynamics.EVOLVE_BLOCK_ROWS]
+            line = np.full((len(block), ends[-1] + 1), 32, np.uint8)
+            for group in groups.values():
+                text = _spell([columns[i] for i in group], block[:, group])
+                for j, i in enumerate(group):
+                    width = columns[i].width
+                    line[:, ends[i] - width : ends[i]] = text[:, j, -width:]
             line[:, -1] = 10
             to_stdout(line.tobytes().decode("ascii"))
             if handle:
                 line[:, ends[:-1]] = 44
-                to_csv(handle.write, line[line != 32].tobytes().decode("ascii").replace("\n", "\r\n"))
+                csv = line.tobytes().translate(None, b" ").replace(b"\n", b"\r\n")
+                to_csv(handle.write, csv.decode("ascii"))
     finally:
         if handle:
             to_csv(handle.close)

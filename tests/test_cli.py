@@ -1229,6 +1229,58 @@ def test_fixed_point_cells_match_percent_formatting(fmt):
     assert (out.getvalue(), written) == _reference_table(headers, cells)
 
 
+def _group_table():
+    """Six %.6f columns of six widths and a %.3e column, with the cells the shared
+    speller leaves to each column's table spread over their rows and columns."""
+    rows = np.random.default_rng(25).uniform(-1, 1, (12, 7)) * 10.0 ** np.array([0, 2, 4, 6, 8, 10, 0])
+    tie = 0.0078125  # 7812.5 millionths, exactly
+    specials = [math.nan, math.inf, -math.inf, 1e300, 2**51 / 10**6, tie,
+                math.nextafter(tie, math.inf), math.nextafter(tie, -math.inf), -0.0, -4.9e-7]
+    for k, x in enumerate(specials):
+        rows[k + 1, k % 6] = x
+    rows[[3, 5, 8, 10], 6] = [math.nan, -math.inf, -0.0, 1e300]
+    return rows, ["%.6f"] * 6 + ["%.3e"]
+
+
+@pytest.mark.parametrize("block_rows", [3, 7])
+@pytest.mark.parametrize("rows_taken", [slice(0, 0), slice(4, 5), slice(None)], ids=["0", "1", "12"])
+def test_emit_group_matches_per_cell_formatting(block_rows, rows_taken):
+    """Columns that share one `%.Nf` conversion are spelled together, yet every cell,
+    width and CSV field comes out as per-cell `%` formatting gives it."""
+    rows, formats = _group_table()
+    rows = rows[rows_taken]
+    headers = [f"c{i}" for i in range(len(formats))]
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(dynamics, "EVOLVE_BLOCK_ROWS", block_rows):
+        path = Path(tmp) / "table.csv"
+        with contextlib.redirect_stdout(out):
+            cli._emit(headers, rows, str(path), formats)
+        written = path.read_bytes().decode()
+    cells = [[f % x for f, x in zip(formats, row)] for row in rows.tolist()]
+    if len(cells) == 12:
+        assert len({max(len(row[i]) for row in cells) for i in range(6)}) == 6  # six widths
+    assert (out.getvalue(), written) == _reference_table(headers, cells)
+
+
+def test_one_spell_per_conversion_per_block(tmp_path, monkeypatch):
+    """A contrast-shaped table is spelled with one `_spell` call per `%.Nf` conversion
+    per block: its %.4f column alone, and its seven %.6f columns together."""
+    calls, spell = [], cli._spell
+
+    def counted(columns, x):
+        calls.append((columns[0].n, x.shape))
+        return spell(columns, x)
+
+    monkeypatch.setattr(cli, "_spell", counted)
+    rows = np.random.default_rng(0).random((4097, 8))
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli._emit([f"c{i}" for i in range(8)], rows, str(tmp_path / "t.csv"), ["%.4f"] + ["%.6f"] * 7)
+    step = dynamics.EVOLVE_BLOCK_ROWS
+    blocks = [min(step, 4097 - start) for start in range(0, 4097, step)]
+    assert len(calls) <= 2 * len(blocks)
+    assert calls == [call for r in blocks for call in ((4, (r, 1)), (6, (r, 7)))]
+
+
 def test_cli_import_loads_no_rational_types():
     """The 3j symbols are integer sums: importing the CLI loads neither
     fractions nor decimal (a few ms of every command's start-up)."""
