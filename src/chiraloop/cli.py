@@ -8,8 +8,10 @@ error, 141 stdout closed early (as by `| head`).  Diagnostics go to stderr.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
+import os
 import sys
 from collections.abc import Iterator
 from pathlib import Path
@@ -149,8 +151,6 @@ def _molecule_triads(config: MoleculeConfig) -> SimpleNamespace:
     """Per molecule value, for every command: each triad's levels (a, b, c) by name,
     their J <= 1 degeneracy warning, and each triad's Triad once it was asked for."""
     ((ground,), j1), warning = _level_blocks(config.constants(), (0, 1))
-    for level in (ground, *j1):
-        level.coeffs.setflags(write=False)  # every later command is handed these arrays
     by_tau = {level.tau: level for level in j1}
     levels = {name: (ground, by_tau[b], by_tau[c]) for name, (b, c) in _TRIADS.items()}
     return SimpleNamespace(levels=levels, warning=warning, triads={})
@@ -421,9 +421,13 @@ def cmd_loops_verify(args) -> int:
     diag = loop.loop_diagnostics(_loop_spec(args))
     o1, o2, o3 = (abs(o) for o in diag.omegas)
     ratio = f"{1.0:.2f}:{o2 / o1:.2f}:{o3 / o1:.2f}" if o1 > 0 else "undefined"
+    # if all are finite, each Omega near 1 by its own power of two: exact, and the product in range
+    finite = all(map(cmath.isfinite, diag.omegas))
+    exps = [math.frexp(max(abs(o.real), abs(o.imag)))[1] if finite else 0 for o in diag.omegas]
+    omegas = [complex(math.ldexp(o.real, -e), math.ldexp(o.imag, -e)) for o, e in zip(diag.omegas, exps)]
     # in (-pi, pi], so the sign of a rounding-level zero imaginary part
     # cannot turn +pi into -pi
-    phase = _wrap_phase(np.angle(loop.loop_product(loop.SingleLoopHamiltonian(*diag.omegas))))
+    phase = _wrap_phase(np.angle(loop.loop_product(loop.SingleLoopHamiltonian(*omegas))))
     names = ["|<c'|H|b>|", "|<c''|H|b>|", "|<c|H|b'>|", "|<c|H|b''>|"]
     rows = [[name, f"{abs(r):.3e}"] for name, r in zip(names, diag.residuals)]
     rows += [
@@ -650,7 +654,6 @@ def run(argv: list[str]) -> int:
 def main() -> None:
     code = run(sys.argv[1:])
     if code == EXIT_BROKEN_PIPE:  # what is still buffered goes to devnull, not to a failing flush
-        import os
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(code)
 

@@ -19,7 +19,7 @@ import cmath
 import itertools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -102,30 +102,30 @@ class ResonanceAmbiguityError(ValueError):
 class LoopSpec:
     """A triad (its levels and dipole) under three resonant drives.
 
-    comps holds one {sigma: (amplitude, phase)} dict per drive (DriveField's
-    own component format); field1, field2 and field3 are its drives at
-    exactly f_ba, f_cb and f_ca, and so, as Triad ensures, resonant with no
-    other transition.
+    comps, given only to the constructor, holds one {sigma: (amplitude, phase)}
+    dict per drive (DriveField's own component format); the spec keeps only
+    field1, field2 and field3, its validated drives at exactly f_ba, f_cb and
+    f_ca, and so, as Triad ensures, resonant with no other transition.
     """
 
     triad: Triad
-    comps: tuple
+    comps: InitVar[tuple]
     field1: DriveField = field(init=False)
     field2: DriveField = field(init=False)
     field3: DriveField = field(init=False)
 
-    def __post_init__(self):
-        comps = tuple(self.comps)
+    def __post_init__(self, comps):
+        comps = tuple(comps)
         if len(comps) != 3:
             raise ValueError(f"a LoopSpec takes three drives' components, got {len(comps)}")
-        object.__setattr__(self, "comps", comps)
         t = self.triad
         for name, freq, c in zip(("field1", "field2", "field3"), (t.f_ba, t.f_cb, t.f_ca), comps):
             object.__setattr__(self, name, DriveField(freq, c))
 
     def mirrored(self) -> "LoopSpec":
-        """Same fields and levels on the mirror triad: the opposite enantiomer."""
-        return replace(self, triad=replace(self.triad, dipole=enantiomer(self.triad.dipole)))
+        """The same drives and levels on the mirror triad: the opposite enantiomer."""
+        mirror = replace(self.triad, dipole=enantiomer(self.triad.dipole))
+        return LoopSpec(mirror, [f.comps for f in (self.field1, self.field2, self.field3)])
 
 
 class DressedStates(NamedTuple):
@@ -530,11 +530,9 @@ def enumerate_pure_polarizations(triad: Triad) -> list[LoopCandidate]:
     first, in that order, whether or not they close (with mu_x = 0 or
     mu_z = 0 none does); the other 21 follow lexicographically.
     """
-    # (sigma1, sigma2, sigma3, M_b, M_c) of every triple, in table order
-    keys = sorted(
-        ((s1, s2, s3, s1, s3) for s1, s2, s3 in itertools.product((-1, 0, 1), repeat=3)),
-        key=lambda k: (TABLE_ROWS.index(k) if k in TABLE_ROWS else len(TABLE_ROWS), k),
-    )
+    # (sigma1, sigma2, sigma3, M_b, M_c) of every triple: the TABLE_ROWS, then the rest in order
+    keys = [(s1, s2, s3, s1, s3) for s1, s2, s3 in itertools.product((-1, 0, 1), repeat=3)]
+    keys = [*TABLE_ROWS, *(k for k in keys if k not in TABLE_ROWS)]
     # unit amplitude on the one component of each drive
     amps = np.array([[[float(s == t) for t in SIGMAS] for s in key[:3]] for key in keys])
     diags = triad.diagnostics(amps, np.zeros_like(amps))

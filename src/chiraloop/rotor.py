@@ -117,12 +117,12 @@ def rotor_levels(constants: RotationalConstants, J: int) -> list[AsymTopLevel]:
 
     tau runs -J..J in that order.  The block splits exactly into the four
     Wang sub-blocks E+, E-, O+, O- of the basis (|K) +- |-K))/sqrt(2), so
-    every level has c(K) = +-c(-K) exactly.  Each tridiagonal sub-block is
-    diagonalized by numpy.linalg.eigh.  Levels are ordered by a stable
-    sort on frequency over the sub-blocks in that fixed order, so exact
-    ties keep a deterministic order; near ties (< 1e-6 MHz) emit a
-    DegenerateLevelsWarning.  Raises ValueError when a level frequency is
-    not finite.
+    every level has c(K) = +-c(-K) exactly, in a read-only array.  Each
+    tridiagonal sub-block is diagonalized by numpy.linalg.eigh.  Levels are
+    ordered by a stable sort on frequency over the sub-blocks in that fixed
+    order, so exact ties keep a deterministic order; near ties (< 1e-6 MHz)
+    emit a DegenerateLevelsWarning.  Raises ValueError when a level
+    frequency is not finite.
     """
     levels, degenerate = _levels(constants, J)
     if degenerate:
@@ -177,6 +177,7 @@ def _levels(constants: RotationalConstants, J: int) -> tuple[list[AsymTopLevel],
     first = (size > 1e-10 * size.max(axis=1, keepdims=True)).argmax(axis=1)
     flip = coeffs[np.arange(n), first] < 0
     coeffs[flip] = -coeffs[flip]
+    coeffs.setflags(write=False)  # its rows are the levels', which callers share
     return [
         AsymTopLevel(J=J, tau=tau, freq=freq, coeffs=vec, k_parity=parities[row])
         for tau, freq, vec, row in zip(range(-J, J + 1), freqs, coeffs, order.tolist())

@@ -991,6 +991,55 @@ def test_loop_phase_canonical(capsys):
     assert rows["loop_phase_rad"] == "3.1416"
 
 
+def _verify_rows(argv: list[str]) -> dict[str, str]:
+    """The quantity -> value rows `loops verify` prints for argv."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(["loops", "verify", "propanediol", *argv]) == 0
+    return dict(line.split() for line in out.getvalue().strip().splitlines()[1:])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(-500, 500),
+    drives=st.sampled_from([["--sigma=1,-1,0"], ["--sigma=0,1,1"], ["--pol=ZXY"], ["--pol=YZX"]]),
+    phases=st.lists(st.floats(-math.pi, math.pi), min_size=3, max_size=3),
+)
+def test_loop_phase_does_not_depend_on_the_drive_scale(k, drives, phases):
+    """All three amplitudes 2**k scale each Omega by 2**k exactly: the loop phase
+    printed is the one at amplitude 1, though the unscaled product overflows for k
+    above about 340 and underflows for k below about -350."""
+    phase = "--phase=" + ",".join(map(repr, phases))
+    unit = _verify_rows([*drives, "--amp=1,1,1", phase])
+    scaled = _verify_rows([*drives, "--amp=" + ",".join([repr(2.0**k)] * 3), phase])
+    assert scaled["loop_phase_rad"] == unit["loop_phase_rad"]
+
+
+def test_verify_at_amplitude_2_to_400_prints_the_unit_loop_phase(capsys):
+    """The whole table at amplitudes 2**400 V/cm, where each |Omega| is near 1e120 MHz
+    and their product would overflow: the loop phase is the one at 1 V/cm."""
+    amp = repr(2.0**400)
+    argv = ["loops", "verify", "propanediol", "--sigma", "1,-1,0", "--amp", f"{amp},{amp},{amp}",
+            "--phase", "0.3,0.2,0.1"]
+    assert run(argv) == 0
+    rows = [
+        ("quantity", "value"),
+        *((name, "0.000e+00") for name in
+          ("|<c'|H|b>|", "|<c''|H|b>|", "|<c|H|b'>|", "|<c|H|b''>|", "residual_max_MHz")),
+        ("|Omega1|_MHz", "9013714317366687716476449457717553294985910468059604874076460259370611119084"
+                         "08389146525498654633262052075764055770398720.0000"),
+        ("|Omega2|_MHz", "1245337076916014543331804896504004932391691298954304412259842296307633447819"
+                         "583034709104913204316219747720143657295151104.0000"),
+        ("|Omega3|_MHz", "2739388614353739257654836468813054947909565850945626268767385413973498717377"
+                         "60906249948048020827149467862568168373354496.0000"),
+        ("ratio", "1.00:1.38:0.30"),
+        ("loop_phase_rad", "1.9708"),  # an overflowing product reads 2.3562, a multiple of pi/4
+        ("closed", "true"),
+    ]
+    width = max(len(value) for _, value in rows)
+    assert capsys.readouterr().out == "".join(f"{q:>16}  {v:>{width}}\n" for q, v in rows)
+
+
 def _module_env() -> dict:
     import chiraloop
 

@@ -310,7 +310,7 @@ def test_contrast_negligible_without_field2(triad_a, dipole):
     """An (effectively) absent middle drive leaves no loop, so no mirror
     asymmetry; zero amplitude itself is not representable in a DriveField."""
     strong = equal_omega_spec(triad_a, dipole, 0.5)
-    spec = LoopSpec(strong.triad, (strong.comps[0], {-1: (1e-12, 0.0)}, strong.comps[2]))
+    spec = LoopSpec(strong.triad, (strong.field1.comps, {-1: (1e-12, 0.0)}, strong.field3.comps))
     for t in (0.4, 1.3, 2.0):
         right, left = enantiomer_contrast(spec, t)
         assert max(abs(r - l) for r, l in zip(right, left)) < 1e-8

@@ -4,7 +4,9 @@ Each module names its chiraloop imports at the top of the file, so the order
 the modules depend on each other (wigner, rotor and fields, then dipole,
 loop, dynamics and cli) is read from the import lines alone.  An import in
 a function body or under `if TYPE_CHECKING:` can hide a cycle from a plain
-`import`, so it counts as an edge here too, and is itself refused.
+`import`, so it counts as an edge here too, and is itself refused.  No
+function body imports any other package either: a module's dependencies
+are all named at its top.
 """
 
 import ast
@@ -71,6 +73,34 @@ def test_import_graph_is_acyclic():
 
 def test_no_chiraloop_import_in_a_function_or_under_type_checking():
     assert [f"{importer} -> {target}" for importer, target, late in _edges() if late] == []
+
+
+def _function_imports(tree: ast.AST) -> list[int]:
+    """The line of every import statement, of any package, inside a function body."""
+    return sorted({
+        node.lineno
+        for function in ast.walk(tree) if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(function) if isinstance(node, (ast.Import, ast.ImportFrom))
+    })
+
+
+def test_no_import_in_a_function_body():
+    found = [f"{path.name}:{line}" for path in SOURCES
+             for line in _function_imports(ast.parse(path.read_text(), str(path)))]
+    assert found == []
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("import os\nfrom . import loop\nif TYPE_CHECKING:\n    from numpy.typing import ArrayLike", []),
+        ("def f():\n    import os", [2]),
+        ("async def f():\n    if x:\n        from os import path", [3]),
+        ("class C:\n    def f(self):\n        def g():\n            import numpy", [4]),
+    ],
+)
+def test_function_imports_are_found_at_any_depth(source, expected):
+    assert _function_imports(ast.parse(source)) == expected
 
 
 @pytest.mark.parametrize(

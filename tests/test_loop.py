@@ -110,6 +110,42 @@ def test_loopspec_needs_three_drives(triad_a, dipole, count):
         LoopSpec(Triad(*triad_a, dipole), comps)
 
 
+def _field_hexes(spec):
+    """The drives of a spec as exact bits: (freq, {sigma: (amplitude, phase)}) per drive."""
+    return [
+        (f.freq.hex(), {s: (a.hex(), p.hex()) for s, (a, p) in f.comps.items()})
+        for f in (spec.field1, spec.field2, spec.field3)
+    ]
+
+
+drive_strategy = st.dictionaries(
+    st.sampled_from((1, 0, -1)),
+    st.tuples(
+        st.floats(0.05, 3.0).flatmap(lambda a: st.sampled_from((a, -a))),
+        st.floats(-1e6, 1e6, allow_nan=False),
+    ),
+    min_size=1,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(comps=st.lists(drive_strategy, min_size=3, max_size=3), extra=drive_strategy)
+def test_loopspec_holds_no_reference_to_the_callers_drives(triad_a, dipole, comps, extra):
+    """A spec, and the mirror built from it, keep the drives as validated at
+    construction, whatever the caller then does to its dicts and list."""
+    spec = LoopSpec(Triad(*triad_a, dipole), comps)
+    fields, verdict = _field_hexes(spec), repr(loop_diagnostics(spec))
+    comps[0].update(extra)
+    comps[1].clear()
+    comps[2] = extra
+    comps.append(extra)
+    assert _field_hexes(spec) == fields
+    assert repr(loop_diagnostics(spec)) == verdict
+    assert _field_hexes(spec.mirrored()) == fields
+    assert spec.mirrored().mirrored() == spec
+    assert not hasattr(spec, "comps")  # the drives as given are not kept
+
+
 # ---------------------------------------------------------------------------
 # dressed states
 

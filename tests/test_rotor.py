@@ -16,6 +16,7 @@ from chiraloop.rotor import (
     OrderingError,
     RangeError,
     RotationalConstants,
+    _levels,
     rotor_hamiltonian_block,
     rotor_levels,
     transition_frequency,
@@ -283,6 +284,21 @@ def test_eigenvectors_orthonormal_and_phase_fixed(triple, J):
     for level in levels:
         leading = next(x for x in level.coeffs if abs(x) > 1e-10 * np.abs(level.coeffs).max())
         assert leading > 0
+
+
+@pytest.mark.filterwarnings("ignore::chiraloop.rotor.DegenerateLevelsWarning")
+@settings(max_examples=30, deadline=None)
+@given(triple=constants_strategy, J=st.integers(0, 6))
+def test_level_coefficients_are_read_only(triple, J):
+    """Levels are shared (between commands, and between a triad and its mirror),
+    so no holder can write into the coefficients the others read."""
+    constants = _constants_from(triple)
+    for levels in (rotor_levels(constants, J), _levels(constants, J)[0]):
+        for level in levels:
+            with pytest.raises(ValueError, match="read-only"):
+                level.coeffs[J] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                level.coeffs *= 2.0
 
 
 def test_j1_closed_form_generic():
