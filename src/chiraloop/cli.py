@@ -13,7 +13,6 @@ import functools
 import math
 import os
 import sys
-from collections.abc import Iterator
 from pathlib import Path
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -37,7 +36,7 @@ _AXES = {"X": (1.0, 0.0, 0.0), "Y": (0.0, 1.0, 0.0), "Z": (0.0, 0.0, 1.0)}
 # K rows of `levels`): it bounds the float columns held in memory and the run
 # time, as the text is written a block at a time.
 MAX_TABLE_ROWS = 1_000_000
-MEMO_ENTRIES = 16  # kept by each CLI memo: parsed bundled molecules, each molecule's triads
+MEMO_ENTRIES = 16  # molecules whose triads the CLI keeps
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by it
 
 
@@ -105,8 +104,9 @@ def parse_molecule_config(text: str) -> MoleculeConfig:
 _DATA = Path(__file__).with_name("data")
 
 
-def bundled_molecules() -> list[str]:
-    return sorted(p.name[: -len(".mol")] for p in _DATA.iterdir() if p.name.endswith(".mol"))
+@functools.cache  # package data cannot change while the process runs
+def bundled_molecules() -> tuple[str, ...]:
+    return tuple(sorted(p.name[: -len(".mol")] for p in _DATA.iterdir() if p.name.endswith(".mol")))
 
 
 def _read_molecule(path: Path, name_or_path: str) -> MoleculeConfig | None:
@@ -120,15 +120,17 @@ def _read_molecule(path: Path, name_or_path: str) -> MoleculeConfig | None:
     return None if text is None else parse_molecule_config(text)
 
 
-@functools.lru_cache(maxsize=MEMO_ENTRIES)  # package data cannot change while the process runs
-def _bundled_config(name: str) -> MoleculeConfig | None:
-    return _read_molecule(_DATA / f"{name}.mol", name) if name in bundled_molecules() else None
+@functools.cache  # one entry per bundled molecule
+def _bundled_config(name: str) -> MoleculeConfig:
+    return _read_molecule(_DATA / f"{name}.mol", name)
 
 
 def load_molecule(name_or_path: str) -> MoleculeConfig:
     """Load a bundled molecule by name (parsed once per process) or any molecule
     config file by path (read on every call, as the file can change)."""
-    config = _bundled_config(name_or_path) or _read_molecule(Path(name_or_path), name_or_path)
+    if name_or_path in bundled_molecules():
+        return _bundled_config(name_or_path)
+    config = _read_molecule(Path(name_or_path), name_or_path)
     if config is None:
         raise ParseError(
             f"unknown molecule '{name_or_path}' (bundled: {', '.join(bundled_molecules())})"
@@ -193,6 +195,8 @@ def _parse_general_field(text: str) -> dict[int, tuple[float, float]]:
             raise ValueError(f"--field: could not parse component {part!r}") from None
         if sigma in comps:
             raise ValueError(f"--field {text!r} gives sigma={sigma} more than once")
+        if amp < 0:
+            raise ValueError(f"--field component {part!r}: amplitude must be >= 0")
         comps[sigma] = (amp, phase)
     return comps
 
@@ -214,6 +218,8 @@ def _drive_components(args) -> list[dict[int, tuple[float, float]]]:
         if len(text) != 3:
             raise ValueError("--field must be given exactly three times")
         return [_parse_general_field(field) for field in text]
+    if any(amp < 0 for amp in amps):
+        raise ValueError(f"--amp values must be >= 0, got {args.amp!r}")
     axes = [_AXES.get(ch.upper()) for ch in text]
     if option == "pol" and (len(axes) != 3 or None in axes):
         raise ValueError(f"--pol must be three of X, Y, Z, got {text!r}")
@@ -445,17 +451,28 @@ def cmd_loops_verify(args) -> int:
     return 0
 
 
-def _sampled_verdicts(triad: loop.Triad, rng: np.random.Generator, n: int,
-                      orthogonal: bool) -> Iterator[tuple[np.ndarray, Iterator[loop.LoopDiagnostics]]]:
-    """n standard-normal 3x3 frames as one rng.normal(size=(n, 3, 3)) draw gives them, or
-    their Q factors transposed if orthogonal, LOOP_BATCH_ROWS at a time, each chunk with the
-    verdicts for unit linear drives 1, 2, 3 along frames[k, 0], [k, 1], [k, 2]."""
+def _sampled_counts(triad: loop.Triad, rng: np.random.Generator, n: int,
+                    orthogonal: bool) -> tuple[int, int, bool, float]:
+    """Unit linear drives 1, 2, 3 along frames[k, 0], [k, 1], [k, 2] of n standard-normal 3x3
+    frames as one rng.normal(size=(n, 3, 3)) draw gives them, or of their Q factors transposed
+    if orthogonal, judged LOOP_BATCH_ROWS at a time, so memory does not grow with n: how many
+    close, how many have orthogonal axes, whether those agree on every frame, the largest residual."""
+    n_closed = n_orthogonal = 0
+    agree, largest = True, 0.0
     for start in range(0, n, loop.LOOP_BATCH_ROWS):
         frames = rng.normal(size=(min(loop.LOOP_BATCH_ROWS, n - start), 3, 3))
         if orthogonal:
             frames = np.linalg.qr(frames)[0].transpose(0, 2, 1)
+        units = frames / np.linalg.norm(frames, axis=2, keepdims=True)
+        dots = np.abs(units @ units.transpose(0, 2, 1))[:, (0, 0, 1), (1, 2, 2)]
         amps, phases = stacked_linear_components(frames.reshape(-1, 3))
-        yield frames, triad.diagnostics(amps.reshape(-1, 3, 3), phases.reshape(-1, 3, 3))
+        verdicts = triad.diagnostics(amps.reshape(-1, 3, 3), phases.reshape(-1, 3, 3))
+        for diag, at_right_angles in zip(verdicts, (dots.max(axis=1) < 1e-8).tolist()):
+            n_closed += diag.closed
+            n_orthogonal += at_right_angles
+            agree = agree and diag.closed == at_right_angles
+            largest = max(largest, diag.max_residual)
+    return n_closed, n_orthogonal, agree, largest
 
 
 def cmd_loops_sample(args) -> int:
@@ -465,29 +482,9 @@ def cmd_loops_sample(args) -> int:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
     triad = _triad(load_molecule(args.molecule), args.triad)
     rng = np.random.default_rng(args.seed)
-
-    # frames are drawn, projected and judged one chunk at a time, so memory
-    # does not grow with --samples
     n_orth = max(1, args.samples // 10)
-    closed_random = 0
-    orthogonal_random = 0
-    consistent = True
-    for dirs, verdicts in _sampled_verdicts(triad, rng, args.samples, orthogonal=False):
-        closed = np.fromiter((d.closed for d in verdicts), bool, len(dirs))
-        units = dirs / np.linalg.norm(dirs, axis=2, keepdims=True)
-        dots = np.abs(units @ units.transpose(0, 2, 1))[:, (0, 0, 1), (1, 2, 2)]
-        orthogonal = dots.max(axis=1) < 1e-8
-        closed_random += int(closed.sum())
-        orthogonal_random += int(orthogonal.sum())
-        consistent &= bool((closed == orthogonal).all())
-
-    closed_orth = 0
-    max_residual_orth = 0.0
-    for _, verdicts in _sampled_verdicts(triad, rng, n_orth, orthogonal=True):
-        for diag in verdicts:
-            closed_orth += diag.closed
-            max_residual_orth = max(max_residual_orth, diag.max_residual)
-
+    closed_random, orthogonal_random, agree, _ = _sampled_counts(triad, rng, args.samples, False)
+    closed_orth, _, _, max_residual_orth = _sampled_counts(triad, rng, n_orth, True)
     rows = [
         ["random_samples", str(args.samples)],
         ["random_closed", str(closed_random)],
@@ -495,7 +492,7 @@ def cmd_loops_sample(args) -> int:
         ["orthogonal_samples", str(n_orth)],
         ["orthogonal_closed", str(closed_orth)],
         ["orthogonal_max_residual", f"{max_residual_orth:.3e}"],
-        ["closure_iff_orthogonal", "true" if consistent and closed_orth == n_orth else "false"],
+        ["closure_iff_orthogonal", "true" if agree and closed_orth == n_orth else "false"],
     ]
     _emit(["quantity", "value"], rows, args.csv)
     return 0

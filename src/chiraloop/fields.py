@@ -12,7 +12,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -70,10 +71,10 @@ def _complex(re, im) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DriveField:
-    """Monochromatic drive: freq in MHz, per-sigma (amplitude V/cm, phase rad)."""
+    """Monochromatic drive: freq in MHz, per-sigma (amplitude V/cm, phase rad), read-only."""
 
     freq: float
-    comps: dict[int, tuple[float, float]]
+    comps: Mapping[int, tuple[float, float]]
 
     def __post_init__(self):
         if not math.isfinite(self.freq):
@@ -90,7 +91,7 @@ class DriveField:
                 norm[sigma] = (amp, _wrap_phase(phase))
         if not norm:
             raise ValueError("drive field needs at least one nonzero amplitude")
-        object.__setattr__(self, "comps", norm)
+        object.__setattr__(self, "comps", MappingProxyType(norm))
 
     def amplitude(self, sigma: int) -> float:
         return self.comps.get(sigma, (0.0, 0.0))[0]

@@ -67,7 +67,7 @@ class RotationalConstants:
             )
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class AsymTopLevel:
     """One asymmetric-top level |J,tau> with its prolate-basis expansion.
 

@@ -7,6 +7,7 @@ import io
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -339,6 +340,52 @@ def test_loops_sample_seed_reproducible(capsys):
     assert first == second
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**63), samples=st.integers(0, 40), which=st.sampled_from("abc"))
+def test_loops_sample_counts_each_frame_as_one_spec_judges_it(seed, samples, which):
+    """loops sample's table is that of its frames, re-drawn here from the seed (the random
+    family, then the orthogonal one) and each judged alone by verify_linear_orthogonality."""
+    rng = np.random.default_rng(seed)
+    n_orth = max(1, samples // 10)
+    random_frames = rng.normal(size=(samples, 3, 3))
+    orthogonal_frames = np.linalg.qr(rng.normal(size=(n_orth, 3, 3)))[0].transpose(0, 2, 1)
+    triad = cli._triad(load_molecule("propanediol"), which)
+    closed = [loop.verify_linear_orthogonality(*frame, triad)[0] for frame in random_frames]
+    at_right_angles = [max(abs(u @ v) / math.sqrt((u @ u) * (v @ v))
+                           for u, v in ((f[0], f[1]), (f[0], f[2]), (f[1], f[2]))) < 1e-8
+                       for f in random_frames]
+    orthogonal = [loop.verify_linear_orthogonality(*frame, triad) for frame in orthogonal_frames]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(["loops", "sample", "propanediol", f"--triad={which}",
+                    f"--samples={samples}", f"--seed={seed}"])
+    assert code == 0
+    assert dict(line.split() for line in out.getvalue().splitlines()[1:]) == {
+        "random_samples": str(samples),
+        "random_closed": str(sum(closed)),
+        "random_orthogonal": str(sum(at_right_angles)),
+        "orthogonal_samples": str(n_orth),
+        "orthogonal_closed": str(sum(c for c, _ in orthogonal)),
+        "orthogonal_max_residual": f"{max(r for _, r in orthogonal):.3e}",
+        "closure_iff_orthogonal": "true" if closed == at_right_angles and all(c for c, _ in orthogonal)
+                                  else "false",
+    }
+
+
+def test_readme_command_line_examples_run(tmp_path, monkeypatch, capsys):
+    """Every `chiraloop ...` line of README's "Command line" block exits 0 with
+    nothing on stderr."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True)
+                for line in block.splitlines() if line.startswith("chiraloop ")]
+    assert len(commands) == 8
+    monkeypatch.chdir(tmp_path)  # where a --csv example would write
+    for argv in commands:
+        assert run(argv[1:]) == 0, argv
+        assert capsys.readouterr().err == "", argv
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -506,6 +553,32 @@ def test_rewritten_molecule_file_is_read_again(tmp_path, capsys):
     cli._molecule_triads.cache_clear()
     assert run(["transitions", str(path)]) == 0
     assert capsys.readouterr().out == outputs[1] != outputs[0]
+
+
+def test_a_bundled_molecule_is_parsed_once_among_molecule_files(tmp_path, monkeypatch):
+    """propanediol, 20 molecule files and propanediol again: propanediol is parsed
+    once, each file once, only bundled names are memoized, and the data directory
+    is not listed again."""
+    parsed = []
+
+    def counting(text):
+        parsed.append(text)
+        return parse_molecule_config(text)
+
+    monkeypatch.setattr(cli, "parse_molecule_config", counting)
+    cli._bundled_config.cache_clear()
+    paths = []
+    for i in range(20):
+        paths.append(tmp_path / f"demo{i}.mol")
+        paths[-1].write_text(GOOD_CONFIG.replace("name = demo", f"name = demo{i}"))
+    listings = cli.bundled_molecules.cache_info().misses
+    first = load_molecule("propanediol")
+    assert [load_molecule(str(path)).name for path in paths] == [f"demo{i}" for i in range(20)]
+    assert load_molecule("propanediol") is first
+    assert len(parsed) == 21
+    info = cli._bundled_config.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    assert cli.bundled_molecules.cache_info().misses == listings
 
 
 def test_repeated_verdicts_build_the_levels_once(monkeypatch, capsys):
@@ -683,6 +756,37 @@ def test_unparsable_field_component_names_it(component, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["loops", "verify", "propanediol", "--pol", "ZXY", "--amp", "-1,1,1"],
+         "--amp values must be >= 0, got '-1,1,1'"),
+        (["loops", "verify", "propanediol", "--sigma", "1,-1,0", "--amp", "1,-0.5,1"],
+         "--amp values must be >= 0, got '1,-0.5,1'"),
+        (["contrast", "propanediol", "--config", "ZXY", "--amp", "1,1,-inf", "--t", "0.1"],
+         "--amp values must be >= 0, got '1,1,-inf'"),
+        (["simulate", "propanediol", "--config", "1,-1,0", "--amp", "-1,1,1", "--t", "0.1"],
+         "--amp values must be >= 0, got '-1,1,1'"),
+        (["loops", "verify", "propanediol", "--field=1:-1:0", "--field=-1:1:0", "--field=0:1:0"],
+         "--field component '1:-1:0': amplitude must be >= 0"),
+    ],
+    ids=["pol", "sigma", "config-axes", "config-sigmas", "field"],
+)
+def test_negative_amplitude_is_refused_naming_its_option(argv, message, capsys):
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_negative_zero_amplitude_passes_the_sign_check(capsys):
+    """-0.0 is not negative: beside another component it is an absent one, and alone
+    it is a drive of zero amplitude."""
+    fields = ["--field=1:-0.0:0,0:1:0", "--field=-1:1:0", "--field=0:1:0"]
+    assert run(["loops", "verify", "propanediol", *fields]) == 0
+    assert capsys.readouterr().err == ""
+    assert run(["loops", "verify", "propanediol", "--sigma", "1,-1,0", "--amp", "-0.0,1,1"]) == 2
+    assert capsys.readouterr().err == "error: drive field needs at least one nonzero amplitude\n"
+
+
 def test_internal_error_exits_1_with_one_line(monkeypatch, capsys):
     """An exception that is not a ValueError is a fault of the program: exit 1, one line."""
     def broken(args):
@@ -705,7 +809,7 @@ def test_internal_error_exits_1_with_one_line(monkeypatch, capsys):
         (["loops", "verify", "propanediol", "--pol", "ZXY"], "--amp", "-1,0.75,2.75", 2),
         # an option prefix that the parser expands
         (["loops", "verify", "propanediol"], "--sig", "-1,1,0", 0),
-        # "-" and a letter: reach the finiteness checks of linear_components and DriveField
+        # "-" and a letter: reach the CLI's sign check and DriveField's finiteness check
         (["loops", "verify", "propanediol", "--pol", "ZXY"], "--amp", "-inf,1,1", 2),
         (["loops", "verify", "propanediol", "--sigma", "1,-1,0"], "--amp", "-nan,1,1", 2),
     ],

@@ -146,6 +146,20 @@ def test_loopspec_holds_no_reference_to_the_callers_drives(triad_a, dipole, comp
     assert not hasattr(spec, "comps")  # the drives as given are not kept
 
 
+@pytest.mark.parametrize("sigma", [0, 5])
+def test_a_specs_drive_components_cannot_be_changed(triad_a, dipole, sigma):
+    """A sigma added to a validated drive would open a closed loop (0) or
+    index past the coupling block (5): the components are read-only."""
+    spec = LoopSpec(Triad(*triad_a, dipole), [{1: (1.0, 0.0)}, {-1: (1.0, 0.0)}, {0: (1.0, 0.0)}])
+    verdict = loop_diagnostics(spec)
+    assert verdict.closed
+    with pytest.raises(TypeError):
+        spec.field2.comps[sigma] = (1.0, 0.0)
+    assert spec.field2.comps == {-1: (1.0, 0.0)}
+    assert loop_diagnostics(spec) == verdict
+    dynamics.assemble_full_hamiltonian(spec)
+
+
 # ---------------------------------------------------------------------------
 # dressed states
 

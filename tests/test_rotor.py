@@ -1,6 +1,7 @@
 """Rotor block construction, eigenpairs against numpy's solver, closed forms,
 and the loop-built route as a bit-for-bit oracle."""
 
+import dataclasses
 import math
 import warnings
 
@@ -291,7 +292,8 @@ def test_eigenvectors_orthonormal_and_phase_fixed(triple, J):
 @given(triple=constants_strategy, J=st.integers(0, 6))
 def test_level_coefficients_are_read_only(triple, J):
     """Levels are shared (between commands, and between a triad and its mirror),
-    so no holder can write into the coefficients the others read."""
+    so no holder can write into the coefficients the others read, or rebind
+    any field of a level."""
     constants = _constants_from(triple)
     for levels in (rotor_levels(constants, J), _levels(constants, J)[0]):
         for level in levels:
@@ -299,6 +301,9 @@ def test_level_coefficients_are_read_only(triple, J):
                 level.coeffs[J] = 1.0
             with pytest.raises(ValueError, match="read-only"):
                 level.coeffs *= 2.0
+            for field in dataclasses.fields(level):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(level, field.name, getattr(level, field.name))
 
 
 def test_j1_closed_form_generic():
