@@ -14,8 +14,8 @@ import math
 import os
 import sys
 from pathlib import Path
-from types import SimpleNamespace
-from typing import NamedTuple
+from types import MappingProxyType, SimpleNamespace
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -104,11 +104,6 @@ def parse_molecule_config(text: str) -> MoleculeConfig:
 _DATA = Path(__file__).with_name("data")
 
 
-@functools.cache  # package data cannot change while the process runs
-def bundled_molecules() -> tuple[str, ...]:
-    return tuple(sorted(p.name[: -len(".mol")] for p in _DATA.iterdir() if p.name.endswith(".mol")))
-
-
 def _read_molecule(path: Path, name_or_path: str) -> MoleculeConfig | None:
     """The molecule config file at path parsed, or None when there is no file there."""
     try:
@@ -120,17 +115,17 @@ def _read_molecule(path: Path, name_or_path: str) -> MoleculeConfig | None:
     return None if text is None else parse_molecule_config(text)
 
 
-@functools.cache  # one entry per bundled molecule
-def _bundled_config(name: str) -> MoleculeConfig:
-    return _read_molecule(_DATA / f"{name}.mol", name)
+@functools.cache  # package data cannot change while the process runs
+def bundled_molecules() -> Mapping[str, MoleculeConfig]:
+    """Each bundled molecule's config by name, in name order: data/ listed and parsed once."""
+    names = sorted(p.name[: -len(".mol")] for p in _DATA.iterdir() if p.name.endswith(".mol"))
+    return MappingProxyType({name: _read_molecule(_DATA / f"{name}.mol", name) for name in names})
 
 
 def load_molecule(name_or_path: str) -> MoleculeConfig:
     """Load a bundled molecule by name (parsed once per process) or any molecule
     config file by path (read on every call, as the file can change)."""
-    if name_or_path in bundled_molecules():
-        return _bundled_config(name_or_path)
-    config = _read_molecule(Path(name_or_path), name_or_path)
+    config = bundled_molecules().get(name_or_path) or _read_molecule(Path(name_or_path), name_or_path)
     if config is None:
         raise ParseError(
             f"unknown molecule '{name_or_path}' (bundled: {', '.join(bundled_molecules())})"
@@ -195,46 +190,48 @@ def _parse_general_field(text: str) -> dict[int, tuple[float, float]]:
             raise ValueError(f"--field: could not parse component {part!r}") from None
         if sigma in comps:
             raise ValueError(f"--field {text!r} gives sigma={sigma} more than once")
+        if sigma not in (-1, 0, 1):
+            raise ValueError(f"--field component {part!r}: sigma must be -1, 0 or 1")
         if amp < 0:
             raise ValueError(f"--field component {part!r}: amplitude must be >= 0")
         comps[sigma] = (amp, phase)
     return comps
 
 
-def _drive_components(args) -> list[dict[int, tuple[float, float]]]:
-    """The three drives' {sigma: (amplitude, phase)} from the one drive option given, which
-    each error names; --config reads as axes when it is three of X, Y, Z, else as sigmas."""
+def _loop_spec(args) -> loop.LoopSpec:
+    """The loop of a command's options, read in one order: the molecule; the one drive option's
+    form and signs, each error naming it (--config is axes when three of X, Y, Z, else sigmas);
+    the triad's name, warning and any refusal; only then the drive values, as the library checks them."""
+    config = load_molecule(args.molecule)
     amps = _split3(args.amp, "amp", float) if args.amp is not None else (1.0, 1.0, 1.0)
     phases = _split3(args.phase, "phase", float) if args.phase is not None else (0.0, 0.0, 0.0)
-
     given = [(name, value) for name, value in vars(args).items()
              if name in ("pol", "sigma", "field", "config") and value not in (None, [])]
     if len(given) != 1:
         raise ValueError("specify the drives with exactly one of --pol, --sigma, --field")
     [(option, text)] = given
+    axes = None  # three linear drives' axes, whose values are read after the triad
     if option == "field":
         if args.amp is not None or args.phase is not None:
             raise ValueError("--field takes no --amp or --phase: each component gives its own")
         if len(text) != 3:
             raise ValueError("--field must be given exactly three times")
-        return [_parse_general_field(field) for field in text]
-    if any(amp < 0 for amp in amps):
+        comps = [_parse_general_field(field) for field in text]
+    elif any(amp < 0 for amp in amps):
         raise ValueError(f"--amp values must be >= 0, got {args.amp!r}")
-    axes = [_AXES.get(ch.upper()) for ch in text]
-    if option == "pol" and (len(axes) != 3 or None in axes):
+    elif option != "sigma" and len(text) == 3 and all(ch.upper() in _AXES for ch in text):
+        axes = [_AXES[ch.upper()] for ch in text]
+    elif option == "pol":
         raise ValueError(f"--pol must be three of X, Y, Z, got {text!r}")
-    if option == "pol" or option == "config" and len(axes) == 3 and None not in axes:
-        return [linear_components(axis, a, p) for axis, a, p in zip(axes, amps, phases)]
-    sigmas = _split3(text, option, int)
-    if any(s not in (-1, 0, 1) for s in sigmas):
-        raise ValueError(f"--{option} components must be -1, 0 or 1, got {text!r}")
-    return [{s: (amp, phase)} for s, amp, phase in zip(sigmas, amps, phases)]
-
-
-def _loop_spec(args) -> loop.LoopSpec:
-    config = load_molecule(args.molecule)
-    comps = _drive_components(args)
-    return loop.LoopSpec(_triad(config, args.triad), comps)
+    else:
+        sigmas = _split3(text, option, int)
+        if any(s not in (-1, 0, 1) for s in sigmas):
+            raise ValueError(f"--{option} components must be -1, 0 or 1, got {text!r}")
+        comps = [{s: (amp, phase)} for s, amp, phase in zip(sigmas, amps, phases)]
+    triad = _triad(config, args.triad)
+    if axes:
+        comps = [linear_components(axis, a, p) for axis, a, p in zip(axes, amps, phases)]
+    return loop.LoopSpec(triad, comps)
 
 
 def _csv_field(text: str) -> str:

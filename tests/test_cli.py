@@ -29,6 +29,7 @@ from chiraloop.cli import (
     parse_molecule_config,
     run,
 )
+from chiraloop.fields import linear_components
 from chiraloop.rotor import RangeError
 
 GOOD_CONFIG = """\
@@ -525,6 +526,88 @@ def test_errors_keep_their_order_around_the_warning(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("bad", ["inf amplitude", "nan phase"])
+@pytest.mark.parametrize(
+    "command, drive, error",
+    [
+        ("loops verify", "--pol=ZXY", "amplitude must be finite and >= 0, phase finite"),
+        ("loops verify", "--sigma=1,-1,0", "sigma=1: amplitude and phase must be finite"),
+        ("loops verify", "--field", "sigma=1: amplitude and phase must be finite"),
+        ("simulate", "--config=ZXY", "amplitude must be finite and >= 0, phase finite"),
+        ("simulate", "--config=1,-1,0", "sigma=1: amplitude and phase must be finite"),
+        ("contrast", "--config=ZXY", "amplitude must be finite and >= 0, phase finite"),
+        ("contrast", "--config=1,-1,0", "sigma=1: amplitude and phase must be finite"),
+    ],
+    ids=["pol", "sigma", "field", "simulate-axes", "simulate-sigmas", "contrast-axes",
+         "contrast-sigmas"],
+)
+def test_every_drive_option_reads_its_values_after_the_triad(tmp_path, capsys, command, drive,
+                                                            error, bad):
+    """On the A = B top, a non-finite drive value is read after the triad under every
+    drive option: triad a gives the warning and then the value's error, an unknown
+    triad only its name's error, and triad b the warning and then the triad's refusal."""
+    path = tmp_path / "oblate.mol"
+    path.write_text(GOOD_CONFIG.replace("8572.05", "5000").replace("3640.10", "5000")
+                    .replace("2790.96", "3000"))
+    if drive == "--field":
+        drives = ["--field=1:inf:0" if bad == "inf amplitude" else "--field=1:1:nan",
+                  "--field=-1:1:0", "--field=0:1:0"]
+    else:
+        drives = [drive, "--amp=inf,1,1" if bad == "inf amplitude" else "--phase=nan,0,0"]
+    warning = ("warning: degenerate levels in the J = 1 blocks; "
+               "their tau order is not physically defined\n")
+    for triad, err in [("a", f"{warning}error: {error}\n"),
+                       ("x", "error: triad must be one of a, b, c; got 'x'\n"),
+                       ("b", f"{warning}error: upper level at 8000.0 MHz is not above lower "
+                             "at 8000.0 MHz\n")]:
+        assert run([*command.split(), str(path), "--triad", triad, *drives]) == 2
+        assert capsys.readouterr() == ("", err)
+
+
+def test_field_sigma_outside_the_three_is_refused_naming_the_option(tmp_path, capsys):
+    """A --field sigma is checked with the component's form, before the triad, so the
+    A = B top gives the same one line as propanediol, and no warning."""
+    path = tmp_path / "oblate.mol"
+    path.write_text(GOOD_CONFIG.replace("8572.05", "5000").replace("3640.10", "5000")
+                    .replace("2790.96", "3000"))
+    for molecule in ("propanediol", str(path)):
+        assert run(["loops", "verify", molecule, "--field=2:1:0", "--field=-1:1:0",
+                    "--field=0:1:0"]) == 2
+        assert capsys.readouterr() == ("", "error: --field component '2:1:0': sigma must be -1, 0 or 1\n")
+        assert run(["loops", "verify", molecule, "--field=1:1:0", "--field=-1:1:0,-2:1:0",
+                    "--field=0:1:0"]) == 2
+        assert capsys.readouterr() == ("", "error: --field component '-2:1:0': sigma must be -1, 0 or 1\n")
+
+
+def _captured(argv: list[str]) -> tuple[int, str, str]:
+    """run(argv)'s exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    triad=st.sampled_from("abc"),
+    axes=st.text("XYZ", min_size=3, max_size=3),
+    amps=st.lists(st.one_of(st.sampled_from([2.0**-500, 2.0**500]), st.floats(2.0**-500, 2.0**500)),
+                  min_size=3, max_size=3),
+    phases=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3),
+)
+def test_pol_and_its_field_spelling_give_one_spec(triad, axes, amps, phases):
+    """--pol P --amp A --phase F and the same drives as three --field options, each
+    component's amplitude and phase spelled by repr from linear_components, print the
+    same bytes: the two spellings build one spec."""
+    verify = ["loops", "verify", "propanediol", f"--triad={triad}"]
+    fields = [",".join(f"{s}:{a!r}:{p!r}" for s, (a, p) in
+                       linear_components(cli._AXES[axis], amp, phase).items())
+              for axis, amp, phase in zip(axes, amps, phases)]
+    linear = _captured([*verify, f"--pol={axes}", f"--amp={','.join(map(repr, amps))}",
+                        f"--phase={','.join(map(repr, phases))}"])
+    assert _captured([*verify, *(f"--field={f}" for f in fields)]) == linear
+
+
 def test_degenerate_triad_gives_one_error_text(tmp_path, capsys):
     """On A = B the two lowest J = 1 levels coincide, so triad b has no
     b -> c line: the line table and the verdict refuse it with one message."""
@@ -557,8 +640,8 @@ def test_rewritten_molecule_file_is_read_again(tmp_path, capsys):
 
 def test_a_bundled_molecule_is_parsed_once_among_molecule_files(tmp_path, monkeypatch):
     """propanediol, 20 molecule files and propanediol again: propanediol is parsed
-    once, each file once, only bundled names are memoized, and the data directory
-    is not listed again."""
+    once, each file once, the data directory is listed once, and the one memo, the
+    bundled catalog, holds the bundled names and no file path."""
     parsed = []
 
     def counting(text):
@@ -566,19 +649,18 @@ def test_a_bundled_molecule_is_parsed_once_among_molecule_files(tmp_path, monkey
         return parse_molecule_config(text)
 
     monkeypatch.setattr(cli, "parse_molecule_config", counting)
-    cli._bundled_config.cache_clear()
+    cli.bundled_molecules.cache_clear()
     paths = []
     for i in range(20):
         paths.append(tmp_path / f"demo{i}.mol")
         paths[-1].write_text(GOOD_CONFIG.replace("name = demo", f"name = demo{i}"))
-    listings = cli.bundled_molecules.cache_info().misses
     first = load_molecule("propanediol")
     assert [load_molecule(str(path)).name for path in paths] == [f"demo{i}" for i in range(20)]
     assert load_molecule("propanediol") is first
     assert len(parsed) == 21
-    info = cli._bundled_config.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
-    assert cli.bundled_molecules.cache_info().misses == listings
+    info = cli.bundled_molecules.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (21, 1, 1)
+    assert not {str(path) for path in paths} & set(bundled_molecules())
 
 
 def test_repeated_verdicts_build_the_levels_once(monkeypatch, capsys):
