@@ -230,7 +230,7 @@ def _loop_spec(args) -> loop.LoopSpec:
         comps = [{s: (amp, phase)} for s, amp, phase in zip(sigmas, amps, phases)]
     triad = _triad(config, args.triad)
     if axes:
-        comps = [linear_components(axis, a, p) for axis, a, p in zip(axes, amps, phases)]
+        comps = loop._per_drive(linear_components, axes, amps, phases)
     return loop.LoopSpec(triad, comps)
 
 
@@ -243,10 +243,11 @@ def _csv_field(text: str) -> str:
 def _quad_table() -> np.ndarray:
     """Four characters as uint32: 0 to 9999 with their leading zeros ("0042"), then with
     blanks for them ("   0", "  42"), then four blanks."""
-    i, places = np.arange(10**4)[:, None], 10 ** np.arange(3, -1, -1)
-    zeros = i // places % 10 + 48
-    blanks = np.where((i < places) & (places > 1), 32, zeros)
-    return np.concatenate([zeros, blanks, [[32] * 4]]).astype(np.uint8).view(np.uint32).ravel()
+    digits = np.arange(48, 58, dtype=np.uint8)  # ASCII "0" to "9"
+    zeros = np.stack(np.meshgrid(digits, digits, digits, digits, indexing="ij"), -1).reshape(-1, 4)
+    blanks = zeros.copy()
+    blanks[:1000, 0], blanks[:100, 1], blanks[:10, 2] = 32, 32, 32
+    return np.concatenate([zeros, blanks, np.full((1, 4), 32, np.uint8)]).view(np.uint32).ravel()
 
 
 def _rounded(x: np.ndarray, n: int | None) -> tuple[np.ndarray, np.ndarray]:

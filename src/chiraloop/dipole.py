@@ -128,13 +128,15 @@ def reduced_matrix_element(
     Sums c_upper(K_u) * c_lower(K_l) * (sign * W) over the pair's tabulated
     coupling terms per sigma, then contracts with the spherical dipole.
     Terms off the levels' k_parity multiply a coefficient of exactly +-0.0,
-    so only the levels' parity group is read and every bit stays.  Exactly
-    zero when |J_upper - J_lower| > 1 (triangle rule).
+    so only the levels' parity group is read and every bit stays.  The
+    coefficients come from each level's coeff_tuple, one conversion that
+    every element of the level reads.  Exactly zero when |J_upper -
+    J_lower| > 1 (triangle rule).
     """
     if abs(upper.J - lower.J) > 1:
         return ReducedElement(0j)
     norm, groups = _coupling_terms(upper.J, lower.J)
-    cu, cl = upper.coeffs.tolist(), lower.coeffs.tolist()
+    cu, cl = upper.coeff_tuple, lower.coeff_tuple
     total = 0j
     for mu_s, terms in zip(d._spherical, groups[upper.k_parity][lower.k_parity]):
         if mu_s == 0:

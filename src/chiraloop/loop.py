@@ -98,6 +98,18 @@ class ResonanceAmbiguityError(ValueError):
     """Two transitions of a triad lie so close that one drive can be resonant with both."""
 
 
+def _per_drive(func, *iterables) -> list:
+    """list(map(func, *iterables)) over drives 1, 2, 3, in that order; a
+    ValueError it raises names its drive ("drive 2: ...")."""
+    out = []
+    for n, args in enumerate(zip(*iterables), 1):
+        try:
+            out.append(func(*args))
+        except ValueError as exc:
+            raise ValueError(f"drive {n}: {exc}") from exc
+    return out
+
+
 @dataclass(frozen=True)
 class LoopSpec:
     """A triad (its levels and dipole) under three resonant drives.
@@ -119,8 +131,9 @@ class LoopSpec:
         if len(comps) != 3:
             raise ValueError(f"a LoopSpec takes three drives' components, got {len(comps)}")
         t = self.triad
-        for name, freq, c in zip(("field1", "field2", "field3"), (t.f_ba, t.f_cb, t.f_ca), comps):
-            object.__setattr__(self, name, DriveField(freq, c))
+        drives = _per_drive(DriveField, (t.f_ba, t.f_cb, t.f_ca), comps)
+        for name, drive in zip(("field1", "field2", "field3"), drives):
+            object.__setattr__(self, name, drive)
 
     def mirrored(self) -> "LoopSpec":
         """The same drives and levels on the mirror triad: the opposite enantiomer."""
@@ -192,7 +205,8 @@ def _drive_arrays(spec: LoopSpec):
     fields = (spec.field1, spec.field2, spec.field3)
     comps = [[f.comps.get(sigma, (0.0, 0.0)) for sigma in SIGMAS] for f in fields]
     amps = [[amp for amp, _ in drive] for drive in comps]
-    return amps, [[phase for _, phase in drive] for drive in comps], [f.total for f in fields]
+    totals = _per_drive(lambda f: f.total, fields)
+    return amps, [[phase for _, phase in drive] for drive in comps], totals
 
 
 def _dressed(trig1, trig3, e1, e3) -> np.ndarray:

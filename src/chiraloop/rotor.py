@@ -12,6 +12,7 @@ from __future__ import annotations
 import operator
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -82,6 +83,12 @@ class AsymTopLevel:
     freq: float
     coeffs: np.ndarray
     k_parity: int
+
+    @cached_property
+    def coeff_tuple(self) -> tuple[float, ...]:
+        """coeffs as a tuple of floats, converted on first use and then held
+        (cached_property writes the instance dict, past the frozen setattr)."""
+        return tuple(self.coeffs.tolist())
 
 
 def rotor_hamiltonian_block(constants: RotationalConstants, J: int) -> np.ndarray:

@@ -1,11 +1,14 @@
 """Exact Wigner 3j symbols for integer angular momenta.
 
-Values are computed from the Racah single-sum formula in integers only
-(exact factorials, one common denominator; |3j|^2 is rounded once, under
-one square root), so selection-rule zeros come out as exact 0.0 and there
-is no cancellation error.  Integer j up to a few tens is fine; big-int
-factorials never overflow.  Nothing is memoized here: the one caller that
-repeats lookups, `dipole`'s coupling-term table, keeps its own per J pair.
+wigner3j evaluates the Racah single-sum formula in integers only (exact
+factorials, one common denominator; |3j|^2 is rounded once, under one
+square root), so selection-rule zeros come out as exact 0.0 and there is
+no cancellation error.  Integer j up to a few tens is fine; big-int
+factorials never overflow.  w_coupling, the one-photon (j2 = 1) case the
+dipole couplings use, takes the same exact |3j|^2 from the closed-form
+j2 = 1 table instead of the sum, so it gives wigner3j's bits without its
+factorials.  Nothing is memoized here: the one caller that repeats
+lookups, `dipole`'s coupling-term table, keeps its own per J pair.
 
 Condon-Shortley phase convention throughout.
 """
@@ -74,6 +77,28 @@ def w_coupling(J: int, M: int, Jp: int, Mp: int, sigma: int) -> float:
     angular momentum, (J 1 Jp; M -sigma -Mp).
 
     Vanishes exactly unless M - sigma - Mp = 0, which is the Delta-M = sigma
-    selection rule for a sigma-polarized drive.
+    selection rule for a sigma-polarized drive.  Inside the j2 = 1 table
+    (Edmonds, Table 2) |3j|^2 is one ratio of small integer products: the
+    exact rational of the Racah sum, rounded once by the same int / int
+    division, so every value has wigner3j's bits.  Any other argument goes
+    to wigner3j, for its zeros and its errors.
     """
-    return wigner3j(J, 1, Jp, M, -sigma, -Mp)
+    if not (type(J) is type(M) is type(Jp) is type(Mp) is type(sigma) is int
+            and abs(M) <= J and abs(Mp) <= Jp and abs(sigma) <= 1
+            and abs(Jp - J) <= 1 and M - sigma == Mp):
+        return wigner3j(J, 1, Jp, M, -sigma, -Mp)
+    m = sigma * Mp  # the sigma = +1 and -1 entries differ only in its sign
+    if Jp > J:
+        num = (J - m) * (J - m + 1) if sigma else 2 * (J + 1 - Mp) * (J + 1 + Mp)
+        den, negative = (2 * J + 1) * (2 * J + 2) * (2 * J + 3), False
+    elif Jp == J:
+        num = (J - m) * (J + m + 1) if sigma else 2 * Mp * Mp
+        den, negative = J * (2 * J + 1) * (2 * J + 2), sigma < 0 or (sigma == 0 and Mp < 0)
+    else:
+        num = (J + m) * (J + m + 1) if sigma else 2 * (J - Mp) * (J + Mp)
+        den, negative = (2 * J - 1) * 2 * J * (2 * J + 1), sigma == 0
+    if num == 0:  # also J = Jp = 0, before den = 0 is divided by
+        return 0.0
+    if (J + 1 + Mp) % 2:  # the (-1)^(J - 1 + Mp) of the 3j's Clebsch-Gordan coefficient
+        negative = not negative
+    return -math.sqrt(num / den) if negative else math.sqrt(num / den)

@@ -522,7 +522,7 @@ def test_errors_keep_their_order_around_the_warning(tmp_path, capsys):
                 "--amp", "inf,1,1"]) == 2
     assert capsys.readouterr().err.splitlines() == [
         "warning: degenerate levels in the J = 1 blocks; their tau order is not physically defined",
-        "error: sigma=1: amplitude and phase must be finite",
+        "error: drive 1: sigma=1: amplitude and phase must be finite",
     ]
 
 
@@ -530,13 +530,13 @@ def test_errors_keep_their_order_around_the_warning(tmp_path, capsys):
 @pytest.mark.parametrize(
     "command, drive, error",
     [
-        ("loops verify", "--pol=ZXY", "amplitude must be finite and >= 0, phase finite"),
-        ("loops verify", "--sigma=1,-1,0", "sigma=1: amplitude and phase must be finite"),
-        ("loops verify", "--field", "sigma=1: amplitude and phase must be finite"),
-        ("simulate", "--config=ZXY", "amplitude must be finite and >= 0, phase finite"),
-        ("simulate", "--config=1,-1,0", "sigma=1: amplitude and phase must be finite"),
-        ("contrast", "--config=ZXY", "amplitude must be finite and >= 0, phase finite"),
-        ("contrast", "--config=1,-1,0", "sigma=1: amplitude and phase must be finite"),
+        ("loops verify", "--pol=ZXY", "drive 1: amplitude must be finite and >= 0, phase finite"),
+        ("loops verify", "--sigma=1,-1,0", "drive 1: sigma=1: amplitude and phase must be finite"),
+        ("loops verify", "--field", "drive 1: sigma=1: amplitude and phase must be finite"),
+        ("simulate", "--config=ZXY", "drive 1: amplitude must be finite and >= 0, phase finite"),
+        ("simulate", "--config=1,-1,0", "drive 1: sigma=1: amplitude and phase must be finite"),
+        ("contrast", "--config=ZXY", "drive 1: amplitude must be finite and >= 0, phase finite"),
+        ("contrast", "--config=1,-1,0", "drive 1: sigma=1: amplitude and phase must be finite"),
     ],
     ids=["pol", "sigma", "field", "simulate-axes", "simulate-sigmas", "contrast-axes",
          "contrast-sigmas"],
@@ -866,7 +866,31 @@ def test_negative_zero_amplitude_passes_the_sign_check(capsys):
     assert run(["loops", "verify", "propanediol", *fields]) == 0
     assert capsys.readouterr().err == ""
     assert run(["loops", "verify", "propanediol", "--sigma", "1,-1,0", "--amp", "-0.0,1,1"]) == 2
-    assert capsys.readouterr().err == "error: drive field needs at least one nonzero amplitude\n"
+    assert capsys.readouterr().err == "error: drive 1: drive field needs at least one nonzero amplitude\n"
+
+
+@pytest.mark.parametrize(
+    "drives, message",
+    [
+        (["--pol", "ZXY", "--amp", "1,inf,1"], "drive 2: amplitude must be finite and >= 0, phase finite"),
+        (["--pol", "ZXY", "--phase", "0,0,nan"], "drive 3: amplitude must be finite and >= 0, phase finite"),
+        (["--sigma", "1,-1,0", "--amp", "1,0,1"], "drive 2: drive field needs at least one nonzero amplitude"),
+        (["--sigma", "1,-1,0", "--amp", "1,1,inf"], "drive 3: sigma=0: amplitude and phase must be finite"),
+        (["--field=1:1:0", "--field=-1:1:nan", "--field=0:1:0"],
+         "drive 2: sigma=-1: amplitude and phase must be finite"),
+        (["--sigma", "1,-1,0", "--amp", "1,1,1e-170"],
+         "drive 3: drive amplitudes underflow: the total amplitude of a drive is 0"),
+        (["--pol", "ZXY", "--amp", "1,1e-170,1"],
+         "drive 2: drive amplitudes underflow: the total amplitude of a drive is 0"),
+    ],
+    ids=["pol-inf", "pol-nan", "sigma-zero", "sigma-inf", "field-nan", "sigma-underflow",
+         "pol-underflow"],
+)
+def test_a_drive_value_error_names_its_drive(drives, message, capsys):
+    """A drive value the library refuses after the triad is reported with the number of
+    its drive, 1 to 3 as field1 to field3, before the library's own words."""
+    assert run(["loops", "verify", "propanediol", *drives]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_internal_error_exits_1_with_one_line(monkeypatch, capsys):
@@ -1514,6 +1538,16 @@ def test_one_spell_per_conversion_per_block(tmp_path, monkeypatch):
     blocks = [min(step, 4097 - start) for start in range(0, 4097, step)]
     assert len(calls) <= 2 * len(blocks)
     assert calls == [call for r in blocks for call in ((4, (r, 1)), (6, (r, 7)))]
+
+
+def test_quad_table_spells_every_four_digit_group():
+    """Entry i of the digit table is the four characters of f"{i:04d}", entry 10**4 + i
+    those of f"{i:4d}", and the last entry four blanks, each as one little-endian uint32."""
+    texts = [f"{i:04d}" for i in range(10**4)] + [f"{i:4d}" for i in range(10**4)] + ["    "]
+    oracle = [int.from_bytes(text.encode(), "little") for text in texts]
+    table = cli._quad_table()
+    assert table.dtype == np.uint32 and table.shape == (20_001,)
+    assert table.tolist() == oracle
 
 
 def test_cli_import_loads_no_rational_types():

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chiraloop import dipole as dipole_module
+from chiraloop import wigner as wigner_module
 from chiraloop.dipole import (
     DEBYE_VCM_TO_MHZ,
     BodyDipole,
@@ -301,6 +302,24 @@ def test_line_list_tabulates_each_coupling_term_once(monkeypatch):
     assert lines == 4135
     assert 0 < calls <= 5000
     assert dipole_module._coupling_terms.cache_info().currsize <= 3 * (jtop + 1)
+
+
+def test_line_list_calls_no_general_3j(monkeypatch):
+    """Every coupling coefficient of a J <= 12 line list comes from w_coupling's
+    one-photon closed forms: the general Racah sum is never called."""
+    def refused(*args):
+        raise AssertionError(f"wigner3j{args} called")
+
+    monkeypatch.setattr(wigner_module, "wigner3j", refused)
+    dipole_module._coupling_terms.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateLevelsWarning)
+        levels = [rotor_levels(FIXED_TOP, J) for J in range(13)]
+    for J, block in enumerate(levels):
+        for i, low in enumerate(block):
+            for up in block[i:] + (levels[J + 1] if J < 12 else []):
+                reduced_matrix_element(up, low, FIXED_TOP_DIPOLE)
+    assert dipole_module._coupling_terms.cache_info().currsize == 25  # (J, J) and (J + 1, J)
 
 
 # ---------------------------------------------------------------------------

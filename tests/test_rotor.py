@@ -306,6 +306,29 @@ def test_level_coefficients_are_read_only(triple, J):
                     setattr(level, field.name, getattr(level, field.name))
 
 
+@pytest.mark.filterwarnings("ignore::chiraloop.rotor.DegenerateLevelsWarning")
+@settings(max_examples=5, deadline=None)
+@given(triple=constants_strategy)
+def test_coeff_tuple_holds_the_coefficients_bit_for_bit(constants, triple):
+    """Each level of propanediol and of a random top, J <= 20, holds its coefficients
+    once as a tuple of floats with the array's bits, and that tuple is frozen too."""
+    for top in (constants, _constants_from(triple)):
+        for J in range(21):
+            for levels in (rotor_levels(top, J), _levels(top, J)[0]):
+                for level in levels:
+                    held = level.coeff_tuple
+                    assert type(held) is tuple and level.coeff_tuple is held
+                    assert all(type(x) is float for x in held)
+                    assert _hexes(held) == [x.hex() for x in level.coeffs.tolist()]
+                    with pytest.raises(dataclasses.FrozenInstanceError):
+                        level.coeff_tuple = held
+
+
+def test_hand_built_level_converts_its_coefficients_on_first_use():
+    level = AsymTopLevel(J=1, tau=0, freq=5.0, coeffs=np.array([0.5, -0.0, -0.5]), k_parity=1)
+    assert _hexes(level.coeff_tuple) == [(0.5).hex(), (-0.0).hex(), (-0.5).hex()]
+
+
 def test_j1_closed_form_generic():
     constants = RotationalConstants(A=11.0, B=7.0, C=2.0)
     levels = rotor_levels(constants, 1)

@@ -1,6 +1,7 @@
 """3j symbol tests: frozen values, an independent ladder-operator oracle,
-the rational-arithmetic Racah sum as a bit-for-bit oracle, and the
-symmetry/orthogonality properties."""
+the rational-arithmetic Racah sum as a bit-for-bit oracle, the
+symmetry/orthogonality properties, and w_coupling's closed forms against
+wigner3j bit for bit."""
 
 import math
 from fractions import Fraction
@@ -325,3 +326,53 @@ def test_w_coupling_delta_m_rule_exact():
             for sigma in (-1, 0, 1):
                 if M - Mp != sigma:
                     assert w_coupling(1, M, 1, Mp, sigma) == 0.0
+
+
+def test_w_coupling_closed_form_equals_wigner3j_bit_for_bit():
+    """Every coupling coefficient with J <= 40, |Jp - J| <= 1 and every M, sigma and
+    Mp: the j2 = 1 closed forms give wigner3j's bits, signed zeros included."""
+    count = 0
+    for J in range(41):
+        for Jp in range(max(J - 1, 0), J + 2):
+            for M in range(-J, J + 1):
+                for sigma in (-1, 0, 1):
+                    # every Mp at small J, where the Delta-M = sigma rule's zeros are cheap to walk
+                    for Mp in range(-Jp, Jp + 1) if J <= 3 else [M - sigma]:
+                        if abs(Mp) > Jp:
+                            continue
+                        expected = wigner3j(J, 1, Jp, M, -sigma, -Mp)
+                        assert w_coupling(J, M, Jp, Mp, sigma).hex() == expected.hex()
+                        count += 1
+    assert count == 15_448
+
+
+def _outcome(call):
+    try:
+        return "value", call().hex()
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (-1, 0, 0, 0, 0), (0, 0, -1, 0, 0), (-1, 0, -1, 0, 0), (-2, 0, -1, 0, 0),
+        (1, 2, 1, 1, 1), (1, 0, 1, 2, -2), (2, -3, 2, -2, -1), (0, 0, 0, 1, -1),
+        (1, 1, 1, -1, 2), (1, -1, 1, 1, -2), (2, 0, 2, 0, 2),
+        (1, 0, 3, 0, 0), (3, 1, 1, 0, 1), (0, 0, 2, 0, 0), (5, 2, 10, 2, 0),
+        (1, 1, 1, 1, 1), (2, 0, 1, 0, 1), (0, 0, 0, 0, 0),
+        (1.0, 0, 1, 0, 0), (1, 0.0, 1, 0, 0), (1, 0, 1, 0, 0.0), (1, 0, 1, 0.5, 0),
+        ("1", 0, 1, 0, 0), (1, 0, 1, 0, "0"), (1, 0, 1, "0", 0), (None, 0, 1, 0, 0),
+        (True, True, True, False, True), (np.int64(1), 0, np.int64(1), 0, 0),
+        (np.int64(2), np.int64(1), 2, 0, np.int64(1)), (1, np.int32(0), 0, 0, 0),
+    ],
+)
+def test_w_coupling_outside_the_table_is_what_wigner3j_gives(args):
+    """Outside the closed forms' domain (negative J, |M| > J, |sigma| > 1,
+    |Jp - J| > 1, a broken Delta-M rule, a non-int argument) w_coupling gives
+    exactly what wigner3j gives: the same value, or the same exception type and
+    message."""
+    J, M, Jp, Mp, sigma = args
+    # -sigma and -Mp can raise before wigner3j runs, and then w_coupling raises the same
+    expected = _outcome(lambda: wigner3j(J, 1, Jp, M, -sigma, -Mp))
+    assert _outcome(lambda: w_coupling(*args)) == expected
