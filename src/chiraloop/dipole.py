@@ -8,8 +8,9 @@ rules depend only on the two J values, so they are tabulated once per
 (J_upper, J_lower) pair; each element sums the part at its levels' K parities.
 The same table, read over M instead of K, gives the Delta-M = sigma
 entries of every lab-frame coupling block (`_stacked_coupling_block`,
-which `loop` and `dynamics` call), and DEBYE_VCM_TO_MHZ turns field
-amplitudes in V/cm and dipoles in Debye into Rabi frequencies in MHz.
+which `loop` and `dynamics` call with a drive's amplitudes and e^(i phase)
+over sigma = +1, 0, -1, amplitude 0 if absent), and DEBYE_VCM_TO_MHZ turns
+field amplitudes in V/cm and dipoles in Debye into Rabi frequencies in MHz.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fields import _complex, _mul
+from .fields import SIGMAS, _complex, _mul
 from .rotor import AsymTopLevel
 from .wigner import w_coupling
 
@@ -149,26 +150,27 @@ def reduced_matrix_element(
 
 
 def _stacked_coupling_block(
-    upper: AsymTopLevel, lower: AsymTopLevel, gamma: complex, components
+    upper: AsymTopLevel, lower: AsymTopLevel, gamma: complex, amps, es
 ) -> np.ndarray:
     """Half-Rabi coupling block of one drive or a stack, MHz, shape
     (..., 2J_upper+1, 2J_lower+1), rows and columns over M = +J..-J.
 
-    components holds (sigma, amplitude, e^(i phase)) per polarization
-    component, floats or arrays of the stack's shape, and gamma is the
-    reduced element.  Entry (M_upper, M_lower) of a sigma component is half
-    of (-1)^(M_lower+sigma) E e^(i phase) W Gamma, with the signed W of the
-    J pair's _coupling_terms; complex products go through fields._mul, so a
-    stack gets the bits of its single drives on every interpreter.
+    amps[k] and es[k] are the drive's amplitude and e^(i phase) at sigma =
+    SIGMAS[k], floats or arrays of a stack's shape, amplitude 0 if absent.
+    Entry (M_upper, M_lower) belongs to sigma = M_upper - M_lower alone and is
+    half of (-1)^(M_lower+sigma) E e^(i phase) W Gamma, with gamma the reduced
+    element and the signed W of the J pair's _coupling_terms, so an absent
+    sigma adds only +-0.0 to entries that start at +0.0 (gamma finite).  Complex
+    products go through fields._mul: a stack gets its single drives' bits.
     """
     # entry axes first while filling, so one drive's entries are floats
-    re, im = np.zeros((2, 2 * upper.J + 1, 2 * lower.J + 1, *np.shape(components[0][1])))
+    re, im = np.zeros((2, 2 * upper.J + 1, 2 * lower.J + 1, *np.shape(amps[0])))
     if abs(upper.J - lower.J) <= 1:  # else the triangle rule leaves all zeros
         groups = _coupling_terms(upper.J, lower.J)[1]
         # a table index K + J read as M + J; rows and columns run M = +J..-J
         last_u, last_l = 2 * upper.J, 2 * lower.J
         g = (gamma.real, gamma.imag)
-        for sigma, amp, e in components:
+        for sigma, amp, e in zip(SIGMAS, amps, es):
             rabi = _mul((amp * DEBYE_VCM_TO_MHZ, 0.0), (e.real, e.imag))
             for row in groups:
                 for group in row:

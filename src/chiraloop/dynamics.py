@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .dipole import BodyDipole, _stacked_coupling_block, reduced_matrix_element
-from .fields import DriveField
+from .fields import SIGMAS, DriveField
 from .loop import LoopSpec, SingleLoopHamiltonian, dressed_states, loop_diagnostics
 from .rotor import AsymTopLevel
 
@@ -57,9 +57,10 @@ def coupling_block(
 
 
 def _field_block(upper: AsymTopLevel, lower: AsymTopLevel, field: DriveField, gamma: complex):
-    """coupling_block of one drive with the reduced element gamma given."""
-    components = [(s, amp, cmath.exp(1j * phase)) for s, (amp, phase) in field.comps.items()]
-    return _stacked_coupling_block(upper, lower, gamma, components)
+    """coupling_block of one drive with the reduced element gamma given, its
+    amplitudes and e^(i phase) read over SIGMAS (amplitude 0 if absent)."""
+    es = [cmath.exp(1j * field.phase(s)) for s in SIGMAS]
+    return _stacked_coupling_block(upper, lower, gamma, [field.amplitude(s) for s in SIGMAS], es)
 
 
 def assemble_full_hamiltonian(spec: LoopSpec) -> np.ndarray:

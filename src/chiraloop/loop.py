@@ -201,12 +201,11 @@ def _hypot(x, y):
 
 def _drive_arrays(spec: LoopSpec):
     """A spec's drives as [drive][sigma] amplitudes and phases, and totals[drive],
-    over drives 1, 2, 3 and sigma = +1, 0, -1 (amplitude and phase 0 if absent)."""
+    over drives 1, 2, 3 and sigma = +1, 0, -1, as each DriveField reads them."""
     fields = (spec.field1, spec.field2, spec.field3)
-    comps = [[f.comps.get(sigma, (0.0, 0.0)) for sigma in SIGMAS] for f in fields]
-    amps = [[amp for amp, _ in drive] for drive in comps]
-    totals = _per_drive(lambda f: f.total, fields)
-    return amps, [[phase for _, phase in drive] for drive in comps], totals
+    amps = [[f.amplitude(sigma) for sigma in SIGMAS] for f in fields]
+    phis = [[f.phase(sigma) for sigma in SIGMAS] for f in fields]
+    return amps, phis, _per_drive(lambda f: f.total, fields)
 
 
 def _dressed(trig1, trig3, e1, e3) -> np.ndarray:
@@ -428,8 +427,9 @@ class Triad:
         phis = np.where(amps > 0, _wrap_phase(phis), 0.0)  # as DriveField stores them
         with np.errstate(over="ignore"):  # an infinite total fails its verdict, below
             total = np.sqrt(_sum_of_squares(*amps.swapaxes(0, 1)))  # DriveField.total
-        if (total == 0.0).any():
-            raise ValueError(_TOTAL_UNDERFLOW)
+        if (total == 0.0).any():  # name the first such row, 0-based, and its drive
+            row, drive = np.argwhere(total.T == 0.0)[0].tolist()
+            raise ValueError(f"row {row}, drive {drive + 1}: {_TOTAL_UNDERFLOW}")
         chunks = (slice(i, i + LOOP_BATCH_ROWS) for i in range(0, amps.shape[-1], LOOP_BATCH_ROWS))
         return itertools.chain.from_iterable(
             self._verdicts(amps[..., c], phis[..., c], total[..., c]) for c in chunks
@@ -453,13 +453,7 @@ class Triad:
             e = e.tolist()
         trig = tuple(_field_trig(*amps[d], totals[d]) for d in range(3))
         b, c = _dressed(trig[0], trig[2], e[0], e[2])
-        # a component absent from one drive triple adds exact zeros to the block
-        components = [
-            (sigma, amp, e_sigma)
-            for sigma, amp, e_sigma in zip(SIGMAS, amps[1], e[1])
-            if isinstance(amp, np.ndarray) or amp != 0.0
-        ]
-        block = _stacked_coupling_block(self.level_c, self.level_b, self.gamma_cb, components)
+        block = _stacked_coupling_block(self.level_c, self.level_b, self.gamma_cb, amps[1], e[1])
         # <c_i|H2|b_j> over the two triples, shape (3, 3, ...)
         bras = c.conj()[:, None, ..., None, :] @ block
         checked = (bras @ b[None, ..., None])[..., 0, 0][_CHECKED_SANDWICHES]

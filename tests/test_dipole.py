@@ -3,6 +3,7 @@ of the coupling blocks."""
 
 import cmath
 import gzip
+import itertools
 import math
 import warnings
 from pathlib import Path
@@ -17,16 +18,18 @@ from chiraloop import wigner as wigner_module
 from chiraloop.dipole import (
     DEBYE_VCM_TO_MHZ,
     BodyDipole,
+    _stacked_coupling_block,
     enantiomer,
     reduced_matrix_element,
     spherical_components,
 )
 from chiraloop.dynamics import assemble_full_hamiltonian, coupling_block
-from chiraloop.fields import DriveField
+from chiraloop.fields import SIGMAS, DriveField
 from chiraloop.loop import Triad
 from chiraloop.rotor import DegenerateLevelsWarning, RotationalConstants, rotor_levels
 
-from conftest import PROPANEDIOL, PROPANEDIOL_DIPOLE, random_loop_spec, reference_reduced_element
+from conftest import PROPANEDIOL, PROPANEDIOL_DIPOLE, X, Y, Z, linear_loop_spec, pure_loop_spec
+from conftest import random_loop_spec, reference_reduced_element
 
 ROOT2 = math.sqrt(2.0)
 ROOT3 = math.sqrt(3.0)
@@ -424,16 +427,61 @@ def test_rabi_non_finite_amplitude_or_phase_rejected(triad_a, dipole, amplitude,
 
 def test_rabi_precomputed_gamma_matches(triad_a, dipole):
     """The full Hamiltonian's legs, built with the reduced elements of
-    spec.triad, equal coupling_block's, which computes them, exactly."""
-    spec = random_loop_spec(np.random.default_rng(6), triad_a, dipole)
+    spec.triad, equal coupling_block's, which computes them, bit for bit
+    with signed zeros: for drives with every component, and for pure and
+    linear drives that lack some."""
+    rng = np.random.default_rng(6)
     a, b, c = triad_a
-    h = assemble_full_hamiltonian(spec)
-    for rows, cols, (upper, lower, field) in (
-        (slice(1, 4), slice(0, 1), (b, a, spec.field1)),
-        (slice(4, 7), slice(1, 4), (c, b, spec.field2)),
-        (slice(4, 7), slice(0, 1), (c, a, spec.field3)),
-    ):
-        assert np.array_equal(h[rows, cols], coupling_block(upper, lower, field, dipole))
+    specs = [random_loop_spec(rng, triad_a, dipole)]
+    specs += [
+        pure_loop_spec(triad_a, dipole, sigmas, rng.uniform(0.05, 3.0, 3), rng.uniform(-4.0, 4.0, 3))
+        for sigmas in itertools.product((1, 0, -1), repeat=3)
+    ]
+    specs += [
+        linear_loop_spec(triad_a, dipole, axes, rng.uniform(0.05, 3.0, 3), rng.uniform(-4.0, 4.0, 3))
+        for axes in itertools.permutations((X, Y, Z, (1.0, -1.0, 0.0), rng.normal(size=3)), 3)
+    ]
+    for spec in specs:
+        h = assemble_full_hamiltonian(spec)
+        for rows, cols, (upper, lower, field) in (
+            (slice(1, 4), slice(0, 1), (b, a, spec.field1)),
+            (slice(4, 7), slice(1, 4), (c, b, spec.field2)),
+            (slice(4, 7), slice(0, 1), (c, a, spec.field3)),
+        ):
+            assert h[rows, cols].tobytes() == coupling_block(upper, lower, field, dipole).tobytes()
+
+
+# One drive's sigma = +1, 0, -1 parts, each absent (None) or (amplitude, phase), one at least present.
+block_drive = st.tuples(
+    *[st.none() | st.tuples(st.floats(0.05, 5.0), st.floats(-math.pi, math.pi))] * 3
+).filter(lambda parts: parts != (None, None, None))
+
+
+@settings(max_examples=40, deadline=None)
+@given(which=st.sampled_from("abc"), drives=st.lists(block_drive, min_size=1, max_size=6))
+def test_absent_sigma_adds_only_positive_zeros(which, drives, ground, j1_levels, dipole):
+    """Entry (M_u, M_l) of a coupling block belongs to the one sigma = M_u - M_l,
+    and an absent sigma, amplitude 0, leaves its entries +0.0 in both parts, in a
+    stacked block and in coupling_block of the DriveField.  Each row of a stack is
+    the one-drive block, byte for byte."""
+    b, c = (j1_levels[tau] for tau in {"a": (-1, 1), "b": (-1, 0), "c": (0, 1)}[which])
+    amps, phis = (
+        np.array([[0.0 if p is None else p[i] for p in parts] for parts in drives]).T for i in (0, 1)
+    )
+    es = np.exp(1j * phis)  # [sigma][row], as Triad._verdicts takes them
+    for upper, lower in ((b, ground), (c, b), (c, ground)):
+        gamma = reduced_matrix_element(upper, lower, dipole).value
+        stacked = _stacked_coupling_block(upper, lower, gamma, amps, es)
+        sigma_of = np.subtract.outer(np.arange(upper.J, -upper.J - 1, -1),
+                                     np.arange(lower.J, -lower.J - 1, -1))
+        for n, parts in enumerate(drives):
+            block = _stacked_coupling_block(upper, lower, gamma, *(x[:, n].tolist() for x in (amps, es)))
+            assert stacked[n].tobytes() == block.tobytes()
+            field = DriveField(1.0, {s: p for s, p in zip(SIGMAS, parts) if p is not None})
+            absent = np.isin(sigma_of, [s for s, p in zip(SIGMAS, parts) if p is None])
+            for entries in (block, coupling_block(upper, lower, field, dipole)):
+                for z in entries[absent].tolist():
+                    assert z == 0 and math.copysign(1.0, z.real) == math.copysign(1.0, z.imag) == 1.0
 
 
 @pytest.mark.parametrize(

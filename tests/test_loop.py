@@ -652,6 +652,18 @@ def test_triad_rejects_malformed_drives(triad_a, dipole, amps, phases, message):
         Triad(*triad_a, dipole).diagnostics(amps, phases)
 
 
+def test_stacked_underflow_names_its_row_and_drive(triad_a, dipole):
+    """As a single spec names its drive, a stack names the first row, counted
+    from 0, and the drive in it whose total amplitude underflows to 0."""
+    amps = np.ones((2, 3, 3))
+    amps[1, 2] = (1e-200, 0.0, 0.0)
+    with pytest.raises(ValueError) as info:
+        Triad(*triad_a, dipole).diagnostics(amps, np.zeros((2, 3, 3)))
+    assert str(info.value) == (
+        "row 1, drive 3: drive amplitudes underflow: the total amplitude of a drive is 0"
+    )
+
+
 # ---------------------------------------------------------------------------
 # rotation symmetry
 
