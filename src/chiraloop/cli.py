@@ -8,7 +8,6 @@ error, 141 stdout closed early (as by `| head`).  Diagnostics go to stderr.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 import os
@@ -21,7 +20,7 @@ import numpy as np
 
 from . import dynamics, loop
 from .dipole import BodyDipole
-from .fields import _wrap_phase, linear_components, stacked_linear_components
+from .fields import linear_components, stacked_linear_components
 from .rotor import AsymTopLevel, RotationalConstants, _levels, transition_frequency
 
 __all__ = ["ParseError", "MoleculeConfig", "parse_molecule_config", "load_molecule", "run", "main"]
@@ -425,13 +424,6 @@ def cmd_loops_verify(args) -> int:
     diag = loop.loop_diagnostics(_loop_spec(args))
     o1, o2, o3 = (abs(o) for o in diag.omegas)
     ratio = f"{1.0:.2f}:{o2 / o1:.2f}:{o3 / o1:.2f}" if o1 > 0 else "undefined"
-    # if all are finite, each Omega near 1 by its own power of two: exact, and the product in range
-    finite = all(map(cmath.isfinite, diag.omegas))
-    exps = [math.frexp(max(abs(o.real), abs(o.imag)))[1] if finite else 0 for o in diag.omegas]
-    omegas = [complex(math.ldexp(o.real, -e), math.ldexp(o.imag, -e)) for o, e in zip(diag.omegas, exps)]
-    # in (-pi, pi], so the sign of a rounding-level zero imaginary part
-    # cannot turn +pi into -pi
-    phase = _wrap_phase(np.angle(loop.loop_product(loop.SingleLoopHamiltonian(*omegas))))
     names = ["|<c'|H|b>|", "|<c''|H|b>|", "|<c|H|b'>|", "|<c|H|b''>|"]
     rows = [[name, f"{abs(r):.3e}"] for name, r in zip(names, diag.residuals)]
     rows += [
@@ -440,7 +432,7 @@ def cmd_loops_verify(args) -> int:
         ["|Omega2|_MHz", f"{o2:.4f}"],
         ["|Omega3|_MHz", f"{o3:.4f}"],
         ["ratio", ratio],
-        ["loop_phase_rad", f"{phase:.4f}"],
+        ["loop_phase_rad", f"{loop.loop_phase(loop.SingleLoopHamiltonian(*diag.omegas)):.4f}"],
         ["closed", "true" if diag.closed else "false"],
     ]
     if diag.failure:
@@ -507,20 +499,10 @@ def _time_grid(args) -> np.ndarray:
     return np.arange(steps + 1) * args.dt
 
 
-def _driven_spec(args) -> loop.LoopSpec:
-    """simulate's and contrast's drives, refused when their verdict is non_finite."""
-    spec = _loop_spec(args)
-    if loop.loop_diagnostics(spec).failure == "non_finite":
-        raise ValueError("the drives' closure residuals or Rabi frequencies are not finite")
-    return spec
-
-
 def cmd_simulate(args) -> int:
     times = _time_grid(args)
-    spec = _driven_spec(args)
-    pops = dynamics.loop_populations(spec, times, (1.0, 0.0, 0.0))
-    # fmax, like max(0.0, x), maps a NaN sum to 0
-    leak = np.fmax(0.0, 1.0 - ((pops[:, 0] + pops[:, 1]) + pops[:, 2]))
+    pops = dynamics.loop_populations(_loop_spec(args), times, (1.0, 0.0, 0.0))
+    leak = dynamics._leakage_rows(pops)
     _emit(["t_us", "P_a", "P_b", "P_c", "leakage"], np.column_stack((times, pops, leak)), args.csv,
           ["%.4f", "%.6f", "%.6f", "%.6f", "%.3e"])
     return 0
@@ -528,7 +510,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_contrast(args) -> int:
     times = _time_grid(args)
-    spec = _driven_spec(args)
+    spec = _loop_spec(args)
     right, left = (
         dynamics.loop_populations(s, times, (1.0, 0.0, 0.0)) for s in (spec, spec.mirrored())
     )

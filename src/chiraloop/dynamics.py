@@ -90,7 +90,8 @@ def assemble_full_hamiltonian(spec: LoopSpec) -> np.ndarray:
 def evolve(h: np.ndarray, psi0: np.ndarray, times: ArrayLike) -> np.ndarray:
     """psi(t) = exp(-2 pi i H t) psi0 at every t of a 1-D grid, shape (n_t, dim).
 
-    H is Hermitian (MHz), psi0 normalized, times finite, in us.  One
+    H is Hermitian (MHz), psi0 normalized, times finite, in us, and the
+    largest phase, 2 pi max|E| max|t| over H's eigenvalues E, finite.  One
     eigendecomposition serves the whole grid, and t = 0 takes the same
     eigenvector route as every other time.
     """
@@ -106,6 +107,11 @@ def evolve(h: np.ndarray, psi0: np.ndarray, times: ArrayLike) -> np.ndarray:
     if not np.isfinite(times).all():
         raise ValueError("times must be finite")
     evals, evecs = np.linalg.eigh(h)
+    e_max, t_max = np.abs(evals).max(initial=0.0), np.abs(times).max(initial=0.0)
+    with np.errstate(over="ignore"):  # an overflow is refused, not warned about
+        finite = np.isfinite(2 * np.pi * e_max * t_max)
+    if not finite:
+        raise ValueError(f"phase 2 pi E t overflows: max |E| {e_max:.3e} MHz, max |t| {t_max:.3e} us")
     coeff0 = evecs.conj().T @ psi0
     out = np.empty((times.size, psi0.size), dtype=complex)
     for start in range(0, times.size, EVOLVE_BLOCK_ROWS):
@@ -137,7 +143,10 @@ def _initial_state(psi0_in_loop) -> np.ndarray:
 
 
 def _loop_amplitudes(spec: LoopSpec, times: ArrayLike, psi0_in_loop) -> np.ndarray:
-    """The loop-frame state evolved under the full Hamiltonian, over (a, b, c): (n_t, 3)."""
+    """The loop-frame state evolved under the full Hamiltonian, over (a, b, c): (n_t, 3).
+    Drives whose verdict is non_finite are refused, for every caller."""
+    if loop_diagnostics(spec).failure == "non_finite":
+        raise ValueError("the drives' closure residuals or Rabi frequencies are not finite")
     frame = loop_frame(spec)
     psi = evolve(assemble_full_hamiltonian(spec), _initial_state(psi0_in_loop) @ frame, times)
     return (frame.conj() @ psi[..., None])[..., 0]  # stacked, as in evolve
@@ -152,14 +161,18 @@ def loop_populations(spec: LoopSpec, times: ArrayLike, psi0_in_loop) -> np.ndarr
     return np.abs(_loop_amplitudes(spec, times, psi0_in_loop)) ** 2
 
 
+def _leakage_rows(pops: np.ndarray) -> np.ndarray:
+    """1 - (P_a + P_b + P_c) per row of loop_populations; fmax, like max(0.0, x), maps NaN to 0."""
+    return np.fmax(0.0, 1.0 - ((pops[:, 0] + pops[:, 1]) + pops[:, 2]))
+
+
 def leakage(spec: LoopSpec, psi0_in_loop, t_grid: ArrayLike) -> float:
     """Worst population outside span{a, b, c} over the time grid.
 
     Essentially zero (< 1e-10) for closed configurations; order one for
     leaky ones with comparable Rabi frequencies.
     """
-    pops = loop_populations(spec, t_grid, psi0_in_loop)
-    return float(np.max(1.0 - pops.sum(axis=1), initial=0.0))
+    return float(np.max(_leakage_rows(loop_populations(spec, t_grid, psi0_in_loop)), initial=0.0))
 
 
 def enantiomer_contrast(

@@ -48,6 +48,7 @@ __all__ = [
     "build_single_loop",
     "loop_diagnostics",
     "loop_product",
+    "loop_phase",
     "enumerate_pure_polarizations",
     "verify_linear_orthogonality",
 ]
@@ -360,6 +361,13 @@ def _verdict(residuals, omegas) -> LoopDiagnostics:
     )
 
 
+def _refuse_first(bad: np.ndarray, message: str) -> None:
+    """Refuse a stack where bad, shape (N, 3), holds: name the first such row (from 0) and drive."""
+    if bad.any():
+        row, drive = np.argwhere(bad)[0].tolist()
+        raise ValueError(f"row {row}, drive {drive + 1}: {message}")
+
+
 @dataclass(frozen=True)
 class Triad:
     """The fixed half of a closure verdict: levels a, b, c, the dipole, and
@@ -410,9 +418,10 @@ class Triad:
         1, 2, 3 (at f_ba, f_cb, f_ca) over sigma = (+1, 0, -1), amplitude 0
         for an absent component.  Row n's verdict is loop_diagnostics of
         LoopSpec(self, comps) with row n's components as comps, and like it
-        is cross-checked against the closed form.  The arrays are
-        validated at once; the verdicts are computed LOOP_BATCH_ROWS rows at
-        a time as the iteration reaches them, so memory stays bounded.
+        is cross-checked against the closed form.  The arrays are validated
+        at once, a refusal naming the first bad row (from 0) and its drive;
+        the verdicts are computed LOOP_BATCH_ROWS rows at a time as the
+        iteration reaches them, so memory stays bounded.
         """
         amps = np.asarray(amplitudes, dtype=float)
         phis = np.asarray(phases, dtype=float)
@@ -420,16 +429,14 @@ class Triad:
             raise ValueError(
                 f"drive arrays must have shape (N, 3, 3), got {amps.shape} and {phis.shape}"
             )
-        if not (np.isfinite(amps).all() and np.isfinite(phis).all() and (amps >= 0).all()):
-            raise ValueError("amplitudes must be finite and >= 0, phases finite")
+        valid = np.isfinite(amps) & (amps >= 0) & np.isfinite(phis)
+        _refuse_first(~valid.all(axis=2), "amplitudes must be finite and >= 0, phases finite")
         # [drive][sigma] first, as _verdicts takes them
         amps, phis = (np.ascontiguousarray(x.transpose(1, 2, 0)) for x in (amps, phis))
         phis = np.where(amps > 0, _wrap_phase(phis), 0.0)  # as DriveField stores them
         with np.errstate(over="ignore"):  # an infinite total fails its verdict, below
             total = np.sqrt(_sum_of_squares(*amps.swapaxes(0, 1)))  # DriveField.total
-        if (total == 0.0).any():  # name the first such row, 0-based, and its drive
-            row, drive = np.argwhere(total.T == 0.0)[0].tolist()
-            raise ValueError(f"row {row}, drive {drive + 1}: {_TOTAL_UNDERFLOW}")
+        _refuse_first(total.T == 0.0, _TOTAL_UNDERFLOW)
         chunks = (slice(i, i + LOOP_BATCH_ROWS) for i in range(0, amps.shape[-1], LOOP_BATCH_ROWS))
         return itertools.chain.from_iterable(
             self._verdicts(amps[..., c], phis[..., c], total[..., c]) for c in chunks
@@ -502,6 +509,15 @@ def loop_product(h: SingleLoopHamiltonian) -> complex:
     states; its sign (phase) flips between enantiomers.
     """
     return h.omega1 * h.omega2 * h.omega3.conjugate()
+
+
+def loop_phase(h: SingleLoopHamiltonian) -> float:
+    """The phase of loop_product(h) in (-pi, pi], rad, at any drive scale: finite Omegas are
+    first brought near 1 by their own powers of two, exactly, so the product stays in range."""
+    finite = all(map(cmath.isfinite, h))
+    exps = [math.frexp(max(abs(o.real), abs(o.imag)))[1] if finite else 0 for o in h]
+    scaled = (complex(math.ldexp(o.real, -e), math.ldexp(o.imag, -e)) for o, e in zip(h, exps))
+    return float(_wrap_phase(np.angle(loop_product(SingleLoopHamiltonian(*scaled)))))
 
 
 class LoopCandidate(NamedTuple):

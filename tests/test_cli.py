@@ -1084,6 +1084,20 @@ def test_non_finite_verdict_drives_exit_2(command, amp, capsys):
     assert len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["simulate", "contrast"])
+def test_overflowing_phase_exits_2(command, capsys):
+    """Drives of 1e150 V/cm over 1e300 us: the phase 2 pi E t overflows, so no NaN
+    row is printed and no numpy warning reaches stderr."""
+    argv = [command, "propanediol", "--config", "ZXY", "--amp", "1e150,1e150,1e150",
+            "--t", "1e300", "--dt", "2e299"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: phase 2 pi E t overflows: max |E| 3.243e+149 MHz, max |t| 1.000e+300 us\n"
+    )
+
+
 @pytest.mark.parametrize(
     "name", [pytest.param("missing/x.csv", id="missing_dir"), pytest.param("", id="empty")]
 )
@@ -1221,8 +1235,12 @@ def test_loop_phase_does_not_depend_on_the_drive_scale(k, drives, phases):
     above about 340 and underflows for k below about -350."""
     phase = "--phase=" + ",".join(map(repr, phases))
     unit = _verify_rows([*drives, "--amp=1,1,1", phase])
-    scaled = _verify_rows([*drives, "--amp=" + ",".join([repr(2.0**k)] * 3), phase])
+    amp = "--amp=" + ",".join([repr(2.0**k)] * 3)
+    scaled = _verify_rows([*drives, amp, phase])
     assert scaled["loop_phase_rad"] == unit["loop_phase_rad"]
+    spec = cli._loop_spec(cli._parse(["loops", "verify", "propanediol", *drives, amp, phase])[1])
+    h = loop.SingleLoopHamiltonian(*loop.loop_diagnostics(spec).omegas)
+    assert f"{loop.loop_phase(h):.4f}" == scaled["loop_phase_rad"]
 
 
 def test_verify_at_amplitude_2_to_400_prints_the_unit_loop_phase(capsys):

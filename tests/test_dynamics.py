@@ -426,6 +426,38 @@ def test_evolve_rejects_non_finite_input():
             evolve(h, np.array([1.0, 0.0]), [t])
 
 
+def test_evolve_refuses_an_overflowing_phase():
+    """E = +-0.5 MHz: 2 pi max|E| max|t| passes the float range near |t| = 5.7e307 us.
+    Beyond it evolve refuses before any exp, so no numpy warning escapes (the
+    suite turns warnings into errors); inside it, the state stays normalized."""
+    h = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
+    for times in ([1e308], [0.0, -1e308], [1.0, 2e307, 1e308]):
+        with pytest.raises(ValueError, match="phase 2 pi E t overflows"):
+            evolve(h, np.array([1.0, 0.0]), times)
+    psi = evolve(h, np.array([1.0, 0.0]), [0.0, 5e307, -5e307])
+    assert np.allclose(np.linalg.norm(psi, axis=1), 1.0)
+
+
+@pytest.mark.parametrize("phase", [0.0, 1.0])
+@pytest.mark.parametrize("amp", [1e155, 1e200])
+def test_non_finite_verdict_is_refused_by_every_population_route(triad_a, dipole, amp, phase):
+    """sigma (1, -1, 0) drives whose totals overflow: the verdict is non_finite, and
+    no library route returns populations, a leakage, a contrast or a deviation from
+    them; each refuses with the text simulate and contrast print."""
+    spec = pure_loop_spec(triad_a, dipole, (1, -1, 0), (amp,) * 3, (phase,) * 3)
+    assert loop.loop_diagnostics(spec).failure == "non_finite"
+    routes = [
+        lambda: loop_populations(spec, T_GRID, (1, 0, 0)),
+        lambda: leakage(spec, (1, 0, 0), T_GRID),
+        lambda: enantiomer_contrast(spec, 0.5),
+        lambda: compare_full_vs_reduced(spec, T_GRID),
+    ]
+    for route in routes:
+        with pytest.raises(ValueError) as info:
+            route()
+        assert str(info.value) == "the drives' closure residuals or Rabi frequencies are not finite"
+
+
 def test_loop_populations_match_contrast(linear_spec):
     """The grid path and the single-time path give the same numbers."""
     times = [0.3, 1.1, 1.9]

@@ -28,6 +28,7 @@ from chiraloop.loop import (
     dressed_states,
     enumerate_pure_polarizations,
     loop_diagnostics,
+    loop_phase,
     loop_product,
     verify_linear_orthogonality,
 )
@@ -356,6 +357,19 @@ def test_loop_product_field1_phase_shift(triad_a, dipole):
     assert loop_product(build_single_loop(shifted.mirrored())) == -p1
 
 
+def test_loop_phase_survives_an_overflowing_product(triad_a, dipole):
+    """At 1e105 V/cm each |Omega| is near 1e104 MHz and Omega1 Omega2 conj(Omega3)
+    overflows to -inf + inf j, whose phase reads 2.3562; loop_phase reads the
+    phase the same drives have at 1 V/cm."""
+    phases = (0.3, 0.2, 0.1)
+    spec = pure_loop_spec(triad_a, dipole, (1, -1, 0), (1e105,) * 3, phases)
+    h = SingleLoopHamiltonian(*loop_diagnostics(spec).omegas)
+    assert loop_product(h) == complex(-math.inf, math.inf)
+    assert f"{loop_phase(h):.4f}" == "1.9708"
+    unit = build_single_loop(pure_loop_spec(triad_a, dipole, (1, -1, 0), phases=phases))
+    assert abs(loop_phase(h) - cmath.phase(loop_product(unit))) < 1e-12
+
+
 def test_loop_product_zero_when_any_rabi_zero():
     h = SingleLoopHamiltonian(omega1=0.3 + 0.1j, omega2=0j, omega3=1.0 + 0j)
     assert loop_product(h) == 0j
@@ -662,6 +676,28 @@ def test_stacked_underflow_names_its_row_and_drive(triad_a, dipole):
     assert str(info.value) == (
         "row 1, drive 3: drive amplitudes underflow: the total amplitude of a drive is 0"
     )
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ([("amps", (2, 1, 0), np.nan)], "row 2, drive 2"),
+        ([("amps", (2, 1, 0), np.inf)], "row 2, drive 2"),
+        ([("amps", (2, 1, 0), -1.0)], "row 2, drive 2"),
+        ([("phases", (1, 2, 2), np.inf)], "row 1, drive 3"),
+        # the first row wins over an earlier drive in a later row
+        ([("amps", (2, 0, 1), -1.0), ("phases", (1, 2, 0), np.nan)], "row 1, drive 3"),
+    ],
+)
+def test_stacked_malformed_drive_names_its_row_and_drive(triad_a, dipole, bad, message):
+    """A non-finite or negative amplitude, or a non-finite phase, names the first
+    row (counted from 0) and the drive in it that holds one."""
+    arrays = {"amps": np.ones((3, 3, 3)), "phases": np.zeros((3, 3, 3))}
+    for name, index, value in bad:
+        arrays[name][index] = value
+    with pytest.raises(ValueError) as info:
+        Triad(*triad_a, dipole).diagnostics(arrays["amps"], arrays["phases"])
+    assert str(info.value) == f"{message}: amplitudes must be finite and >= 0, phases finite"
 
 
 # ---------------------------------------------------------------------------
