@@ -142,14 +142,14 @@ def _initial_state(psi0_in_loop) -> np.ndarray:
     return psi3 / norm
 
 
-def _loop_amplitudes(spec: LoopSpec, times: ArrayLike, psi0_in_loop) -> np.ndarray:
-    """The loop-frame state evolved under the full Hamiltonian, over (a, b, c): (n_t, 3).
-    Drives whose verdict is non_finite are refused, for every caller."""
-    if loop_diagnostics(spec).failure == "non_finite":
+def _loop_amplitudes(spec: LoopSpec, times: ArrayLike, psi0_in_loop) -> tuple:
+    """The loop-frame state evolved under the full Hamiltonian, over (a, b, c), (n_t, 3), and
+    the drives' loop_diagnostics.  A non_finite verdict is refused, for every caller."""
+    if (verdict := loop_diagnostics(spec)).failure == "non_finite":
         raise ValueError("the drives' closure residuals or Rabi frequencies are not finite")
     frame = loop_frame(spec)
     psi = evolve(assemble_full_hamiltonian(spec), _initial_state(psi0_in_loop) @ frame, times)
-    return (frame.conj() @ psi[..., None])[..., 0]  # stacked, as in evolve
+    return (frame.conj() @ psi[..., None])[..., 0], verdict  # stacked, as in evolve
 
 
 def loop_populations(spec: LoopSpec, times: ArrayLike, psi0_in_loop) -> np.ndarray:
@@ -158,7 +158,7 @@ def loop_populations(spec: LoopSpec, times: ArrayLike, psi0_in_loop) -> np.ndarr
     The loop-frame initial state evolves under the full 7-level
     Hamiltonian; whatever a row's sum lacks of 1 has leaked out of the loop.
     """
-    return np.abs(_loop_amplitudes(spec, times, psi0_in_loop)) ** 2
+    return np.abs(_loop_amplitudes(spec, times, psi0_in_loop)[0]) ** 2
 
 
 def _leakage_rows(pops: np.ndarray) -> np.ndarray:
@@ -200,7 +200,7 @@ def compare_full_vs_reduced(spec: LoopSpec, t_grid: ArrayLike,
     configurations the two agree to ~1e-10; for leaky ones the reduced
     model is a best-effort truncation and the difference is large.
     """
-    projected = _loop_amplitudes(spec, t_grid, psi0_in_loop)
-    h_loop = SingleLoopHamiltonian(*loop_diagnostics(spec).omegas).matrix()
+    projected, verdict = _loop_amplitudes(spec, t_grid, psi0_in_loop)
+    h_loop = SingleLoopHamiltonian(*verdict.omegas).matrix()
     reduced = evolve(h_loop, _initial_state(psi0_in_loop), t_grid)
     return float(np.max(np.linalg.norm(projected - reduced, axis=1), initial=0.0))

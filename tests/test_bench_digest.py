@@ -1,9 +1,9 @@
 """tools/bench_digest.py, the one sha256 over the benchmark workloads' outputs.
 
-Every claim that a change keeps the outputs byte-identical rests on this tool,
-so here it runs on seed 1 of each workload, twice in one process.  The two
-digests must agree: a digest that depends on what a memo already holds would
-differ between a fresh checkout and the second run.
+Every claim that a change keeps the outputs byte-identical rests on this tool.
+Its digest of seed 1 must be the same twice in one process, or it would depend
+on what a memo already holds.  Importing and running it, as the tier-1 bench
+tests do, must leave the process state and bench/ as they were.
 """
 
 import importlib.util
@@ -13,25 +13,30 @@ from pathlib import Path
 
 import pytest
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_digest.py"
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _import_tool():
+    spec = importlib.util.spec_from_file_location("bench_digest", ROOT / "tools" / "bench_digest.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
 
 
 # the line list builds generic tops' levels to J = 12, whose degenerate blocks warn
 @pytest.mark.filterwarnings("ignore::chiraloop.rotor.DegenerateLevelsWarning")
 def test_digest_of_seed_1_is_a_stable_sha256(monkeypatch):
-    # the tool puts src/ and bench/ on sys.path, turns bytecode writing off and
-    # imports bench/workloads.py as `workloads`; all three are undone afterwards
-    monkeypatch.setattr(sys, "path", list(sys.path))
-    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
-    had_workloads = "workloads" in sys.modules
-    spec = importlib.util.spec_from_file_location("bench_digest", TOOL)
-    tool = importlib.util.module_from_spec(spec)
-    try:
-        spec.loader.exec_module(tool)
-        monkeypatch.setattr(tool, "SEEDS", range(1, 2))
-        first = tool.digest()
-        assert re.fullmatch("[0-9a-f]{64}", first)
-        assert tool.digest() == first
-    finally:
-        if not had_workloads:
-            sys.modules.pop("workloads", None)
+    state = list(sys.path), sys.dont_write_bytecode, "workloads" in sys.modules
+    tool = _import_tool()
+    monkeypatch.setattr(tool, "SEEDS", range(1, 2))
+    first = tool.digest()
+    assert re.fullmatch("[0-9a-f]{64}", first)
+    assert tool.digest() == first
+    assert (sys.path, sys.dont_write_bytecode, "workloads" in sys.modules) == state
+
+
+def test_loading_the_workloads_writes_nothing_under_bench(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", False)
+    listing = sorted((ROOT / "bench").rglob("*"))
+    _import_tool().load_workloads()
+    assert sorted((ROOT / "bench").rglob("*")) == listing

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chiraloop import loop
+from chiraloop import dynamics, loop
 from chiraloop.dipole import DEBYE_VCM_TO_MHZ, _coupling_terms, reduced_matrix_element
 from chiraloop.dynamics import (
     EVOLVE_BLOCK_ROWS,
@@ -252,6 +252,20 @@ def test_decoupled_state_never_enters_loop(circular_spec):
 def test_full_vs_reduced_closed(circular_spec, linear_spec):
     assert compare_full_vs_reduced(circular_spec, T_GRID) <= 1e-10
     assert compare_full_vs_reduced(linear_spec, T_GRID) <= 1e-10
+
+
+def test_full_vs_reduced_judges_its_drives_once(linear_spec, monkeypatch):
+    """The verdict that refuses non_finite drives also gives the 3-level
+    model its Rabi frequencies: one loop_diagnostics per comparison."""
+    judged = []
+
+    def counting(spec):
+        judged.append(spec)
+        return loop.loop_diagnostics(spec)
+
+    monkeypatch.setattr(dynamics, "loop_diagnostics", counting)
+    assert compare_full_vs_reduced(linear_spec, T_GRID) <= 1e-10
+    assert judged == [linear_spec]
 
 
 def test_full_vs_reduced_perturbed(triad_a, dipole):

@@ -1,23 +1,21 @@
 """One sha256 over every output of the benchmark workloads, seeds 1-12.
 
-Run from anywhere, with no options:
+Run from anywhere, with no options, to compare two checkouts' bytes:
 
     python3 tools/bench_digest.py
 
 It builds each workload of bench/workloads.py for seeds 1 to 12, runs its
-commands through `chiraloop.cli.run` in this one process (the package is
-imported from this checkout's `src/`), and hashes, per command, its argv
-(the work directory replaced by a fixed token), exit code, stdout, stderr
-and every CSV it wrote; for `spectrum`, also the library line list, its
-frequencies and reduced elements as `float.hex` values.  Two checkouts
-that print the same digest gave the same bytes on all 36 workloads.  No
-file under bench/ is written: bytecode caching is off while it imports.
+commands in this one process through `run_command`, and hashes, per command,
+its argv (the work directory replaced by a fixed token), exit code, stdout,
+stderr and the CSV it names; for `spectrum`, also the library line list, every
+float as `float.hex`.  Run as a script, it imports `chiraloop` from this
+checkout's `src/` and writes no bytecode.  Importing it changes no process
+state, so the tier-1 bench tests load the workloads and run their commands here.
 """
-
-from __future__ import annotations
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import sys
 import tempfile
@@ -27,11 +25,34 @@ ROOT = Path(__file__).resolve().parent.parent
 SEEDS = range(1, 13)
 WORK_TOKEN = "<work>"
 
-sys.dont_write_bytecode = True
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
-import workloads  # noqa: E402
-from chiraloop import cli  # noqa: E402
+def load_workloads():
+    """bench/workloads.py, run by path with bytecode writing off, so nothing is
+    written under bench/.  It is in sys.modules only while it runs, as its
+    dataclasses look their module up there by name."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode, sys.modules["workloads"] = True, module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+        del sys.modules["workloads"]
+    return module
+
+
+def run_command(argv: list[str]) -> dict:
+    """One command line through `chiraloop.cli.run`: its exit code, stdout, stderr
+    and the text of its --csv file (None when it names or writes none)."""
+    from chiraloop import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.run(argv)
+    csv_path = next((a.split("=", 1)[1] for a in argv if a.startswith("--csv=")), None)
+    csv = Path(csv_path).read_text() if csv_path and Path(csv_path).is_file() else None
+    return {"rc": rc, "stdout": out.getvalue(), "stderr": err.getvalue(), "csv": csv}
 
 
 def _update(digest, *parts: str) -> None:
@@ -41,18 +62,7 @@ def _update(digest, *parts: str) -> None:
         digest.update(b"%d:" % len(data) + data)
 
 
-def _run(argv: list[str], work: Path) -> list[str]:
-    """argv with the work directory masked, then exit code, stdout, stderr and CSV."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = cli.run(argv)
-    csv_paths = [a.split("=", 1)[1] for a in argv if a.startswith("--csv=")]
-    csvs = [Path(p).read_text() if Path(p).is_file() else "<none>" for p in csv_paths]
-    masked = [arg.replace(str(work), WORK_TOKEN) for arg in argv]
-    return [repr(masked), str(rc), out.getvalue(), err.getvalue(), *csvs]
-
-
-def _line_list(molecule: str) -> list[str]:
+def _line_list(workloads, molecule: str) -> list[str]:
     """The line list of workloads.line_list, every float as float.hex."""
     with contextlib.redirect_stderr(io.StringIO()):
         lines = workloads.line_list(molecule)
@@ -66,6 +76,7 @@ def _line_list(molecule: str) -> list[str]:
 
 
 def digest() -> str:
+    workloads = load_workloads()
     total = hashlib.sha256()
     for name in workloads.WORKLOADS:
         for seed in SEEDS:
@@ -74,11 +85,17 @@ def digest() -> str:
                 workload = workloads.build(name, seed, work)
                 _update(total, f"{name} {seed}")
                 for argv in workload.commands:
-                    _update(total, *_run(argv, work))
+                    out = run_command(argv)
+                    masked = [arg.replace(str(work), WORK_TOKEN) for arg in argv]
+                    _update(total, repr(masked), str(out["rc"]), out["stdout"], out["stderr"])
+                    if any(arg.startswith("--csv=") for arg in argv):
+                        _update(total, "<none>" if out["csv"] is None else out["csv"])
                 if workload.molecule:
-                    _update(total, *_line_list(workload.molecule))
+                    _update(total, *_line_list(workloads, workload.molecule))
     return total.hexdigest()
 
 
 if __name__ == "__main__":
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(ROOT / "src"))
     print(digest())
