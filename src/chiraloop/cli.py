@@ -198,16 +198,17 @@ def _parse_general_field(text: str) -> dict[int, tuple[float, float]]:
 
 
 def _loop_spec(args) -> loop.LoopSpec:
-    """The loop of a command's options, read in one order: the molecule; the one drive option's
-    form and signs, each error naming it (--config is axes when three of X, Y, Z, else sigmas);
-    the triad's name, warning and any refusal; only then the drive values, as the library checks them."""
+    """The loop of a command's options, read in one order: the molecule; that one of its drive
+    options is given, with its form and signs, each error naming it (--config is axes when three
+    of X, Y, Z, else sigmas); the triad's name, warning and any refusal; only then the drive values."""
     config = load_molecule(args.molecule)
     amps = _split3(args.amp, "amp", float) if args.amp is not None else (1.0, 1.0, 1.0)
     phases = _split3(args.phase, "phase", float) if args.phase is not None else (0.0, 0.0, 0.0)
-    given = [(name, value) for name, value in vars(args).items()
-             if name in ("pol", "sigma", "field", "config") and value not in (None, [])]
+    drives = {name: value for name, value in vars(args).items() if name in ("config", "field")}
+    given = [(name, value) for name, value in drives.items() if value not in (None, [])]
     if len(given) != 1:
-        raise ValueError("specify the drives with exactly one of --pol, --sigma, --field")
+        raise ValueError("specify the drives with " + "exactly one of " * (len(drives) > 1)
+                         + ", ".join(f"--{name}" for name in drives))
     [(option, text)] = given
     axes = None  # three linear drives' axes, whose values are read after the triad
     if option == "field":
@@ -218,14 +219,12 @@ def _loop_spec(args) -> loop.LoopSpec:
         comps = [_parse_general_field(field) for field in text]
     elif any(amp < 0 for amp in amps):
         raise ValueError(f"--amp values must be >= 0, got {args.amp!r}")
-    elif option != "sigma" and len(text) == 3 and all(ch.upper() in _AXES for ch in text):
+    elif len(text) == 3 and all(ch.upper() in _AXES for ch in text):
         axes = [_AXES[ch.upper()] for ch in text]
-    elif option == "pol":
-        raise ValueError(f"--pol must be three of X, Y, Z, got {text!r}")
     else:
-        sigmas = _split3(text, option, int)
+        sigmas = _split3(text, "config", int)
         if any(s not in (-1, 0, 1) for s in sigmas):
-            raise ValueError(f"--{option} components must be -1, 0 or 1, got {text!r}")
+            raise ValueError(f"--config components must be -1, 0 or 1, got {text!r}")
         comps = [{s: (amp, phase)} for s, amp, phase in zip(sigmas, amps, phases)]
     triad = _triad(config, args.triad)
     if axes:
@@ -525,16 +524,14 @@ def cmd_contrast(args) -> int:
     return 0
 
 
-# An option is (name, cast, default, help): a default of _REQUIRED marks one that must be
-# given, _REPEATED one that may be given again, each value kept in a list.
-_REQUIRED, _REPEATED = object(), object()
+# An option is (name, cast, default, help): a default of _REPEATED marks one that may be
+# given again, each value kept in a list.
+_REPEATED = object()
 _CSV = ("csv", str, None, "also write the table to this CSV file")
 _JMAX = ("jmax", int, 2, "highest J")
 _TRIAD = ("triad", str, "a", "the triad that forms the loop: a, b or c")
-_POL = ("pol", str, None, "three linear polarization axes, e.g. ZXY")
-_SIGMA = ("sigma", str, None, "three pure spherical components, e.g. 1,-1,0")
 _FIELD = ("field", str, _REPEATED, "general drive as sigma:amp:phase[,sigma:amp:phase...]; give 3")
-_CONFIG = ("config", str, _REQUIRED, "loop drives: polarization letters (ZXY) or sigmas (1,-1,0)")
+_CONFIG = ("config", str, None, "loop drives: polarization letters (ZXY) or sigmas (1,-1,0)")
 _AMP = ("amp", str, None, "three amplitudes in V/cm, e.g. 1,0.75,2.75")
 _PHASE = ("phase", str, None, "three phases in rad")
 _SAMPLES = ("samples", int, 1000, "random drive frames")
@@ -547,7 +544,7 @@ _COMMANDS = {
     "levels": ("rotational level energies and coefficients", (_JMAX,)),
     "transitions": ("triad transition frequencies", (_TRIAD,)),
     "loops enumerate": ("all 27 pure-polarization candidates", (_TRIAD,)),
-    "loops verify": ("closure residuals and Rabi table", (_TRIAD, _POL, _SIGMA, _FIELD, _AMP, _PHASE)),
+    "loops verify": ("closure residuals and Rabi table", (_TRIAD, _CONFIG, _FIELD, _AMP, _PHASE)),
     "loops sample": ("random-direction orthogonality check", (_TRIAD, _SAMPLES, _SEED)),
     "simulate": ("population time series and leakage", (_TRIAD, _CONFIG, _AMP, _PHASE, _T, _DT)),
     "contrast": ("R vs L population difference", (_TRIAD, _CONFIG, _AMP, _PHASE, _T, _DT)),
@@ -556,7 +553,7 @@ _COMMANDS = {
 
 def _help(prefix: str) -> str:
     """The -h text: every command whose name starts with prefix, with its options."""
-    notes = {None: "", _REQUIRED: " (required)", _REPEATED: " (repeatable)"}
+    notes = {None: "", _REPEATED: " (repeatable)"}
     lines = ["usage: chiraloop COMMAND MOLECULE [options]; MOLECULE: a bundled name or a file path"]
     for command, (text, options) in _COMMANDS.items():
         if command.startswith(prefix):
@@ -601,9 +598,6 @@ def _parse(argv: list[str]) -> tuple[str, SimpleNamespace | None]:
         values[name] = [*values[name], value] if default is _REPEATED else value
     if len(molecules) != 1:
         raise ValueError(f"{command} takes one MOLECULE, got {len(molecules)}: {molecules!r}")
-    missing = [f"--{name}" for name, value in values.items() if value is _REQUIRED]
-    if missing:
-        raise ValueError(f"{command} needs {', '.join(missing)}")
     return command, SimpleNamespace(molecule=molecules[0], **values)
 
 

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .dipole import BodyDipole, _stacked_coupling_block, reduced_matrix_element
-from .fields import SIGMAS, DriveField
+from .fields import SIGMAS, DriveField, _real
 from .loop import LoopSpec, SingleLoopHamiltonian, dressed_states, loop_diagnostics
 from .rotor import AsymTopLevel
 
@@ -90,7 +90,7 @@ def assemble_full_hamiltonian(spec: LoopSpec) -> np.ndarray:
 def evolve(h: np.ndarray, psi0: np.ndarray, times: ArrayLike) -> np.ndarray:
     """psi(t) = exp(-2 pi i H t) psi0 at every t of a 1-D grid, shape (n_t, dim).
 
-    H is Hermitian (MHz), psi0 normalized, times finite, in us, and the
+    H is Hermitian (MHz), psi0 normalized, times real and finite, in us, and the
     largest phase, 2 pi max|E| max|t| over H's eigenvalues E, finite.  One
     eigendecomposition serves the whole grid, and t = 0 takes the same
     eigenvector route as every other time.
@@ -101,7 +101,7 @@ def evolve(h: np.ndarray, psi0: np.ndarray, times: ArrayLike) -> np.ndarray:
     scale = max(1.0, float(np.abs(h).max()))
     if not np.abs(h - h.conj().T).max() <= HERMITICITY_ATOL * scale:  # NaN fails too
         raise ValueError("operator is not Hermitian")
-    times = np.asarray(times, dtype=float)
+    times = _real(times, "times")
     if times.ndim != 1:
         raise ValueError("times must be a 1-D grid")
     if not np.isfinite(times).all():
@@ -134,11 +134,18 @@ def loop_frame(spec: LoopSpec) -> np.ndarray:
 
 
 def _initial_state(psi0_in_loop) -> np.ndarray:
-    """Normalized loop amplitudes over (a, b, c)."""
-    psi3 = np.asarray(psi0_in_loop, dtype=complex)
-    norm = np.linalg.norm(psi3)
-    if norm == 0:
-        raise ValueError("initial loop-state amplitudes are all zero")
+    """Normalized loop amplitudes over (a, b, c), from three finite ones not all zero."""
+    psi3 = np.ascontiguousarray(psi0_in_loop, dtype=complex)
+    if psi3.shape != (3,) or not np.isfinite(psi3).all():
+        raise ValueError("psi0_in_loop must be three finite amplitudes")
+    with np.errstate(over="ignore"):  # an overflowing norm is mended below
+        norm = np.linalg.norm(psi3)
+    if not 0 < norm < np.inf:  # squares that under- or overflow: real and imaginary parts
+        top = np.abs(psi3.view(float)).max()  # brought to at most 1 first, exactly
+        if top == 0:
+            raise ValueError("initial loop-state amplitudes are all zero")
+        psi3 = (psi3.view(float) / top).view(complex)
+        norm = np.linalg.norm(psi3)
     return psi3 / norm
 
 

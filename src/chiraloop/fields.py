@@ -33,6 +33,14 @@ class ZeroVectorError(ValueError):
     """A polarization direction has (numerically) zero length."""
 
 
+def _real(values, name: str) -> np.ndarray:
+    """values as a float array; complex ones are refused, not cut to their real parts."""
+    values = np.asarray(values)
+    if np.iscomplexobj(values):
+        raise ValueError(f"{name} must be real, got complex values")
+    return np.asarray(values, dtype=float)
+
+
 def _wrap_phase(phi):
     """phi mapped into (-pi, pi]; elementwise on arrays, with the same bits."""
     phi = phi % (2.0 * math.pi)
@@ -137,10 +145,10 @@ def linear_components(
     The direction is normalized internally.  The spherical components are
     the projections of amplitude * e^{-i phase} * direction onto the basis
     vectors, so reconstructing the real field gives amplitude * direction *
-    cos(2 pi nu t + phase) exactly.  Raises ValueError for a non-finite
-    direction, a negative or non-finite amplitude, or a non-finite phase.
+    cos(2 pi nu t + phase) exactly.  Raises ValueError for a complex or
+    non-finite direction, a negative or non-finite amplitude, or a non-finite phase.
     """
-    n = np.asarray(tuple(direction), dtype=float)
+    n = _real(tuple(direction), "direction")
     if n.shape != (3,):
         raise ValueError("direction must be a 3-vector")
     if not np.isfinite(n).all():
@@ -163,10 +171,10 @@ def stacked_linear_components(directions) -> tuple[np.ndarray, np.ndarray]:
     (+1, 0, -1).
 
     An absent component has amplitude 0 and phase 0.  Every value has the
-    bits linear_components gives it.  Raises ValueError for a non-finite
-    direction.
+    bits linear_components gives it.  Raises ValueError for a complex or
+    non-finite direction.
     """
-    n = np.asarray(directions, dtype=float)
+    n = _real(directions, "directions")
     if n.ndim != 2 or n.shape[1] != 3:
         raise ValueError("directions must be an (N, 3) array")
     if not np.isfinite(n).all():

@@ -26,7 +26,7 @@ import numpy as np
 
 from .dipole import DEBYE_VCM_TO_MHZ, BodyDipole, _stacked_coupling_block, enantiomer
 from .dipole import reduced_matrix_element
-from .fields import SIGMAS, _TOTAL_UNDERFLOW, DriveField, _div_real, _mul, _wrap_phase
+from .fields import SIGMAS, _TOTAL_UNDERFLOW, DriveField, _div_real, _mul, _real, _wrap_phase
 from .fields import _sum_of_squares, linear_components
 from .rotor import AsymTopLevel, transition_frequency
 
@@ -423,8 +423,7 @@ class Triad:
         the verdicts are computed LOOP_BATCH_ROWS rows at a time as the
         iteration reaches them, so memory stays bounded.
         """
-        amps = np.asarray(amplitudes, dtype=float)
-        phis = np.asarray(phases, dtype=float)
+        amps, phis = _real(amplitudes, "amplitudes"), _real(phases, "phases")
         if amps.ndim != 3 or amps.shape[1:] != (3, 3) or phis.shape != amps.shape:
             raise ValueError(
                 f"drive arrays must have shape (N, 3, 3), got {amps.shape} and {phis.shape}"
@@ -512,8 +511,9 @@ def loop_product(h: SingleLoopHamiltonian) -> complex:
 
 
 def loop_phase(h: SingleLoopHamiltonian) -> float:
-    """The phase of loop_product(h) in (-pi, pi], rad, at any drive scale: finite Omegas are
-    first brought near 1 by their own powers of two, exactly, so the product stays in range."""
+    """The phase of loop_product(h) in (-pi, pi], rad, or NaN where a non-finite Omega leaves
+    the product none, at any drive scale: finite Omegas are first brought near 1 by their own
+    powers of two, exactly, so the product stays in range."""
     finite = all(map(cmath.isfinite, h))
     exps = [math.frexp(max(abs(o.real), abs(o.imag)))[1] if finite else 0 for o in h]
     scaled = (complex(math.ldexp(o.real, -e), math.ldexp(o.imag, -e)) for o, e in zip(h, exps))

@@ -1,8 +1,8 @@
 """tools/bench_digest.py, the one sha256 over the benchmark workloads' outputs.
 
 Every claim that a change keeps the outputs byte-identical rests on this tool.
-Its digest of seed 1 must be the same twice in one process, or it would depend
-on what a memo already holds.  Importing and running it, as the tier-1 bench
+Its digest of seed 1 is pinned, and must be the same twice in one process, or it
+would depend on what a memo already holds.  Importing and running it, as the tier-1 bench
 tests do, must leave the process state and bench/ as they were.
 """
 
@@ -31,6 +31,9 @@ def test_digest_of_seed_1_is_a_stable_sha256(monkeypatch):
     monkeypatch.setattr(tool, "SEEDS", range(1, 2))
     first = tool.digest()
     assert re.fullmatch("[0-9a-f]{64}", first)
+    # pinned: any byte change in a workload's seed-1 output fails here, and a deliberate
+    # one updates this digest along with its goldens
+    assert first == "dc9a9412079cc615700229286db04a1c62109db35e4418c0f0d27029a5cd7ca2"
     assert tool.digest() == first
     assert (sys.path, sys.dont_write_bytecode, "workloads" in sys.modules) == state
 

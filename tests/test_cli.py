@@ -183,7 +183,7 @@ def test_enumerate_csv_matches_table(tmp_path, capsys):
 
 def test_verify_rabi_ratio(capsys):
     assert run(
-        ["loops", "verify", "propanediol", "--pol", "ZXY", "--amp", "1,0.75,2.75"]
+        ["loops", "verify", "propanediol", "--config", "ZXY", "--amp", "1,0.75,2.75"]
     ) == 0
     out = capsys.readouterr().out
     assert "1.00:1.04:0.84" in out
@@ -191,7 +191,7 @@ def test_verify_rabi_ratio(capsys):
 
 
 def test_verify_sigma_zzz_not_closed(capsys):
-    assert run(["loops", "verify", "propanediol", "--sigma", "0,0,0"]) == 0
+    assert run(["loops", "verify", "propanediol", "--config", "0,0,0"]) == 0
     out = capsys.readouterr().out
     assert "zero_rabi" in out
     assert "false" in out
@@ -247,15 +247,16 @@ def test_amp_or_phase_with_field_exits_2(option, capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["loops", "verify", "propanediol", "--pol", "ZXY", "--amp="],
+        (["loops", "verify", "propanediol", "--config", "ZXY", "--amp="],
          "--amp needs three comma-separated values, got ''"),
-        (["loops", "verify", "propanediol", "--sigma", "1,-1,0", "--phase="],
+        (["loops", "verify", "propanediol", "--config", "1,-1,0", "--phase="],
          "--phase needs three comma-separated values, got ''"),
         (["simulate", "propanediol", "--config", "ZXY", "--t", "0", "--amp="],
          "--amp needs three comma-separated values, got ''"),
-        (["loops", "verify", "propanediol", "--sigma=", "--pol=ZXY"],
-         "specify the drives with exactly one of --pol, --sigma, --field"),
-        (["loops", "verify", "propanediol", "--pol="], "--pol must be three of X, Y, Z, got ''"),
+        (["loops", "verify", "propanediol", "--config=", "--field=1:1:0"],
+         "specify the drives with exactly one of --config, --field"),
+        (["loops", "verify", "propanediol", "--config="],
+         "--config needs three comma-separated values, got ''"),
     ],
     ids=["verify-pol-amp", "verify-sigma-phase", "simulate-amp", "verify-empty-sigma-and-pol",
          "verify-empty-pol"],
@@ -405,14 +406,14 @@ def test_missing_subcommand_exits_2():
 
 def test_conflicting_field_options_exit_2(capsys):
     code = run(
-        ["loops", "verify", "propanediol", "--pol", "ZXY", "--sigma", "1,-1,0"]
+        ["loops", "verify", "propanediol", "--config", "ZXY", "--field", "1:1:0"]
     )
     assert code == 2
     assert "exactly one" in capsys.readouterr().err
 
 
 def test_bad_pol_letters_exit_2(capsys):
-    assert run(["loops", "verify", "propanediol", "--pol", "ZQX"]) == 2
+    assert run(["loops", "verify", "propanediol", "--config", "ZQX"]) == 2
 
 
 def test_range_error_file_exits_2(tmp_path, capsys):
@@ -506,7 +507,7 @@ def test_degenerate_triad_gives_one_warning_line(tmp_path, capsys):
         assert run(["transitions", str(path)]) == 0
         assert capsys.readouterr().err.splitlines() == [warning]
         # its exit code is left open: triad a's spectator level 1_0 lies at f_ba
-        run(["loops", "verify", str(path), "--triad", "a", "--pol", "ZXY"])
+        run(["loops", "verify", str(path), "--triad", "a", "--config", "ZXY"])
         assert capsys.readouterr().err.splitlines()[0] == warning
 
 
@@ -516,9 +517,9 @@ def test_errors_keep_their_order_around_the_warning(tmp_path, capsys):
     path = tmp_path / "oblate.mol"
     path.write_text(GOOD_CONFIG.replace("8572.05", "5000").replace("3640.10", "5000")
                     .replace("2790.96", "3000"))
-    assert run(["loops", "verify", str(path), "--triad", "x", "--sigma", "1,-1,2"]) == 2
-    assert capsys.readouterr() == ("", "error: --sigma components must be -1, 0 or 1, got '1,-1,2'\n")
-    assert run(["loops", "verify", str(path), "--triad", "a", "--sigma", "1,-1,0",
+    assert run(["loops", "verify", str(path), "--triad", "x", "--config", "1,-1,2"]) == 2
+    assert capsys.readouterr() == ("", "error: --config components must be -1, 0 or 1, got '1,-1,2'\n")
+    assert run(["loops", "verify", str(path), "--triad", "a", "--config", "1,-1,0",
                 "--amp", "inf,1,1"]) == 2
     assert capsys.readouterr().err.splitlines() == [
         "warning: degenerate levels in the J = 1 blocks; their tau order is not physically defined",
@@ -530,8 +531,8 @@ def test_errors_keep_their_order_around_the_warning(tmp_path, capsys):
 @pytest.mark.parametrize(
     "command, drive, error",
     [
-        ("loops verify", "--pol=ZXY", "drive 1: amplitude must be finite and >= 0, phase finite"),
-        ("loops verify", "--sigma=1,-1,0", "drive 1: sigma=1: amplitude and phase must be finite"),
+        ("loops verify", "--config=ZXY", "drive 1: amplitude must be finite and >= 0, phase finite"),
+        ("loops verify", "--config=1,-1,0", "drive 1: sigma=1: amplitude and phase must be finite"),
         ("loops verify", "--field", "drive 1: sigma=1: amplitude and phase must be finite"),
         ("simulate", "--config=ZXY", "drive 1: amplitude must be finite and >= 0, phase finite"),
         ("simulate", "--config=1,-1,0", "drive 1: sigma=1: amplitude and phase must be finite"),
@@ -596,16 +597,44 @@ def _captured(argv: list[str]) -> tuple[int, str, str]:
     phases=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3),
 )
 def test_pol_and_its_field_spelling_give_one_spec(triad, axes, amps, phases):
-    """--pol P --amp A --phase F and the same drives as three --field options, each
+    """--config P --amp A --phase F and the same drives as three --field options, each
     component's amplitude and phase spelled by repr from linear_components, print the
     same bytes: the two spellings build one spec."""
     verify = ["loops", "verify", "propanediol", f"--triad={triad}"]
     fields = [",".join(f"{s}:{a!r}:{p!r}" for s, (a, p) in
                        linear_components(cli._AXES[axis], amp, phase).items())
               for axis, amp, phase in zip(axes, amps, phases)]
-    linear = _captured([*verify, f"--pol={axes}", f"--amp={','.join(map(repr, amps))}",
+    linear = _captured([*verify, f"--config={axes}", f"--amp={','.join(map(repr, amps))}",
                         f"--phase={','.join(map(repr, phases))}"])
     assert _captured([*verify, *(f"--field={f}" for f in fields)]) == linear
+
+
+def _drives_read(argv: list[str]):
+    """Each drive of cli._loop_spec's spec for argv as (frequency, {sigma: (amplitude, phase)})
+    in float.hex, or the text of the ValueError that refuses argv."""
+    try:
+        spec = cli._loop_spec(cli._parse(argv)[1])
+    except ValueError as exc:
+        return str(exc)
+    return [(f.freq.hex(), {s: (a.hex(), p.hex()) for s, (a, p) in f.comps.items()})
+            for f in (spec.field1, spec.field2, spec.field3)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    triad=st.sampled_from("abc"),
+    config=st.one_of(st.text("XYZxyz", min_size=3, max_size=3),
+                     st.lists(st.sampled_from("-1 0 1".split()), min_size=3, max_size=3).map(",".join)),
+    amps=st.lists(st.floats(0.0, 1e200), min_size=3, max_size=3),
+    phases=st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3),
+)
+def test_config_reads_one_grammar_on_every_loop_command(triad, config, amps, phases):
+    """--config with --amp and --phase gives `loops verify` and `simulate` the same drives,
+    to the bit, or the same refusal: the two commands read one drive grammar."""
+    options = [f"--triad={triad}", f"--config={config}", "--amp=" + ",".join(map(repr, amps)),
+               "--phase=" + ",".join(map(repr, phases))]
+    verify = _drives_read(["loops", "verify", "propanediol", *options])
+    assert verify == _drives_read(["simulate", "propanediol", *options])
 
 
 def test_degenerate_triad_gives_one_error_text(tmp_path, capsys):
@@ -616,7 +645,7 @@ def test_degenerate_triad_gives_one_error_text(tmp_path, capsys):
                     .replace("2790.96", "3000"))
     assert run(["transitions", str(path), "--triad", "b"]) == 2
     table = capsys.readouterr()
-    assert run(["loops", "verify", str(path), "--triad", "b", "--sigma", "1,-1,0"]) == 2
+    assert run(["loops", "verify", str(path), "--triad", "b", "--config", "1,-1,0"]) == 2
     verdict = capsys.readouterr()
     assert table.err.splitlines()[-1] == (
         "error: upper level at 8000.0 MHz is not above lower at 8000.0 MHz"
@@ -681,7 +710,7 @@ def test_repeated_verdicts_build_the_levels_once(monkeypatch, capsys):
                         counting("elements", loop.reduced_matrix_element))
     cli._molecule_triads.cache_clear()
     for triad in "abc" * 33 + "a":
-        assert run(["loops", "verify", "propanediol", f"--triad={triad}", "--pol=ZXY"]) == 0
+        assert run(["loops", "verify", "propanediol", f"--triad={triad}", "--config=ZXY"]) == 0
     for triad in "abc":
         assert run(["loops", "enumerate", "propanediol", f"--triad={triad}"]) == 0
         assert run(["loops", "sample", "propanediol", f"--triad={triad}", "--samples=10"]) == 0
@@ -694,7 +723,7 @@ def test_rewritten_dipole_gives_its_new_rabi_frequencies(tmp_path, capsys):
     """A file whose dipole lines alone change between two runs is a new
     molecule value, so the second run judges the new dipole."""
     path = tmp_path / "demo.mol"
-    argv = ["loops", "verify", str(path), "--pol", "ZXY"]
+    argv = ["loops", "verify", str(path), "--config", "ZXY"]
     outputs = []
     for text in (GOOD_CONFIG, GOOD_CONFIG.replace("mu_x_D = 1.916", "mu_x_D = 3.832")
                  .replace("mu_y_D = 0.365", "mu_y_D = 0.73").replace("mu_z_D = 1.201", "mu_z_D = 2.402")):
@@ -727,7 +756,7 @@ def test_signed_zero_dipoles_share_a_memo_entry(tmp_path, capsys):
         assert bits[0] == bits[1]
 
     def outputs(path):
-        commands = [["loops", "verify", str(path), "--pol", "ZXY"], ["loops", "enumerate", str(path)],
+        commands = [["loops", "verify", str(path), "--config", "ZXY"], ["loops", "enumerate", str(path)],
                     ["contrast", str(path), "--config", "ZXY", "--t", "0.1", "--dt", "0.05"]]
         return [(run(argv), capsys.readouterr()) for argv in commands]
 
@@ -841,9 +870,9 @@ def test_unparsable_field_component_names_it(component, capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["loops", "verify", "propanediol", "--pol", "ZXY", "--amp", "-1,1,1"],
+        (["loops", "verify", "propanediol", "--config", "ZXY", "--amp", "-1,1,1"],
          "--amp values must be >= 0, got '-1,1,1'"),
-        (["loops", "verify", "propanediol", "--sigma", "1,-1,0", "--amp", "1,-0.5,1"],
+        (["loops", "verify", "propanediol", "--config", "1,-1,0", "--amp", "1,-0.5,1"],
          "--amp values must be >= 0, got '1,-0.5,1'"),
         (["contrast", "propanediol", "--config", "ZXY", "--amp", "1,1,-inf", "--t", "0.1"],
          "--amp values must be >= 0, got '1,1,-inf'"),
@@ -865,22 +894,22 @@ def test_negative_zero_amplitude_passes_the_sign_check(capsys):
     fields = ["--field=1:-0.0:0,0:1:0", "--field=-1:1:0", "--field=0:1:0"]
     assert run(["loops", "verify", "propanediol", *fields]) == 0
     assert capsys.readouterr().err == ""
-    assert run(["loops", "verify", "propanediol", "--sigma", "1,-1,0", "--amp", "-0.0,1,1"]) == 2
+    assert run(["loops", "verify", "propanediol", "--config", "1,-1,0", "--amp", "-0.0,1,1"]) == 2
     assert capsys.readouterr().err == "error: drive 1: drive field needs at least one nonzero amplitude\n"
 
 
 @pytest.mark.parametrize(
     "drives, message",
     [
-        (["--pol", "ZXY", "--amp", "1,inf,1"], "drive 2: amplitude must be finite and >= 0, phase finite"),
-        (["--pol", "ZXY", "--phase", "0,0,nan"], "drive 3: amplitude must be finite and >= 0, phase finite"),
-        (["--sigma", "1,-1,0", "--amp", "1,0,1"], "drive 2: drive field needs at least one nonzero amplitude"),
-        (["--sigma", "1,-1,0", "--amp", "1,1,inf"], "drive 3: sigma=0: amplitude and phase must be finite"),
+        (["--config", "ZXY", "--amp", "1,inf,1"], "drive 2: amplitude must be finite and >= 0, phase finite"),
+        (["--config", "ZXY", "--phase", "0,0,nan"], "drive 3: amplitude must be finite and >= 0, phase finite"),
+        (["--config", "1,-1,0", "--amp", "1,0,1"], "drive 2: drive field needs at least one nonzero amplitude"),
+        (["--config", "1,-1,0", "--amp", "1,1,inf"], "drive 3: sigma=0: amplitude and phase must be finite"),
         (["--field=1:1:0", "--field=-1:1:nan", "--field=0:1:0"],
          "drive 2: sigma=-1: amplitude and phase must be finite"),
-        (["--sigma", "1,-1,0", "--amp", "1,1,1e-170"],
+        (["--config", "1,-1,0", "--amp", "1,1,1e-170"],
          "drive 3: drive amplitudes underflow: the total amplitude of a drive is 0"),
-        (["--pol", "ZXY", "--amp", "1,1e-170,1"],
+        (["--config", "ZXY", "--amp", "1,1e-170,1"],
          "drive 2: drive amplitudes underflow: the total amplitude of a drive is 0"),
     ],
     ids=["pol-inf", "pol-nan", "sigma-zero", "sigma-inf", "field-nan", "sigma-underflow",
@@ -906,18 +935,18 @@ def test_internal_error_exits_1_with_one_line(monkeypatch, capsys):
 @pytest.mark.parametrize(
     "argv, option, value, code",
     [
-        (["loops", "verify", "propanediol"], "--sigma", "-1,1,0", 0),
+        (["loops", "verify", "propanediol"], "--config", "-1,1,0", 0),
         (["simulate", "propanediol", "--t", "0.1", "--dt", "0.05"], "--config", "-1,0,-1", 0),
-        (["loops", "verify", "propanediol", "--pol", "ZXY"], "--phase", "-.5,0,1", 0),
+        (["loops", "verify", "propanediol", "--config", "ZXY"], "--phase", "-.5,0,1", 0),
         (["loops", "verify", "propanediol", "--field", "0:1:0", "--field", "1:1:0"],
          "--field", "-1:1:0", 0),
         # reaches the amplitude check, not the option parser
-        (["loops", "verify", "propanediol", "--pol", "ZXY"], "--amp", "-1,0.75,2.75", 2),
+        (["loops", "verify", "propanediol", "--config", "ZXY"], "--amp", "-1,0.75,2.75", 2),
         # an option prefix that the parser expands
-        (["loops", "verify", "propanediol"], "--sig", "-1,1,0", 0),
+        (["loops", "verify", "propanediol"], "--conf", "-1,1,0", 0),
         # "-" and a letter: reach the CLI's sign check and DriveField's finiteness check
-        (["loops", "verify", "propanediol", "--pol", "ZXY"], "--amp", "-inf,1,1", 2),
-        (["loops", "verify", "propanediol", "--sigma", "1,-1,0"], "--amp", "-nan,1,1", 2),
+        (["loops", "verify", "propanediol", "--config", "ZXY"], "--amp", "-inf,1,1", 2),
+        (["loops", "verify", "propanediol", "--config", "1,-1,0"], "--amp", "-nan,1,1", 2),
     ],
     ids=["sigma", "config", "phase", "field", "amp", "prefix", "inf", "nan"],
 )
@@ -935,11 +964,11 @@ def test_value_starting_with_minus_works_without_equals(argv, option, value, cod
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["loops", "verify", "propanediol", "--p", "ZXY"], "ambiguous option '--p'"),
+        (["loops", "verify", "propanediol", "--c", "ZXY"], "ambiguous option '--c'"),
         (["simulate", "propanediol", "--c", "ZXY"], "ambiguous option '--c'"),
         (["levels", "propanediol", "--jmax"], "--jmax needs a value"),
         (["transitions", "propanediol", "--triad", "d"], "triad must be one of a, b, c; got 'd'"),
-        (["loops", "verify", "propanediol", "--pol", "ZXY", "--amp", "1,x,2"],
+        (["loops", "verify", "propanediol", "--config", "ZXY", "--amp", "1,x,2"],
          "--amp: could not parse '1,x,2'"),
         (["loops", "verify", "propanediol", "--field", "1:2", "--field", "0:1:0", "--field", "1:1:0"],
          "--field component must be sigma:amp:phase, got '1:2'"),
@@ -947,15 +976,29 @@ def test_value_starting_with_minus_works_without_equals(argv, option, value, cod
          "--field must be given exactly three times"),
         (["loops", "verify", "propanediol", *["--field=1:1:0"] * 4],
          "--field must be given exactly three times"),
-        (["loops", "verify", "propanediol", "demo.mol", "--pol", "ZXY"],
+        (["loops", "verify", "propanediol", "demo.mol", "--config", "ZXY"],
          "loops verify takes one MOLECULE, got 2: ['propanediol', 'demo.mol']"),
+        # one drive spelling: --config is the polarization form on every loop command
+        (["loops", "verify", "propanediol", "--pol", "ZXY"], "unknown option '--pol'"),
+        (["loops", "verify", "propanediol", "--sigma", "1,-1,0"], "unknown option '--sigma'"),
     ],
     ids=["pol-or-phase", "csv-or-config", "no-value", "triad", "amp-not-a-number",
-         "field-two-parts", "field-twice", "field-four-times", "two-molecules"],
+         "field-two-parts", "field-twice", "field-four-times", "two-molecules", "no-pol",
+         "no-sigma"],
 )
 def test_bad_option_word_gives_one_error_line(argv, message, capsys):
     assert run(argv) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "command, options",
+    [("loops verify", "exactly one of --config, --field"), ("simulate", "--config"),
+     ("contrast", "--config")],
+)
+def test_a_loop_command_without_drives_names_its_drive_options(command, options, capsys):
+    assert run([*command.split(), "propanediol"]) == 2
+    assert capsys.readouterr() == ("", f"error: specify the drives with {options}\n")
 
 
 def test_exact_option_name_beats_a_longer_one(capsys):
@@ -986,8 +1029,8 @@ def test_help_without_a_command_lists_the_commands(argv, prefix, capsys):
 def test_run_calls_the_handler_the_module_holds(monkeypatch, capsys):
     """A cmd_ function rebound after import (as a tracer does) is the one run() calls."""
     calls = []
-    monkeypatch.setattr(cli, "cmd_loops_verify", lambda args: calls.append(args.sigma) or 0)
-    assert run(["loops", "verify", "propanediol", "--sigma", "-1,1,0"]) == 0
+    monkeypatch.setattr(cli, "cmd_loops_verify", lambda args: calls.append(args.config) or 0)
+    assert run(["loops", "verify", "propanediol", "--config", "-1,1,0"]) == 0
     assert calls == ["-1,1,0"]
 
 
@@ -1042,7 +1085,7 @@ def test_any_argv_exits_0_or_2(data):
 
 
 def test_non_finite_amplitude_exits_2(capsys):
-    assert run(["loops", "verify", "propanediol", "--sigma", "1,-1,0", "--amp", "inf,1,1"]) == 2
+    assert run(["loops", "verify", "propanediol", "--config", "1,-1,0", "--amp", "inf,1,1"]) == 2
     captured = capsys.readouterr()
     assert "finite" in captured.err
     assert "closed" not in captured.out
@@ -1051,7 +1094,7 @@ def test_non_finite_amplitude_exits_2(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["loops", "verify", "propanediol", "--sigma", "1,-1,0", "--amp", "1e-320,1,1"],
+        ["loops", "verify", "propanediol", "--config", "1,-1,0", "--amp", "1e-320,1,1"],
         ["simulate", "propanediol", "--config", "ZXY", "--amp", "1e-170,1,1"],
     ],
 )
@@ -1151,7 +1194,7 @@ def test_ambiguous_triad_is_refused_by_every_judging_command(tmp_path, capsys):
     path = str(tmp_path / "amb.mol")
     Path(path).write_text(AMBIGUOUS_CONFIG)
     refused = [
-        ["loops", "verify", path, "--sigma", "1,-1,0"],
+        ["loops", "verify", path, "--config", "1,-1,0"],
         ["loops", "enumerate", path],
         ["loops", "sample", path, "--samples", "10"],
         ["simulate", path, "--config", "1,-1,0", "--t", "1", "--dt", "0.1"],
@@ -1194,14 +1237,14 @@ def test_non_finite_molecule_value_exits_2(tmp_path, capsys):
     path.write_text(GOOD_CONFIG.replace("mu_x_D = 1.916", "mu_x_D = nan"))
     with pytest.raises(ParseError, match="mu_x_D"):
         parse_molecule_config(path.read_text())
-    assert run(["loops", "verify", str(path), "--sigma", "1,-1,0"]) == 2
+    assert run(["loops", "verify", str(path), "--config", "1,-1,0"]) == 2
     captured = capsys.readouterr()
     assert "mu_x_D" in captured.err
     assert "closed" not in captured.out
 
 
 def test_overflowing_amplitude_is_not_closed(capsys):
-    assert run(["loops", "verify", "propanediol", "--sigma", "1,-1,0", "--amp", "1e200,1,1"]) == 0
+    assert run(["loops", "verify", "propanediol", "--config", "1,-1,0", "--amp", "1e200,1,1"]) == 0
     rows = dict(line.split() for line in capsys.readouterr().out.strip().splitlines()[1:])
     assert rows["closed"] == "false"
     assert rows["failure"] == "non_finite"
@@ -1210,7 +1253,7 @@ def test_overflowing_amplitude_is_not_closed(capsys):
 def test_loop_phase_canonical(capsys):
     """The ZXY loop product is real and negative with a signed-zero
     imaginary part; its phase prints as +pi, never -pi."""
-    assert run(["loops", "verify", "propanediol", "--pol", "ZXY"]) == 0
+    assert run(["loops", "verify", "propanediol", "--config", "ZXY"]) == 0
     rows = dict(line.split() for line in capsys.readouterr().out.strip().splitlines()[1:])
     assert rows["loop_phase_rad"] == "3.1416"
 
@@ -1226,7 +1269,7 @@ def _verify_rows(argv: list[str]) -> dict[str, str]:
 @settings(max_examples=60, deadline=None)
 @given(
     k=st.integers(-500, 500),
-    drives=st.sampled_from([["--sigma=1,-1,0"], ["--sigma=0,1,1"], ["--pol=ZXY"], ["--pol=YZX"]]),
+    drives=st.sampled_from([["--config=1,-1,0"], ["--config=0,1,1"], ["--config=ZXY"], ["--config=YZX"]]),
     phases=st.lists(st.floats(-math.pi, math.pi), min_size=3, max_size=3),
 )
 def test_loop_phase_does_not_depend_on_the_drive_scale(k, drives, phases):
@@ -1247,7 +1290,7 @@ def test_verify_at_amplitude_2_to_400_prints_the_unit_loop_phase(capsys):
     """The whole table at amplitudes 2**400 V/cm, where each |Omega| is near 1e120 MHz
     and their product would overflow: the loop phase is the one at 1 V/cm."""
     amp = repr(2.0**400)
-    argv = ["loops", "verify", "propanediol", "--sigma", "1,-1,0", "--amp", f"{amp},{amp},{amp}",
+    argv = ["loops", "verify", "propanediol", "--config", "1,-1,0", "--amp", f"{amp},{amp},{amp}",
             "--phase", "0.3,0.2,0.1"]
     assert run(argv) == 0
     rows = [

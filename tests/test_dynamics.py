@@ -21,7 +21,7 @@ from chiraloop.dynamics import (
     loop_frame,
     loop_populations,
 )
-from chiraloop.fields import DriveField
+from chiraloop.fields import DriveField, linear_components, stacked_linear_components
 from chiraloop.loop import LoopSpec, ResonanceAmbiguityError, Triad, build_single_loop
 from chiraloop.loop import loop_product
 from chiraloop.rotor import RotationalConstants, rotor_levels
@@ -484,3 +484,57 @@ def test_loop_populations_match_contrast(linear_spec):
 def test_full_vs_reduced_rejects_zero_amplitudes(linear_spec):
     with pytest.raises(ValueError, match="all zero"):
         compare_full_vs_reduced(linear_spec, T_GRID, (0, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda triad: list(triad.diagnostics(np.full((1, 3, 3), 1 + 1j), np.zeros((1, 3, 3)))),
+         "amplitudes"),
+        (lambda triad: list(triad.diagnostics(np.ones((1, 3, 3)), np.full((1, 3, 3), 1j))), "phases"),
+        (lambda triad: linear_components(np.array([1, 1j, 0]), 1.0, 0.0), "direction"),
+        (lambda triad: stacked_linear_components(np.array([[1, 1j, 0]])), "directions"),
+        (lambda triad: evolve(np.eye(2, dtype=complex), np.array([1.0, 0.0]), np.array([0.5j])),
+         "times"),
+    ],
+    ids=["diagnostics-amplitudes", "diagnostics-phases", "linear_components",
+         "stacked_linear_components", "evolve"],
+)
+def test_complex_arrays_are_refused_not_truncated(triad_a, dipole, call, name):
+    """A complex array where a real one belongs is an error naming its argument, not a
+    ComplexWarning and a real part judged in its place."""
+    with pytest.raises(ValueError) as info:
+        call(Triad(*triad_a, dipole))
+    assert str(info.value) == f"{name} must be real, got complex values"
+
+
+@pytest.mark.parametrize("psi0", [(math.nan, 0, 0), (0, math.inf, 0), (0, 0, complex(0, -math.inf)),
+                                  (1, 0), (1, 0, 0, 0), [[1, 0, 0]]],
+                         ids=["nan", "inf", "imaginary-inf", "two", "four", "row"])
+def test_initial_state_must_be_three_finite_amplitudes(linear_spec, psi0):
+    """Every route from psi0_in_loop refuses a state that is not three finite amplitudes
+    with one message, before any numpy warning or shape error."""
+    routes = [
+        lambda: loop_populations(linear_spec, T_GRID, psi0),
+        lambda: leakage(linear_spec, psi0, T_GRID),
+        lambda: compare_full_vs_reduced(linear_spec, T_GRID, psi0),
+    ]
+    for route in routes:
+        with pytest.raises(ValueError) as info:
+            route()
+        assert str(info.value) == "psi0_in_loop must be three finite amplitudes"
+
+
+@pytest.mark.parametrize(
+    "psi0, unit",
+    [((1e300, 1e300, 0), (1, 1, 0)), ((1e-320, 0, 0), (1, 0, 0)),
+     ((0, 1.5e308j, -1.5e308), (0, 1j, -1)), ((5e-324j, 0, 5e-324), (1j, 0, 1))],
+    ids=["overflow", "underflow", "overflowing-parts", "subnormal-parts"],
+)
+def test_extreme_initial_states_are_normalized_without_a_warning(linear_spec, psi0, unit):
+    """A state whose squares overflow or underflow is the state of its direction: its
+    parts are scaled by the largest first (warnings are errors in this suite)."""
+    assert np.array_equal(loop_populations(linear_spec, T_GRID, psi0),
+                          loop_populations(linear_spec, T_GRID, unit))
+    assert compare_full_vs_reduced(linear_spec, T_GRID, psi0) == compare_full_vs_reduced(
+        linear_spec, T_GRID, unit)

@@ -70,13 +70,13 @@ CASES = {
     "sample_empty": ["loops", "sample", "propanediol", "--samples", "0"],
     # one verdict per way of giving the drives, and one per failure kind
     "verify_pol": [
-        "loops", "verify", "propanediol", "--triad", "b", "--pol", "ZXY",
+        "loops", "verify", "propanediol", "--triad", "b", "--config", "ZXY",
         "--amp", "1,0.75,2.75", "--phase", "0.3,-2,1",
     ],
-    "verify_not_closed": ["loops", "verify", "propanediol", "--triad", "b", "--pol", "XYX"],
-    "verify_zero_rabi": ["loops", "verify", "propanediol", "--triad", "b", "--sigma", "0,0,0"],
+    "verify_not_closed": ["loops", "verify", "propanediol", "--triad", "b", "--config", "XYX"],
+    "verify_zero_rabi": ["loops", "verify", "propanediol", "--triad", "b", "--config", "0,0,0"],
     "verify_sigma": [
-        "loops", "verify", "propanediol", "--triad", "b", "--sigma", "1,0,1",
+        "loops", "verify", "propanediol", "--triad", "b", "--config", "1,0,1",
         "--amp", "2,1,0.5", "--phase=-1,-2,-3",
     ],
     "verify_field": [
@@ -84,7 +84,7 @@ CASES = {
         "--field=-1:1:0", "--field=0:2:1,1:1:-3",
     ],
     "verify_non_finite": [
-        "loops", "verify", "propanediol", "--pol", "ZXY", "--amp", "1e200,1e200,1e200",
+        "loops", "verify", "propanediol", "--config", "ZXY", "--amp", "1e200,1e200,1e200",
     ],
     # leaky general drives scaled until every residual is below 1e-9 MHz: not
     # closed, as the residual is 0.34 of the smallest |Omega| at every scale
